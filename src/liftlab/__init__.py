@@ -3,6 +3,7 @@
 from .characterization import (
     CharacterizationReport,
     RootOfUnity,
+    lambda_new_from_fibers,
     lambda_new_from_roots,
     lift_eigenvector,
     roots_of_unity,
@@ -75,6 +76,7 @@ from .lifts import (
     shift_to_signing,
     signed_adjacency,
     signing_to_assignment,
+    signing_to_shifts,
     two_lift_block_matrix,
 )
 from .spectra import (

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CharacterizationError, InvalidParameterError
-from .graphs import RegularGraph, adjacency_matrix
+from .errors import CharacterizationError, InvalidParameterError, NumericalError
+from .graphs import RegularGraph, adjacency_matrix, edge_endpoints
 from .lifts import ShiftAssignment, build_shift_lift
 from .spectra import (
     HermitianMatrix,
@@ -23,6 +23,7 @@ from .spectra import (
     eig_hermitian,
     eig_symmetric,
     max_multiset_mismatch,
+    spectral_radius,
 )
 
 
@@ -198,11 +199,65 @@ def verify_characterization(
 def lambda_new_from_roots(g: RegularGraph, sa: ShiftAssignment) -> tuple[float, tuple[float, ...]]:
     """Largest new eigenvalue of a shift lift via the per-root radii.
 
-    Returns (max radius over roots j >= 1, all k-1 radii ordered by j).
+    Only roots j <= k/2 are solved: M_{k-j} is the entrywise conjugate of
+    M_j and has the same spectrum, and M_{k/2} is a real signing, solved on
+    the real symmetric path. Returns (max radius over roots j >= 1, all k-1
+    radii ordered by j).
     """
-    radii = []
-    for j in range(1, sa.k):
-        spec = eig_hermitian(shift_matrix(g, sa, RootOfUnity(sa.k, j)))
-        vals = spec.values
-        radii.append(float(max(abs(vals[0]), abs(vals[-1]))) if vals.size else 0.0)
-    return (max(radii) if radii else 0.0), tuple(radii)
+    k = sa.k
+    half = []
+    for j in range(1, k // 2 + 1):
+        m = shift_matrix(g, sa, RootOfUnity(k, j)).data
+        half.append(spectral_radius(m.real if 2 * j == k else m))
+    radii = tuple(half[min(j, k - j) - 1] for j in range(1, k))
+    return max(radii), radii
+
+
+def lambda_new_from_fibers(g: RegularGraph, sa: ShiftAssignment) -> float:
+    """Largest new eigenvalue of a shift lift as the spectral radius of P A_H P.
+
+    P subtracts each fiber's mean. The fiber-constant vectors span exactly
+    the eigenspace inherited from the base and A_H maps their orthogonal
+    complement to itself, so the radius of P A_H P is lambda_new; no lift
+    graph, no dense lift matrix and no old/new matching is involved. A_H is
+    assembled as a sparse matrix from the base edges: shift s on (u, v) gives
+    the lift edges (u, i)-(v, i + s mod k). The operator is solved by Lanczos
+    (ARPACK, fixed start vector), asking for the two largest-magnitude values
+    so that a +-lambda tie on a bipartite base converges; every lift has
+    order k*n >= 4, above the two values asked for. An ARPACK failure raises
+    NumericalError.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    k, n = sa.k, g.n
+    if len(sa.shifts) != len(g.edges):
+        raise InvalidParameterError(
+            f"assignment has {len(sa.shifts)} shifts for {len(g.edges)} edges"
+        )
+    size = k * n
+    eu, ev = edge_endpoints(g)
+    copy = np.arange(k)
+    shifts = np.asarray(sa.shifts, dtype=np.int64)[:, None]
+    rows = (eu[:, None] * k + copy).ravel()
+    cols = (ev[:, None] * k + (copy + shifts) % k).ravel()
+    ends = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+    a_h = csr_matrix((np.ones(ends[0].size), ends), shape=(size, size))
+
+    def project(x: np.ndarray) -> np.ndarray:
+        x = x.reshape(n, k, -1)
+        return (x - x.mean(axis=1, keepdims=True)).reshape(size, -1)
+
+    op = LinearOperator((size, size), dtype=float,
+                        matvec=lambda x: project(a_h @ project(x)))
+    v0 = project(np.random.default_rng(0).standard_normal(size)).ravel()
+    try:
+        # ARPACK stops once each Ritz residual is below tol * |theta| <= tol * d,
+        # which also bounds the Ritz value's distance to an eigenvalue
+        vals = eigsh(op, k=2, which="LM", v0=v0, tol=1e-10,
+                     return_eigenvectors=False)
+    except ArpackError as exc:
+        raise NumericalError(
+            f"Lanczos on the fiber-sum-zero operator failed: {exc}"
+        ) from exc
+    return float(np.max(np.abs(vals)))

@@ -261,6 +261,8 @@ def _mc(args) -> int:
         f"{cfg.mode} campaign: {done}/{cfg.trials} trials ok, lambda={report.lam:.6g}, "
         f"median lambda_new={dict(report.quantiles)['median']:.6g}"
     )
+    if report.failed:
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -114,6 +114,11 @@ def signing_to_assignment(s: Signing) -> LiftAssignment:
     return LiftAssignment(2, perms)
 
 
+def signing_to_shifts(s: Signing) -> ShiftAssignment:
+    """+1 becomes shift 0, -1 shift 1; k = 2."""
+    return ShiftAssignment(2, tuple((1 - sign) // 2 for sign in s.signs))
+
+
 def assignment_to_signing(a: LiftAssignment) -> Signing:
     """Inverse of signing_to_assignment (k must be 2)."""
     if a.k != 2:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import liftlab as ll
+from liftlab import experiments
+from liftlab.cli import dispatch
 from liftlab.errors import InvalidParameterError, SizeLimitError
 from liftlab.fileio import experiment_report_csv, experiment_report_text
 
@@ -128,6 +130,133 @@ class TestRunLiftTrials:
         expected = 1.0 - (1.0 - rate) ** copies
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(hit - expected) <= 3 * se
+
+
+def trial_assignment(g, cfg, index):
+    """The shift assignment a campaign trial samples, rebuilt from its seed."""
+    seed = ll.trial_seed(cfg.base_seed, index)
+    if cfg.mode == "shift_lift":
+        return ll.random_shift_lift(g, cfg.k, seed)
+    return ll.signing_to_shifts(ll.random_signing(g, seed))
+
+
+def dense_split_lambda_new(g, sa):
+    """lambda_new of the built lift by the dense old/new split."""
+    lifted = ll.build_shift_lift(g, sa)
+    return ll.split_old_new(
+        ll.eig_symmetric(ll.adjacency_matrix(g)),
+        ll.eig_symmetric(ll.adjacency_matrix(lifted.graph)),
+        sa.k,
+    ).lambda_new
+
+
+def all_root_radii(g, sa):
+    """Radius of every root matrix j = 1..k-1, each solved as complex Hermitian."""
+    radii = []
+    for j in range(1, sa.k):
+        vals = ll.eig_hermitian(ll.shift_matrix(g, sa, ll.RootOfUnity(sa.k, j))).values
+        radii.append(max(abs(vals[0]), abs(vals[-1])))
+    return radii
+
+
+class TestTrialPathOracle:
+    """Campaign values against the dense split of the built lift, which the
+    trial path itself never computes."""
+
+    def check_campaign(self, base, k, mode, copies=1, trials=3):
+        cfg = ll.ExperimentConfig(base, k, trials, 31 + k, (3.0,), mode,
+                                  copies=copies)
+        g = ll.resolve_base_graph(cfg)
+        report = ll.run_lift_trials(cfg)
+        assert report.failed == 0, [r.error for r in report.records]
+        for record in report.records:
+            sa = trial_assignment(g, cfg, record.index)
+            split = dense_split_lambda_new(g, sa)
+            assert abs(record.lambda_new - split) <= 1e-9
+            assert abs(ll.lambda_new_from_fibers(g, sa) - split) <= 1e-9
+            if mode == "shift_lift":
+                assert len(record.root_radii) == k - 1
+                assert np.max(np.abs(np.subtract(record.root_radii,
+                                                 all_root_radii(g, sa)))) <= 1e-12
+            else:
+                assert record.root_radii is None
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_shift_mode_k2_to_k8(self, k):
+        self.check_campaign("random_regular 20 3 5", k, "shift_lift")
+
+    def test_two_lift_mode(self):
+        self.check_campaign("random_regular 40 3 5", 2, "two_lift")
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_bipartite_base_ties_plus_minus(self, k):
+        # every lift of K_{8,8} is bipartite: new eigenvalues come in +-pairs
+        self.check_campaign("complete_bipartite 8", k, "shift_lift")
+        if k == 2:
+            self.check_campaign("complete_bipartite 8", 2, "two_lift")
+
+    @pytest.mark.parametrize("mode,k", [("shift_lift", 3), ("shift_lift", 4),
+                                        ("two_lift", 2)])
+    def test_disjoint_copies_repeat_eigenvalues(self, mode, k):
+        self.check_campaign("complete 4", k, mode, copies=10)
+
+    def test_tiny_lift_of_a_single_edge(self):
+        # K_2 with k = 2 is a lift of order 4; its new eigenvalue is +-1
+        for mode in ("shift_lift", "two_lift"):
+            self.check_campaign("complete 2", 2, mode, trials=4)
+        sa = ll.ShiftAssignment(2, (1,))
+        assert ll.lambda_new_from_fibers(ll.complete_graph(2), sa) == \
+            pytest.approx(1.0, abs=1e-12)
+
+
+class TestLoudFailures:
+    @pytest.mark.parametrize("mode,k", [("shift_lift", 3), ("two_lift", 2)])
+    def test_wrong_shift_in_fiber_operator_fails_every_trial(
+            self, mode, k, monkeypatch, tmp_path):
+        # adding 1 mod k to one edge's shift gives a different lift; negating
+        # every shift would give the conjugate lift, with the same spectrum
+        real = experiments.lambda_new_from_fibers
+
+        def one_edge_off(g, sa):
+            shifts = ((sa.shifts[0] + 1) % sa.k,) + sa.shifts[1:]
+            return real(g, ll.ShiftAssignment(sa.k, shifts))
+
+        monkeypatch.setattr(experiments, "lambda_new_from_fibers", one_edge_off)
+        cfg = ll.ExperimentConfig("random_regular 40 3 2", k, 4, 5, (3.0,), mode)
+        report = ll.run_lift_trials(cfg, threads=2)
+        assert report.failed == cfg.trials
+        text = experiment_report_text(report)
+        assert f"failed = {cfg.trials}" in text
+        for record in report.records:
+            assert record.lambda_new is None
+            assert "disagrees with the fiber-projected radius" in record.error
+            assert (f"trial {record.index} seed {record.seed} failed lambda_new"
+                    in text)
+
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"base = random_regular 40 3 2\nmode = {mode}\n"
+                            f"k = {k}\ntrials = 4\nseed = 5\n")
+        out, csv = tmp_path / "report.txt", tmp_path / "trials.csv"
+        assert dispatch(["mc", "--config", str(cfg_path), "--out", str(out),
+                         "--csv", str(csv)]) == 3
+        assert "failed = 4" in out.read_text()
+        assert csv.read_text().splitlines()[1:] == [
+            f"{i},{ll.trial_seed(5, i)}," for i in range(4)
+        ]
+
+    def test_lanczos_non_convergence_is_a_failed_trial(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        def no_convergence(*args, **kwargs):
+            raise sla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(sla, "eigsh", no_convergence)
+        cfg = ll.ExperimentConfig("random_regular 40 3 2", 4, 2, 5, (3.0,),
+                                  "shift_lift")
+        report = ll.run_lift_trials(cfg)
+        assert report.failed == 2
+        assert all("Lanczos" in r.error and "No convergence" in r.error
+                   for r in report.records)
 
 
 class TestSpotChecks:
