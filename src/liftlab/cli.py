@@ -272,7 +272,8 @@ def _search_signing(args) -> int:
     if args.out:
         fileio.write_text(fileio.signing_search_report_text(result), args.out)
     print(
-        f"min ||A_s|| = {result.min_radius:.12g} over {result.num_signings} signings; "
+        f"min ||A_s|| = {result.min_radius:.12g} over {result.num_signings} signings "
+        f"({result.num_classes} switching classes); "
         f"2*sqrt(d-1) = {result.ramanujan_bound:.12g}; "
         f"within: {'yes' if result.within_bound else 'no'}"
     )

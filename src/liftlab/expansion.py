@@ -76,11 +76,38 @@ def _mask_to_subset(mask: int, n: int) -> frozenset:
     return frozenset(x for x in range(n) if (mask >> x) & 1)
 
 
-def _cut_sizes(masks: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+def _cut_tables(n: int, eu: np.ndarray, ev: np.ndarray) -> list[tuple[int, int, int, np.ndarray]]:
+    """Byte-pair lookup tables for E(S, V\\S), each edge counted in one table.
+
+    The subset mask is read as bytes, byte a holding vertices 8a..8a+7. An
+    entry (a, b, shift, t) counts cut edges at index (byte a << shift) | byte b,
+    where shift is the width of block b (0 when a == b, a single-block graph).
+    An edge is filed under the blocks of its ends; one inside block a is filed
+    under a and its next block (the previous one for the last block), so no
+    block needs a table of its own and each mask costs one lookup per table.
+    """
+    blocks = (n + 7) // 8
+    width = [min(8, n - 8 * a) for a in range(blocks)]
+    tables: dict[tuple[int, int, int], np.ndarray] = {}
+    for u, v in zip(eu.tolist(), ev.tolist()):
+        a, b = u // 8, v // 8
+        if a == b and blocks > 1:
+            a, b = (a, a + 1) if a + 1 < blocks else (a - 1, a)
+        shift = width[b] if a != b else 0
+        t = tables.get((a, b, shift))
+        if t is None:
+            t = tables[(a, b, shift)] = np.zeros(1 << (width[a] + shift), dtype=np.int64)
+        index = np.arange(t.size, dtype=np.int64)
+        pu, pv = (shift + w - 8 * a if w // 8 == a else w - 8 * b for w in (u, v))
+        t += ((index >> pu) ^ (index >> pv)) & 1
+    return [(*key, t) for key, t in sorted(tables.items())]
+
+
+def _cut_sizes(masks: np.ndarray, tables: list[tuple[int, int, int, np.ndarray]]) -> np.ndarray:
     """Boundary edge count E(S, V\\S) for every subset bitmask in `masks`."""
     cut = np.zeros(masks.shape, dtype=np.int64)
-    for u, v in zip(eu.tolist(), ev.tolist()):
-        cut += ((masks >> u) ^ (masks >> v)) & 1
+    for a, b, shift, t in tables:
+        cut += t[(((masks >> (8 * a)) & 0xFF) << shift) | ((masks >> (8 * b)) & 0xFF)]
     return cut
 
 
@@ -110,7 +137,7 @@ def combinatorial_expansion(
             raise SizeLimitError(
                 f"exhaustive expansion capped at n={H_EXHAUSTIVE_CAP}, got {g.n}"
             )
-        eu, ev = edge_endpoints(g)
+        tables = _cut_tables(g.n, *edge_endpoints(g))
         best = math.inf
         best_mask = 0
         for lo in range(1, 1 << g.n, _CHUNK):
@@ -119,7 +146,7 @@ def combinatorial_expansion(
             valid = 2 * pop <= g.n
             if not valid.any():
                 continue
-            ratios = np.where(valid, _cut_sizes(masks, eu, ev) / np.maximum(pop, 1), math.inf)
+            ratios = np.where(valid, _cut_sizes(masks, tables) / np.maximum(pop, 1), math.inf)
             idx = int(np.argmin(ratios))
             if ratios[idx] < best:
                 best = float(ratios[idx])

@@ -430,20 +430,59 @@ def sign_sum_stats(
 
 @dataclass(frozen=True)
 class SigningSearchResult:
-    """Global minimum of ||A_s|| over all 2^|E| signings of one graph."""
+    """Global minimum of ||A_s|| over all 2^|E| signings of one graph.
+
+    The search solves one representative per switching class, so
+    num_classes = 2^(|E| - n + c) spectra stand for all num_signings = 2^|E|
+    signings (c is the number of connected components).
+    """
 
     best: Signing
     min_radius: float
     ramanujan_bound: float
     within_bound: bool
     num_signings: int
+    num_classes: int
+
+
+def _switching_free_edges(g: RegularGraph) -> list[int]:
+    """Ascending indices of the edges outside a descending-index spanning forest.
+
+    Kruskal over edges from the highest index down keeps each edge that joins
+    two components. Every switching class holds exactly one signing that is
+    +1 on a spanning forest, so fixing the kept edges to +1 leaves one
+    signing per class. That signing is the smallest code in its class:
+    scanning bits from the top, edge e can be 0 whenever it closes no cycle
+    with the higher edges, and those are the forest edges.
+    """
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    free = []
+    for e in range(len(g.edges) - 1, -1, -1):
+        ru, rv = find(g.edges[e][0]), find(g.edges[e][1])
+        if ru == rv:
+            free.append(e)
+        else:
+            parent[ru] = rv
+    return free[::-1]
 
 
 def exhaustive_signing_search(g: RegularGraph) -> SigningSearchResult:
-    """Enumerate every signing (|E| <= 24) and minimize the spectral radius.
+    """Minimize the spectral radius over every signing (|E| <= 24).
 
-    Sign vectors are enumerated as binary codes (bit e set means edge e gets
-    -1), so rerunning is deterministic and ties resolve to the smallest code.
+    Switching at a vertex (flipping all its edge signs) is a diagonal +-1
+    similarity, so only one signing per switching class is solved: the one
+    with +1 on a spanning forest (see _switching_free_edges). Classes are
+    enumerated as binary codes over the free edges (bit i set means the i-th
+    free edge gets -1), so rerunning is deterministic, and ties resolve to the
+    first class in code order, whose representative is also the smallest full
+    code (bit e set means edge e gets -1) among the tied classes.
     """
     m = len(g.edges)
     if m > SIGNING_SEARCH_CAP:
@@ -451,13 +490,15 @@ def exhaustive_signing_search(g: RegularGraph) -> SigningSearchResult:
             f"exhaustive signing search capped at |E|={SIGNING_SEARCH_CAP}, got {m}"
         )
     eu, ev = edge_endpoints(g)
-    total = 1 << m
+    free = np.array(_switching_free_edges(g), dtype=np.int64)
+    total = 1 << free.size
     best_code = 0
     best_radius = math.inf
     chunk = 4096
     for lo in range(0, total, chunk):
         codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        signs = 1.0 - 2.0 * ((codes[:, None] >> np.arange(m)[None, :]) & 1)
+        signs = np.ones((codes.size, m))
+        signs[:, free] = 1.0 - 2.0 * ((codes[:, None] >> np.arange(free.size)[None, :]) & 1)
         mats = np.zeros((codes.size, g.n, g.n))
         mats[:, eu, ev] = signs
         mats[:, ev, eu] = signs
@@ -467,10 +508,13 @@ def exhaustive_signing_search(g: RegularGraph) -> SigningSearchResult:
         if radii[idx] < best_radius:
             best_radius = float(radii[idx])
             best_code = int(codes[idx])
-    best = Signing(tuple(1 - 2 * ((best_code >> e) & 1) for e in range(m)))
+    best_signs = [1] * m
+    for i, e in enumerate(free.tolist()):
+        best_signs[e] = 1 - 2 * ((best_code >> i) & 1)
     bound = 2.0 * math.sqrt(g.d - 1)
     return SigningSearchResult(
-        best, best_radius, bound, best_radius <= bound + 1e-9, total
+        Signing(tuple(best_signs)), best_radius, bound, best_radius <= bound + 1e-9,
+        1 << m, total,
     )
 
 
@@ -519,7 +563,6 @@ def greedy_lift_growth(
         if k * current.n > MAX_DENSE_DIM:
             truncated = True
             break
-        base_spec = eig_symmetric(adjacency_matrix(current))
         m = len(current.edges)
         exhaustive = k**m <= samples_per_level
         count = k**m if exhaustive else samples_per_level
@@ -538,12 +581,12 @@ def greedy_lift_growth(
                 )
             lifted = build_shift_lift(current, sa)
             lift_spec = eig_symmetric(adjacency_matrix(lifted.graph))
-            lam_new = split_old_new(base_spec, lift_spec, k).lambda_new
+            lam_new = split_old_new(spec, lift_spec, k).lambda_new
             if best is None or lam_new < best[0]:
                 best = (lam_new, lifted, lift_spec)
-        lam_new, lifted, lift_spec = best
+        lam_new, lifted, spec = best
         current = lifted.graph
         records.append(
-            LevelRecord(level, current.n, lambda_nontrivial(lift_spec, current.d), lam_new)
+            LevelRecord(level, current.n, lambda_nontrivial(spec, current.d), lam_new)
         )
     return GrowthTrajectory(tuple(records), truncated, k, samples_per_level, seed)

@@ -347,6 +347,7 @@ def signing_search_report_text(r: SigningSearchResult) -> str:
     out = [
         "report = signing_search",
         f"num_signings = {r.num_signings}",
+        f"num_classes = {r.num_classes}",
         f"min_radius = {_fmt(r.min_radius)}",
         f"ramanujan_bound = {_fmt(r.ramanujan_bound)}",
         f"within_bound = {_fmt(r.within_bound)}",

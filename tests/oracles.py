@@ -67,6 +67,14 @@ def brute_force_expansion(n: int, edges) -> tuple[float, frozenset]:
     return best, best_set
 
 
+def per_edge_cut_sizes(masks: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """E(S, V\\S) for every subset bitmask in `masks`, one pass per edge."""
+    cut = np.zeros(masks.shape, dtype=np.int64)
+    for u, v in zip(eu.tolist(), ev.tolist()):
+        cut += ((masks >> u) ^ (masks >> v)) & 1
+    return cut
+
+
 def brute_force_mixing_ratio(n: int, d: int, a: np.ndarray) -> float:
     """max over ordered nonempty subset pairs of the mixing deviation ratio."""
     best = -math.inf

@@ -124,6 +124,7 @@ def test_criterion_6_k4_signing_search():
     with criterion(6, "min ||A_s|| over the 64 signings of K_4", 1):
         result = ll.exhaustive_signing_search(ll.complete_graph(4))
         assert result.num_signings == 64
+        assert result.num_classes == 8
         assert result.min_radius <= 2.0 * math.sqrt(2.0) + 1e-9
 
 

@@ -221,7 +221,9 @@ class TestCli:
         path = tmp_path / "k4.graph"
         dispatch(["gen", "--family", "complete", "--m", "4", "--out", str(path)])
         assert dispatch(["search-signing", "--graph", str(path)]) == 0
-        assert "2.2360679" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "2.2360679" in out
+        assert "over 64 signings (8 switching classes)" in out
 
     def test_grow_command(self, tmp_path, capsys):
         path = tmp_path / "k4.graph"
@@ -274,7 +276,7 @@ class TestReportSerializers:
     def test_signing_search_report_text(self, k4):
         text = fileio.signing_search_report_text(ll.exhaustive_signing_search(k4))
         assert "within_bound = true" in text
-        assert "num_signings = 64" in text
+        assert "num_signings = 64\nnum_classes = 8\n" in text
 
     def test_converse_mixing_report_text(self, k5):
         lam = ll.lambda_nontrivial(ll.eig_symmetric(ll.adjacency_matrix(k5)), 4)

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 import liftlab as ll
 from liftlab.errors import InvalidParameterError, SizeLimitError
 
-from oracles import brute_force_expansion, brute_force_mixing_ratio
+from liftlab.expansion import _cut_sizes, _cut_tables
+from oracles import brute_force_expansion, brute_force_mixing_ratio, per_edge_cut_sizes
 
 
 def base_lambda(g, bipartite=False):
@@ -65,6 +67,29 @@ class TestCombinatorialExpansion:
     def test_sampled_needs_parameters(self, k4):
         with pytest.raises(InvalidParameterError):
             ll.combinatorial_expansion(k4, method="sampled")
+
+
+class TestCutKernel:
+    @pytest.mark.parametrize("g", [
+        ll.complete_bipartite(3),
+        ll.random_regular(6, 3, 2),
+        ll.random_regular(9, 4, 3),
+        ll.random_regular(12, 3, 4),
+        ll.complete_graph(12),
+    ], ids=["K33", "rr6_3", "rr9_4", "rr12_3", "K12"])
+    def test_byte_tables_match_per_edge_oracle(self, g):
+        eu, ev = ll.edge_endpoints(g)
+        masks = np.arange(1 << g.n, dtype=np.int64)
+        got = _cut_sizes(masks, _cut_tables(g.n, eu, ev))
+        np.testing.assert_array_equal(got, per_edge_cut_sizes(masks, eu, ev))
+
+    def test_three_blocks_match_per_edge_oracle(self):
+        g = ll.random_regular(20, 3, 5)
+        eu, ev = ll.edge_endpoints(g)
+        rng = np.random.default_rng(7)
+        masks = np.concatenate([rng.integers(0, 1 << 20, 4096), [(1 << 20) - 1]])
+        got = _cut_sizes(masks, _cut_tables(g.n, eu, ev))
+        np.testing.assert_array_equal(got, per_edge_cut_sizes(masks, eu, ev))
 
 
 class TestCheeger:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from liftlab.cli import dispatch
 from liftlab.errors import InvalidParameterError, SizeLimitError
 from liftlab.fileio import experiment_report_csv, experiment_report_text
 
-from oracles import brute_force_signing_min_radius, k4_top_radius_rate
+from oracles import bfs_components, brute_force_signing_min_radius, k4_top_radius_rate
 
 
 class TestSeedDerivation:
@@ -322,6 +323,49 @@ class TestSigningSearch:
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
             ll.exhaustive_signing_search(ll.random_regular(18, 3, 0))
+
+    @pytest.mark.parametrize("g", [
+        ll.cycle_graph(5),
+        ll.complete_bipartite(3),
+        ll.complete_graph(2),
+        ll.disjoint_copies(ll.complete_graph(4), 2),
+        ll.random_regular(8, 3, 11),
+        ll.random_regular(8, 3, 12),
+    ], ids=["C5", "K33", "K2", "2xK4", "rr8_3_a", "rr8_3_b"])
+    def test_switching_classes_match_per_signing_oracle(self, g):
+        result = ll.exhaustive_signing_search(g)
+        m, n, c = g.num_edges, g.n, len(bfs_components(g.n, g.edges))
+        assert result.num_signings == 2**m
+        assert result.num_classes == 2 ** (m - n + c)
+        # the n - c edges fixed to +1 reach every component, so they form a forest
+        free = set(experiments._switching_free_edges(g))
+        fixed = [edge for e, edge in enumerate(g.edges) if e not in free]
+        assert len(fixed) == n - c and len(bfs_components(n, fixed)) == c
+        oracle = brute_force_signing_min_radius(n, g.edges)
+        assert result.min_radius == pytest.approx(oracle, abs=1e-12)
+        radius = ll.spectral_radius(ll.signed_adjacency(g, result.best))
+        assert radius == pytest.approx(result.min_radius, abs=1e-12)
+        # the representative is the smallest code among its 2^n switchings
+        signs = np.array(result.best.signs)
+        eu, ev = ll.edge_endpoints(g)
+        weights = 1 << np.arange(m, dtype=np.int64)
+        best_code = int(weights[signs < 0].sum())
+        for mask in range(1 << n):
+            side = (mask >> np.arange(n)) & 1
+            switched = np.where(side[eu] != side[ev], -signs, signs)
+            assert best_code <= int(weights[switched < 0].sum())
+
+    def test_search_at_the_edge_cap(self):
+        g = ll.random_regular(16, 3, 4)
+        assert g.num_edges == experiments.SIGNING_SEARCH_CAP
+        start = time.perf_counter()
+        result = ll.exhaustive_signing_search(g)
+        assert time.perf_counter() - start < 2.0
+        assert result.num_classes == 2 ** (24 - 16 + 1)
+        for seed in range(64):
+            signing = ll.random_signing(g, seed)
+            radius = ll.spectral_radius(ll.signed_adjacency(g, signing))
+            assert radius >= result.min_radius - 1e-12
 
 
 class TestGreedyGrowth:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import liftlab as ll
 from liftlab.errors import InvalidParameterError
@@ -188,6 +190,25 @@ class TestSignedAdjacency:
     def test_length_mismatch(self, k4):
         with pytest.raises(InvalidParameterError):
             ll.signed_adjacency(k4, ll.Signing((1, -1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    d=st.integers(1, 5),
+    graph_seed=st.integers(0, 2**32),
+    sign_bits=st.integers(0, 2**25 - 1),
+    subset_bits=st.integers(0, 2**10 - 1),
+)
+def test_switching_preserves_signed_spectrum(n, d, graph_seed, sign_bits, subset_bits):
+    assume(d < n and n * d % 2 == 0)
+    g = ll.random_regular(n, d, graph_seed)
+    signs = [1 - 2 * ((sign_bits >> e) & 1) for e in range(g.num_edges)]
+    side = [(subset_bits >> x) & 1 for x in range(n)]
+    switched = [s * (-1 if side[u] != side[v] else 1) for (u, v), s in zip(g.edges, signs)]
+    before = np.linalg.eigvalsh(ll.signed_adjacency(g, ll.Signing(tuple(signs))))
+    after = np.linalg.eigvalsh(ll.signed_adjacency(g, ll.Signing(tuple(switched))))
+    np.testing.assert_allclose(after, before, rtol=0, atol=1e-12)
 
 
 class TestTwoLiftBlockMatrix:
