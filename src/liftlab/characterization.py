@@ -66,23 +66,27 @@ def roots_of_unity(k: int) -> tuple[RootOfUnity, ...]:
     return tuple(RootOfUnity(k, j) for j in range(k))
 
 
+def _check_shift_count(g: RegularGraph, sa: ShiftAssignment) -> None:
+    if sa.shift_array.shape[0] != g.num_edges:
+        raise InvalidParameterError(
+            f"assignment has {sa.shift_array.shape[0]} shifts for {g.num_edges} edges"
+        )
+
+
 def shift_matrix(g: RegularGraph, sa: ShiftAssignment, t: RootOfUnity) -> HermitianMatrix:
     """Hermitian matrix with entry t**shift on each stored edge direction.
 
     Entry (u, v) of a stored edge (u < v, shift s) is t**s and entry (v, u)
     is the conjugate t**(-s); at t = 1 this is exactly the adjacency matrix.
     """
-    if len(sa.shifts) != len(g.edges):
-        raise InvalidParameterError(
-            f"assignment has {len(sa.shifts)} shifts for {len(g.edges)} edges"
-        )
+    _check_shift_count(g, sa)
     if t.k != sa.k:
         raise InvalidParameterError("root order and assignment degree disagree")
+    w = np.array([t.power(s) for s in range(sa.k)])[sa.shift_array]
+    u, v = edge_endpoints(g)
     m = np.zeros((g.n, g.n), dtype=complex)
-    for (u, v), s in zip(g.edges, sa.shifts):
-        w = t.power(s)
-        m[u, v] = w
-        m[v, u] = w.conjugate()
+    m[u, v] = w
+    m[v, u] = w.conj()
     return HermitianMatrix(m)
 
 
@@ -231,14 +235,11 @@ def lambda_new_from_fibers(g: RegularGraph, sa: ShiftAssignment) -> float:
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     k, n = sa.k, g.n
-    if len(sa.shifts) != len(g.edges):
-        raise InvalidParameterError(
-            f"assignment has {len(sa.shifts)} shifts for {len(g.edges)} edges"
-        )
+    _check_shift_count(g, sa)
     size = k * n
     eu, ev = edge_endpoints(g)
     copy = np.arange(k)
-    shifts = np.asarray(sa.shifts, dtype=np.int64)[:, None]
+    shifts = sa.shift_array[:, None]
     rows = (eu[:, None] * k + copy).ravel()
     cols = (ev[:, None] * k + (copy + shifts) % k).ravel()
     ends = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))

@@ -18,20 +18,14 @@ from .errors import (
 )
 from .expansion import cheeger_check, eml_check
 from .experiments import (
+    FAMILIES,
     default_threads,
     exhaustive_signing_search,
     greedy_lift_growth,
     lemma_inequality_spot_check,
     run_lift_trials,
 )
-from .graphs import (
-    adjacency_matrix,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    disjoint_copies,
-    random_regular,
-)
+from .graphs import adjacency_matrix, disjoint_copies
 from .lifts import (
     ShiftAssignment,
     build_lift,
@@ -57,8 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a base graph and write its edge list")
-    p.add_argument("--family", required=True,
-                   choices=["complete", "complete_bipartite", "cycle", "random_regular"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--m", type=int, help="part/clique size for complete families")
     p.add_argument("--n", type=int, help="vertex count for cycle/random_regular")
     p.add_argument("--d", type=int, help="degree for random_regular")
@@ -137,22 +130,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _gen(args) -> int:
-    if args.family == "complete":
-        if args.m is None:
-            raise InvalidParameterError("complete needs --m")
-        g = complete_graph(args.m)
-    elif args.family == "complete_bipartite":
-        if args.m is None:
-            raise InvalidParameterError("complete_bipartite needs --m")
-        g = complete_bipartite(args.m)
-    elif args.family == "cycle":
-        if args.n is None:
-            raise InvalidParameterError("cycle needs --n")
-        g = cycle_graph(args.n)
-    else:
-        if args.n is None or args.d is None:
-            raise InvalidParameterError("random_regular needs --n and --d")
-        g = random_regular(args.n, args.d, args.seed)
+    make, params = FAMILIES[args.family]
+    values = [getattr(args, p) for p in params]
+    missing = [f"--{p}" for p, value in zip(params, values) if value is None]
+    if missing:
+        raise InvalidParameterError(f"{args.family} needs {' and '.join(missing)}")
+    g = make(*values)
     if args.copies > 1:
         g = disjoint_copies(g, args.copies)
     fileio.write_graph(g, args.out)

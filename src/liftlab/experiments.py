@@ -82,7 +82,13 @@ def default_threads() -> int:
 # Campaign configuration
 # --------------------------------------------------------------------------
 
-_FAMILIES = ("complete", "complete_bipartite", "cycle", "random_regular", "file")
+# generator family -> (constructor, names of its integer parameters in order)
+FAMILIES = {
+    "complete": (complete_graph, ("m",)),
+    "complete_bipartite": (complete_bipartite, ("m",)),
+    "cycle": (cycle_graph, ("n",)),
+    "random_regular": (random_regular, ("n", "d", "seed")),
+}
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,7 @@ class ExperimentConfig:
 def resolve_base_graph(cfg: ExperimentConfig) -> RegularGraph:
     """Build the campaign's base graph from its generator spec string."""
     tokens = cfg.base.split()
-    if not tokens or tokens[0] not in _FAMILIES:
+    if not tokens or (tokens[0] != "file" and tokens[0] not in FAMILIES):
         raise InvalidParameterError(f"unknown base spec {cfg.base!r}")
     family, args = tokens[0], tokens[1:]
     if family == "file":
@@ -136,16 +142,10 @@ def resolve_base_graph(cfg: ExperimentConfig) -> RegularGraph:
             nums = [int(a) for a in args]
         except ValueError as exc:
             raise InvalidParameterError(f"non-integer parameter in {cfg.base!r}") from exc
-        if family == "complete" and len(nums) == 1:
-            g = complete_graph(nums[0])
-        elif family == "complete_bipartite" and len(nums) == 1:
-            g = complete_bipartite(nums[0])
-        elif family == "cycle" and len(nums) == 1:
-            g = cycle_graph(nums[0])
-        elif family == "random_regular" and len(nums) == 3:
-            g = random_regular(nums[0], nums[1], nums[2])
-        else:
+        make, params = FAMILIES[family]
+        if len(nums) != len(params):
             raise InvalidParameterError(f"bad parameter count in {cfg.base!r}")
+        g = make(*nums)
     if cfg.copies > 1:
         g = disjoint_copies(g, cfg.copies)
     return g
@@ -358,7 +358,7 @@ def lemma_inequality_spot_check(
 
     violations = 0
     max_ratio = 0.0
-    m = len(g.edges)
+    m = g.num_edges
     for _ in range(trials):
         signs = rng.integers(0, 2, size=m) * 2 - 1
         if which == "lemma3":
@@ -484,7 +484,7 @@ def exhaustive_signing_search(g: RegularGraph) -> SigningSearchResult:
     first class in code order, whose representative is also the smallest full
     code (bit e set means edge e gets -1) among the tied classes.
     """
-    m = len(g.edges)
+    m = g.num_edges
     if m > SIGNING_SEARCH_CAP:
         raise SizeLimitError(
             f"exhaustive signing search capped at |E|={SIGNING_SEARCH_CAP}, got {m}"
@@ -563,7 +563,7 @@ def greedy_lift_growth(
         if k * current.n > MAX_DENSE_DIM:
             truncated = True
             break
-        m = len(current.edges)
+        m = current.num_edges
         exhaustive = k**m <= samples_per_level
         count = k**m if exhaustive else samples_per_level
         best = None

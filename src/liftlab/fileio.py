@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 import numpy as np
 
@@ -30,40 +31,85 @@ def _lines(text: str) -> list[str]:
     return [ln.rstrip("\r") for ln in text.split("\n")]
 
 
+def _header(text: str, names: str) -> tuple[int, int, str]:
+    """The two integers of the header line, and the body after it."""
+    header, _, body = text.partition("\n")
+    header = header.rstrip("\r")
+    if not header.strip():
+        raise FormatError(f"missing header '{names}'", line=1)
+    parts = header.split()
+    if len(parts) != 2:
+        raise FormatError(f"expected '{names}', got {header!r}", line=1)
+    try:
+        return int(parts[0]), int(parts[1]), body
+    except ValueError:
+        raise FormatError(f"non-integer header {header!r}", line=1) from None
+
+
+def _table(lines, dtype: np.dtype) -> np.ndarray:
+    """All non-blank lines parsed by one numpy call.
+
+    `lines` is a body string or an array of lines. Any whitespace, CR
+    included, separates tokens and blank lines are skipped, as in the line
+    scan below; a token that is not a decimal int64 or a line whose width
+    differs from the others raises ValueError. Rows are 2-d for a plain
+    dtype and 1-d records for a structured one; no lines give None.
+    """
+    if isinstance(lines, str):
+        if not lines.strip():
+            return None
+        lines = io.StringIO(lines.replace("\r", " "))
+    elif not len(lines):
+        return None
+    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1 if dtype.names else 2)
+
+
+_INT64 = re.compile(r"[+-]?[0-9]+")
+
+
+def _is_int64(token: str) -> bool:
+    return _INT64.fullmatch(token) is not None and -(2**63) <= int(token) < 2**63
+
+
+def _raise_first_bad_line(text: str, check) -> None:
+    """Run `check(parts, line, number)` on every non-blank body line, so
+    that the first malformed line raises its FormatError."""
+    for no, ln in enumerate(_lines(text)[1:], start=2):
+        if ln.strip():
+            check(ln.split(), ln, no)
+
+
 # --------------------------------------------------------------------------
 # Edge lists
 # --------------------------------------------------------------------------
 
 
 def graph_to_text(g: RegularGraph) -> str:
-    out = [f"{g.n} {g.d}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
+    body = ("%d %d\n" * g.num_edges) % tuple(g.edge_array.ravel().tolist())
+    return f"{g.n} {g.d}\n" + body
+
+
+def _check_edge_line(parts: list[str], ln: str, no: int) -> None:
+    if len(parts) != 2:
+        raise FormatError(f"expected 'u v', got {ln!r}", line=no) from None
+    if not all(map(_is_int64, parts)):
+        raise FormatError(f"non-integer edge {ln!r}", line=no) from None
 
 
 def graph_from_text(text: str) -> RegularGraph:
-    lines = _lines(text)
-    if not lines or not lines[0].strip():
-        raise FormatError("missing header 'n d'", line=1)
-    parts = lines[0].split()
-    if len(parts) != 2:
-        raise FormatError(f"expected 'n d', got {lines[0]!r}", line=1)
+    """Parse an edge list. Tokens are decimal int64 integers; the first
+    malformed body line raises FormatError with its line number."""
+    n, d, body = _header(text, "n d")
     try:
-        n, d = int(parts[0]), int(parts[1])
+        edges = _table(body, np.dtype(np.int64))
+        if edges is None:
+            edges = np.empty((0, 2), dtype=np.int64)
+        elif edges.shape[1] != 2:
+            raise ValueError("a line is not a pair")
     except ValueError:
-        raise FormatError(f"non-integer header {lines[0]!r}", line=1) from None
-    edges = []
-    for no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected 'u v', got {ln!r}", line=no)
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise FormatError(f"non-integer edge {ln!r}", line=no) from None
-    return RegularGraph(n, d, tuple(edges))
+        _raise_first_bad_line(text, _check_edge_line)
+        raise
+    return RegularGraph(n, d, edges)
 
 
 def write_graph(g: RegularGraph, path: str) -> None:
@@ -83,58 +129,73 @@ def read_graph(path: str) -> RegularGraph:
 
 def assignment_to_text(a: ShiftAssignment | LiftAssignment) -> str:
     if isinstance(a, ShiftAssignment):
-        body = [f"shift {s}" for s in a.shifts]
-        m = len(a.shifts)
+        line, values = "shift %d\n", a.shift_array
     elif isinstance(a, LiftAssignment):
-        body = ["perm " + " ".join(str(i) for i in p) for p in a.perms]
-        m = len(a.perms)
+        line, values = "perm" + " %d" * a.k + "\n", a.perm_array
     else:
         raise InvalidParameterError(f"not an assignment: {type(a).__name__}")
-    return "\n".join([f"{a.k} {m}"] + body) + "\n"
+    m = values.shape[0]
+    return f"{a.k} {m}\n" + (line * m) % tuple(values.ravel().tolist())
+
+
+def _keyword_rows(lines, keyword: str, width: int) -> np.ndarray:
+    """The (rows, width) values of lines 'keyword v_1 .. v_width'."""
+    table = _table(lines, np.dtype([("word", "U8"), ("values", np.int64, (width,))]))
+    if table is None:
+        return np.empty((0, width), dtype=np.int64)
+    if not np.all(table["word"] == keyword):
+        raise ValueError(f"a line does not start with {keyword!r}")
+    return table["values"]
+
+
+def _assignment_rows(body: str, k: int) -> tuple[np.ndarray, bool]:
+    """The body's values and whether any line is a perm line: the (m,)
+    shifts of an all-shift body, else the (m, k) perms, with each shift
+    line s read as the permutation i -> (i + s) mod k."""
+    if "perm" not in body:
+        return _keyword_rows(body, "shift", 1)[:, 0], False
+    if "shift" not in body:
+        return _keyword_rows(body, "perm", k), True
+    lines = np.array(body.replace("\r", " ").split("\n"))
+    words = np.strings.lstrip(lines)
+    is_shift = np.strings.startswith(words, "shift")
+    is_perm = np.strings.startswith(words, "perm")
+    if np.any(~is_shift & ~is_perm & (np.strings.str_len(np.strings.strip(words)) > 0)):
+        raise ValueError("a line starts with neither 'shift' nor 'perm'")
+    kinds = is_perm[is_shift | is_perm]
+    perms = np.empty((kinds.size, k), dtype=np.int64)
+    perms[kinds] = _keyword_rows(lines[is_perm], "perm", k)
+    shifts = _keyword_rows(lines[is_shift], "shift", 1)
+    perms[~kinds] = (shifts + np.arange(k)) % k
+    return perms, True
 
 
 def assignment_from_text(text: str):
     """Parse an assignment; all-shift files load as ShiftAssignment,
     anything containing a perm line loads as LiftAssignment."""
-    lines = _lines(text)
-    if not lines or not lines[0].strip():
-        raise FormatError("missing header 'k m'", line=1)
-    parts = lines[0].split()
-    if len(parts) != 2:
-        raise FormatError(f"expected 'k m', got {lines[0]!r}", line=1)
-    try:
-        k, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise FormatError(f"non-integer header {lines[0]!r}", line=1) from None
-    shifts: list[int] = []
-    perms: list[tuple[int, ...]] = []
-    saw_perm = False
-    count = 0
-    for no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split()
-        count += 1
-        if parts[0] == "shift" and len(parts) == 2:
-            try:
-                s = int(parts[1])
-            except ValueError:
-                raise FormatError(f"non-integer entry in {ln!r}", line=no) from None
-            shifts.append(s)
-            perms.append(tuple((i + s) % k for i in range(k)))
-        elif parts[0] == "perm" and len(parts) == k + 1:
-            saw_perm = True
-            try:
-                perms.append(tuple(int(x) for x in parts[1:]))
-            except ValueError:
+    k, m, body = _header(text, "k m")
+    if k < 2:
+        raise InvalidParameterError("lift degree k must be >= 2")
+
+    def check_line(parts: list[str], ln: str, no: int) -> None:
+        if (parts[0] == "shift" and len(parts) == 2) or (
+            parts[0] == "perm" and len(parts) == k + 1
+        ):
+            if not all(map(_is_int64, parts[1:])):
                 raise FormatError(f"non-integer entry in {ln!r}", line=no) from None
         else:
-            raise FormatError(f"expected 'shift s' or 'perm i0..i{k-1}'", line=no)
-    if count != m:
-        raise FormatError(f"header promised {m} lines, found {count}", line=1)
+            raise FormatError(f"expected 'shift s' or 'perm i0..i{k-1}'", line=no) from None
+
+    try:
+        values, saw_perm = _assignment_rows(body, k)
+    except ValueError:
+        _raise_first_bad_line(text, check_line)
+        raise
+    if values.shape[0] != m:
+        raise FormatError(f"header promised {m} lines, found {values.shape[0]}", line=1)
     if saw_perm:
-        return LiftAssignment(k, tuple(perms))
-    return ShiftAssignment(k, tuple(shifts))
+        return LiftAssignment(k, values)
+    return ShiftAssignment(k, values)
 
 
 def write_assignment(a, path: str) -> None:
