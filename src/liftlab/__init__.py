@@ -69,7 +69,6 @@ from .lifts import (
     build_lift,
     build_shift_lift,
     fiber,
-    lift_vertex,
     random_k_lift,
     random_shift_lift,
     random_signing,

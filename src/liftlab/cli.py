@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import fileio
 from .characterization import verify_characterization
@@ -105,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants", help="comma-separated bound constants")
     p.add_argument("--out")
     p.add_argument("--csv")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="worker processes (default: LIFTLAB_THREADS, else 1)")
 
     p = sub.add_parser("search-signing", help="exhaustive minimum signing radius")
     p.add_argument("--graph", required=True)
@@ -234,7 +236,9 @@ def _mc(args) -> int:
                  "constants": args.constants}
     cfg = fileio.read_config(args.config, overrides)
     threads = args.threads if args.threads else default_threads()
+    started = time.perf_counter()
     report = run_lift_trials(cfg, threads=threads)
+    wall = time.perf_counter() - started
     if args.out:
         fileio.write_text(fileio.experiment_report_text(report), args.out)
     if args.csv:
@@ -242,7 +246,9 @@ def _mc(args) -> int:
     done = cfg.trials - report.failed
     print(
         f"{cfg.mode} campaign: {done}/{cfg.trials} trials ok, lambda={report.lam:.6g}, "
-        f"median lambda_new={dict(report.quantiles)['median']:.6g}"
+        f"median lambda_new={dict(report.quantiles)['median']:.6g}, "
+        f"{report.workers} worker{'s' if report.workers > 1 else ''}, "
+        f"{cfg.trials / wall:.3g} trials/s"
     )
     if report.failed:
         return EXIT_NUMERICAL

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +71,23 @@ def trial_seed(base_seed: int, index: int) -> int:
 
 
 def default_threads() -> int:
-    """Worker count: LIFTLAB_THREADS if set and positive, else 1."""
+    """Requested campaign worker processes: LIFTLAB_THREADS if set and
+    positive, else 1 (trials run in the calling process)."""
     raw = os.environ.get("LIFTLAB_THREADS", "")
     try:
         return max(1, int(raw))
     except ValueError:
         return 1
+
+
+def pool_size(requested: int, trials: int) -> int:
+    """Worker processes a campaign starts: never more than its trials or the
+    CPUs this process may run on, so no setting can start a flood of them."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(requested, trials, cpus))
 
 
 # --------------------------------------------------------------------------
@@ -190,6 +200,7 @@ class ExperimentReport:
     quantiles: tuple[tuple[str, float], ...]
     lambda_above_sqrt_d: bool
     moderately_expanding: bool | None
+    workers: int  # processes that ran trials (1: the caller); never serialized
 
 
 def _run_one_trial(g: RegularGraph, cfg: ExperimentConfig, index: int) -> TrialRecord:
@@ -215,6 +226,43 @@ def _run_one_trial(g: RegularGraph, cfg: ExperimentConfig, index: int) -> TrialR
     return TrialRecord(index, seed, lam_new, radii, time.perf_counter() - started)
 
 
+# (graph, config) of the campaign a forked pool worker serves. The pool's
+# initializer sets it in each worker process; the parent never does.
+_worker_campaign: tuple[RegularGraph, ExperimentConfig] | None = None
+
+
+def _init_worker(g: RegularGraph, cfg: ExperimentConfig) -> None:
+    global _worker_campaign
+    _worker_campaign = (g, cfg)
+
+
+def _run_chunk(start: int, stop: int) -> list[TrialRecord]:
+    g, cfg = _worker_campaign
+    return [_run_one_trial(g, cfg, i) for i in range(start, stop)]
+
+
+def _run_in_pool(g: RegularGraph, cfg: ExperimentConfig, chunk: int) -> list[TrialRecord]:
+    """Trials in forked worker processes, one contiguous chunk of `chunk`
+    indices per worker, records returned in trial order. Fork lets the
+    workers inherit the graph and config without pickling them; only the
+    records travel back."""
+    # imported here, not at the top: these modules add about 20 ms to every
+    # `import liftlab`
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    starts = range(0, cfg.trials, chunk)
+    stops = [min(s + chunk, cfg.trials) for s in starts]
+    try:
+        with ProcessPoolExecutor(len(starts), multiprocessing.get_context("fork"),
+                                 _init_worker, (g, cfg)) as pool:
+            chunks = list(pool.map(_run_chunk, starts, stops))
+    except BrokenProcessPool as exc:
+        raise NumericalError(f"campaign worker process died: {exc}") from exc
+    return [r for part in chunks for r in part]
+
+
 def run_lift_trials(
     cfg: ExperimentConfig,
     graph: RegularGraph | None = None,
@@ -231,6 +279,11 @@ def run_lift_trials(
     beyond CROSS_CHECK_TOL fails the trial. The base lambda comes from
     lambda_nontrivial_sparse, so no step builds a dense matrix. Fractions are
     over successful trials only.
+
+    `threads` (default: default_threads()) is the number of worker
+    processes, capped by pool_size. With more than one, trials run in a fork
+    process pool; with one, or where os.fork is unavailable, in this
+    process. A worker process that dies raises NumericalError.
     """
     g = resolve_base_graph(cfg) if graph is None else graph
     try:
@@ -238,19 +291,19 @@ def run_lift_trials(
     except LiftLabError as exc:
         # no trial can be scored without lambda, so each fails with the reason
         lam, base_error = math.nan, f"base lambda: {exc}"
-    workers = default_threads() if threads is None else max(1, threads)
+    workers = pool_size(default_threads() if threads is None else threads, cfg.trials)
+    if base_error is not None or not hasattr(os, "fork"):
+        workers = 1
+    chunk = -(-cfg.trials // workers)
+    workers = -(-cfg.trials // chunk)  # e.g. 5 trials, 4 requested: 3 chunks of 2
 
-    def run(i: int) -> TrialRecord:
-        if base_error is not None:
-            return TrialRecord(i, trial_seed(cfg.base_seed, i), None, None, 0.0,
-                               error=base_error)
-        return _run_one_trial(g, cfg, i)
-
-    if workers == 1:
-        records = [run(i) for i in range(cfg.trials)]
+    if base_error is not None:
+        records = [TrialRecord(i, trial_seed(cfg.base_seed, i), None, None, 0.0,
+                               error=base_error) for i in range(cfg.trials)]
+    elif workers == 1:
+        records = [_run_one_trial(g, cfg, i) for i in range(cfg.trials)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, range(cfg.trials)))
+        records = _run_in_pool(g, cfg, chunk)
 
     ok = np.array([r.lambda_new for r in records if r.error is None])
     failed = sum(1 for r in records if r.error is not None)
@@ -280,6 +333,7 @@ def run_lift_trials(
         quantiles=quantiles,
         lambda_above_sqrt_d=lam > sqrt_d,
         moderately_expanding=moderately,
+        workers=workers,
     )
 
 

@@ -17,11 +17,6 @@ from .errors import InvalidParameterError
 from .graphs import RegularGraph, _as_seed, _int_array, edge_endpoints
 
 
-def lift_vertex(x: int, i: int, k: int) -> int:
-    """Global index of lift vertex (x, i) under the fiber-contiguous encoding."""
-    return x * k + i
-
-
 @dataclass(frozen=True, eq=False)
 class Signing:
     """One label in {+1, -1} per base edge, in base-edge order.
@@ -122,6 +117,17 @@ class LiftAssignment:
             idx = int(bad[0])
         raise InvalidParameterError(f"perm {idx} is not a bijection on [0,{self.k})")
 
+    @classmethod
+    def _trusted(cls, k: int, perm_array: np.ndarray) -> LiftAssignment:
+        """Take a fresh (m, k) int64 array whose rows are permutations by
+        construction, skipping the row-sort validation; it is made read-only."""
+        arr = np.asarray(perm_array, dtype=np.int64)
+        arr.flags.writeable = False
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "k", k)
+        object.__setattr__(obj, "perm_array", arr)
+        return obj
+
     def __eq__(self, other):
         if not isinstance(other, LiftAssignment):
             return NotImplemented
@@ -174,7 +180,7 @@ def random_signing(g: RegularGraph, seed: int) -> Signing:
 def signing_to_assignment(s: Signing) -> LiftAssignment:
     """+1 becomes the identity permutation, -1 the swap; k = 2."""
     swap = s.sign_array[:, None] == -1
-    return LiftAssignment(2, np.where(swap, [1, 0], [0, 1]))
+    return LiftAssignment._trusted(2, np.where(swap, [1, 0], [0, 1]))
 
 
 def signing_to_shifts(s: Signing) -> ShiftAssignment:
@@ -191,7 +197,8 @@ def assignment_to_signing(a: LiftAssignment) -> Signing:
 
 def shift_to_assignment(sa: ShiftAssignment) -> LiftAssignment:
     """Each shift s becomes the permutation i -> (i + s) mod k."""
-    return LiftAssignment(sa.k, (sa.shift_array[:, None] + np.arange(sa.k)) % sa.k)
+    return LiftAssignment._trusted(
+        sa.k, (sa.shift_array[:, None] + np.arange(sa.k)) % sa.k)
 
 
 def shift_to_signing(sa: ShiftAssignment) -> Signing:

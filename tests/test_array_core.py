@@ -171,6 +171,23 @@ def test_signing_conversions_match_the_sign_tuples(g, seed):
     assert hash(ll.Signing(list(s.signs))) == hash(s)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_unvalidated_conversions_equal_validated_construction(k):
+    # shift_to_assignment and signing_to_assignment skip the row-sort check;
+    # what they build must be what the validating constructor would store
+    g = ll.random_regular(40, 5, k)
+    built = [ll.shift_to_assignment(ll.random_shift_lift(g, k, 7))]
+    if k == 2:
+        built.append(ll.signing_to_assignment(ll.random_signing(g, 7)))
+    for a in built:
+        checked = ll.LiftAssignment(k, a.perm_array.tolist())
+        assert a == checked and hash(a) == hash(checked)
+        assert a.perm_array.dtype == checked.perm_array.dtype == np.int64
+        assert a.perm_array.shape == (g.num_edges, k)
+        assert not a.perm_array.flags.writeable
+        assert a.perms == checked.perms
+
+
 # --------------------------------------------------------------------------
 # Text formats
 # --------------------------------------------------------------------------

@@ -1,0 +1,109 @@
+"""Campaign trials in forked worker processes: clamped pool size, identical
+bytes under any worker count, separate processes, and loud worker deaths."""
+import os
+import subprocess
+import sys
+import time
+
+import pytest
+
+import liftlab as ll
+from liftlab import experiments
+from liftlab.cli import dispatch
+from liftlab.errors import NumericalError
+from liftlab.fileio import experiment_report_csv, experiment_report_text
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_pool_size_is_clamped_without_starting_processes():
+    # pure arithmetic: a huge request is cut to the trials and the CPUs
+    assert experiments.pool_size(10**6, 10**9) == CPUS
+    assert experiments.pool_size(10**6, 1) == 1
+    assert experiments.pool_size(10**6, 3) == min(3, CPUS)
+    assert experiments.pool_size(0, 5) == 1
+    assert experiments.pool_size(-4, 5) == 1
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5, 7])
+def test_reports_identical_across_worker_counts(trials):
+    cfg = ll.ExperimentConfig("random_regular 16 3 2", 3, trials, 42,
+                              (1.0, 3.0), "shift_lift")
+    reports = [ll.run_lift_trials(cfg, threads=t) for t in (1, 2, 3)]
+    assert reports[0].workers == 1 and reports[1].workers == min(2, trials, CPUS)
+    assert [r.index for r in reports[2].records] == list(range(trials))
+    assert len({experiment_report_text(r) for r in reports}) == 1
+    assert len({experiment_report_csv(r) for r in reports}) == 1
+
+
+@pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
+def test_trials_run_in_two_worker_processes(monkeypatch, tmp_path):
+    real = experiments._run_one_trial
+
+    def record_pid(g, cfg, index):
+        (tmp_path / f"{index}.pid").write_text(str(os.getpid()))
+        time.sleep(0.1)  # keep the first worker busy while the second starts
+        return real(g, cfg, index)
+
+    monkeypatch.setattr(experiments, "_run_one_trial", record_pid)
+    cfg = ll.ExperimentConfig("random_regular 16 3 2", 3, 4, 42, (3.0,),
+                              "shift_lift")
+    report = ll.run_lift_trials(cfg, threads=2)
+    assert report.failed == 0 and report.workers == 2
+    pids = [int((tmp_path / f"{i}.pid").read_text()) for i in range(4)]
+    # contiguous chunks: trials 0-1 in one worker, 2-3 in the other
+    assert pids[0] == pids[1] != pids[2] == pids[3]
+    assert os.getpid() not in pids
+
+
+@pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
+def test_dead_worker_raises(monkeypatch):
+    real = experiments._run_one_trial
+
+    def die_on_one(g, cfg, index):
+        if index == 1:
+            os._exit(1)
+        return real(g, cfg, index)
+
+    monkeypatch.setattr(experiments, "_run_one_trial", die_on_one)
+    cfg = ll.ExperimentConfig("random_regular 16 3 2", 3, 4, 42, (3.0,),
+                              "shift_lift")
+    with pytest.raises(NumericalError, match="campaign worker process died"):
+        ll.run_lift_trials(cfg, threads=2)
+
+
+@pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
+def test_dead_worker_makes_mc_exit_three(tmp_path):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("base = random_regular 16 3 2\nmode = shift_lift\n"
+                        "k = 3\ntrials = 4\nseed = 42\n")
+    out = tmp_path / "report.txt"
+    script = (
+        "import os\n"
+        "from liftlab import experiments\n"
+        "from liftlab.cli import main\n"
+        "real = experiments._run_one_trial\n"
+        "experiments._run_one_trial = (\n"
+        "    lambda g, cfg, i: os._exit(1) if i == 1 else real(g, cfg, i))\n"
+        "main()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "mc", "--config", str(cfg_path),
+         "--threads", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "campaign worker process died" in proc.stderr
+    assert not out.exists()
+
+
+def test_mc_summary_shows_workers_and_throughput(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("base = random_regular 16 3 2\nk = 3\nmode = shift_lift\n"
+                        "trials = 4\nseed = 42\n")
+    assert dispatch(["mc", "--config", str(cfg_path), "--threads", "2"]) == 0
+    line = capsys.readouterr().out.strip()
+    workers = min(2, CPUS)
+    assert f", {workers} worker{'s' if workers > 1 else ''}, " in line
+    assert line.endswith(" trials/s")
