@@ -83,7 +83,6 @@ from .spectra import (
     HermitianMatrix,
     OldNewSplit,
     Spectrum,
-    eig_hermitian,
     eig_symmetric,
     lambda_nontrivial,
     max_multiset_mismatch,

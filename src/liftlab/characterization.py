@@ -20,7 +20,6 @@ from .lifts import ShiftAssignment, build_shift_lift
 from .spectra import (
     HermitianMatrix,
     Spectrum,
-    eig_hermitian,
     eig_symmetric,
     max_multiset_mismatch,
     spectral_radius,
@@ -154,7 +153,7 @@ def verify_characterization(
     max_resid = 0.0
     for j in range(k):
         t = RootOfUnity(k, j)
-        spec, vecs = eig_hermitian(shift_matrix(g, sa, t), return_vectors=True)
+        spec, vecs = eig_symmetric(shift_matrix(g, sa, t), return_vectors=True)
         per_root.append(spec)
         pooled_parts.append(spec.values)
         powers = np.array([t.power(i) for i in range(k)])

@@ -43,12 +43,7 @@ from .lifts import (
     random_signing,
     signing_to_shifts,
 )
-from .spectra import (
-    MAX_DENSE_DIM,
-    eig_symmetric,
-    lambda_nontrivial,
-    split_old_new,
-)
+from .spectra import MAX_DENSE_DIM, eig_symmetric, lambda_nontrivial
 
 _M64 = (1 << 64) - 1
 CROSS_CHECK_TOL = 1e-6
@@ -203,6 +198,21 @@ class ExperimentReport:
     workers: int  # processes that ran trials (1: the caller); never serialized
 
 
+def _scored_lambda_new(g: RegularGraph, sa: ShiftAssignment) -> tuple[float, tuple[float, ...]]:
+    """lambda_new of the shift lift of g by sa, and its k-1 root radii, from
+    lambda_new_from_roots; the lift is never built. The value is
+    cross-checked against the fiber-projected radius, and a gap beyond
+    CROSS_CHECK_TOL raises NumericalError."""
+    lam_new, radii = lambda_new_from_roots(g, sa)
+    projected = lambda_new_from_fibers(g, sa)
+    if abs(lam_new - projected) > CROSS_CHECK_TOL:
+        raise NumericalError(
+            f"lambda_new {lam_new!r} disagrees with the fiber-projected "
+            f"radius {projected!r}"
+        )
+    return lam_new, radii
+
+
 def _run_one_trial(g: RegularGraph, cfg: ExperimentConfig, index: int) -> TrialRecord:
     seed = trial_seed(cfg.base_seed, index)
     started = time.perf_counter()
@@ -211,13 +221,7 @@ def _run_one_trial(g: RegularGraph, cfg: ExperimentConfig, index: int) -> TrialR
             sa = signing_to_shifts(random_signing(g, seed))
         else:
             sa = random_shift_lift(g, cfg.k, seed)
-        lam_new, radii = lambda_new_from_roots(g, sa)
-        projected = lambda_new_from_fibers(g, sa)
-        if abs(lam_new - projected) > CROSS_CHECK_TOL:
-            raise NumericalError(
-                f"lambda_new {lam_new!r} disagrees with the fiber-projected "
-                f"radius {projected!r}"
-            )
+        lam_new, radii = _scored_lambda_new(g, sa)
     except LiftLabError as exc:
         return TrialRecord(index, seed, None, None, time.perf_counter() - started,
                            error=str(exc))
@@ -612,7 +616,14 @@ def greedy_lift_growth(
     At each level, `samples_per_level` candidate shift assignments of the
     current graph are scored by the lambda_new of their lift and the best one
     is kept (when k^|E| <= samples_per_level the candidates are enumerated
-    exhaustively instead of sampled). The trajectory records (n, lambda,
+    exhaustively instead of sampled). A candidate is scored as a campaign
+    trial is, by _scored_lambda_new, so no candidate lift is built or solved;
+    only the kept one is built, once per level. It replaces the best so far
+    only when it is lower by more than CROSS_CHECK_TOL, so ties go to the
+    earliest candidate, not to rounding noise. The level-0 lambda is
+    lambda_nontrivial_sparse of the base; the lift spectrum is the base
+    spectrum plus the new eigenvalues, so each later lambda is the larger of
+    the previous lambda and lambda_new. The trajectory records (n, lambda,
     lambda_new) after every level; if the next lift would exceed the dense
     solver cap the trajectory is cut short and flagged truncated.
     """
@@ -621,8 +632,8 @@ def greedy_lift_growth(
     if samples_per_level < 1:
         raise InvalidParameterError("samples_per_level must be >= 1")
     current = g0
-    spec = eig_symmetric(adjacency_matrix(current))
-    records = [LevelRecord(0, current.n, lambda_nontrivial(spec, current.d), None)]
+    lam = lambda_nontrivial_sparse(current)
+    records = [LevelRecord(0, current.n, lam, None)]
     truncated = False
     for level in range(1, levels + 1):
         if k * current.n > MAX_DENSE_DIM:
@@ -630,28 +641,20 @@ def greedy_lift_growth(
             break
         m = current.num_edges
         exhaustive = k**m <= samples_per_level
-        count = k**m if exhaustive else samples_per_level
         best = None
-        for s in range(count):
+        for s in range(k**m if exhaustive else samples_per_level):
             if exhaustive:
-                code = s
-                shifts = []
-                for _ in range(m):
-                    shifts.append(code % k)
-                    code //= k
-                sa = ShiftAssignment(k, tuple(shifts))
+                # candidate s has shift (s // k^e) mod k on edge e
+                sa = ShiftAssignment(k, s // k ** np.arange(m) % k)
             else:
                 sa = random_shift_lift(
                     current, k, trial_seed(seed, (level << 32) | s)
                 )
-            lifted = build_shift_lift(current, sa)
-            lift_spec = eig_symmetric(adjacency_matrix(lifted.graph))
-            lam_new = split_old_new(spec, lift_spec, k).lambda_new
-            if best is None or lam_new < best[0]:
-                best = (lam_new, lifted, lift_spec)
-        lam_new, lifted, spec = best
-        current = lifted.graph
-        records.append(
-            LevelRecord(level, current.n, lambda_nontrivial(spec, current.d), lam_new)
-        )
+            lam_new = _scored_lambda_new(current, sa)[0]
+            if best is None or lam_new < best[0] - CROSS_CHECK_TOL:
+                best = (lam_new, sa)
+        lam_new, sa = best
+        current = build_shift_lift(current, sa).graph
+        lam = max(lam, lam_new)
+        records.append(LevelRecord(level, current.n, lam, lam_new))
     return GrowthTrajectory(tuple(records), truncated, k, samples_per_level, seed)

@@ -214,7 +214,10 @@ def read_assignment(path: str):
 
 
 def spectrum_to_text(s: Spectrum) -> str:
-    return "".join(f"{v:.15g}\n" for v in s.values)
+    # 15 digits would round the largest doubles past the overflow threshold,
+    # so those few are written in full and do not read back as inf
+    return "".join(f"{v:.15g}\n" if abs(v) < 1.79769313486231e308 else f"{float(v)!r}\n"
+                   for v in s.values)
 
 
 def write_spectrum(s: Spectrum, path: str) -> None:
@@ -224,7 +227,14 @@ def write_spectrum(s: Spectrum, path: str) -> None:
 
 def read_spectrum(path: str) -> Spectrum:
     with open(path, "r", newline="") as fh:
-        vals = [float(ln) for ln in _lines(fh.read()) if ln.strip()]
+        lines = _lines(fh.read())
+    vals = []
+    for no, ln in enumerate(lines, start=1):
+        if ln.strip():
+            try:
+                vals.append(float(ln))
+            except ValueError:
+                raise FormatError(f"expected a number, got {ln!r}", line=no) from None
     return Spectrum(np.asarray(vals))
 
 
@@ -296,50 +306,39 @@ def _fmt(x) -> str:
         return "none"
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return ",".join(_fmt(v) for v in x)
     return str(x)
 
 
-def _values_csv(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def _report(kind: str, fields, lines=()) -> str:
+    """A report: the line `report = kind`, one `key = value` line per
+    (key, value) of `fields` with the value through _fmt, then the
+    free-form `lines` as they are."""
+    out = [f"report = {kind}", *(f"{key} = {_fmt(value)}" for key, value in fields), *lines]
+    return "\n".join(out) + "\n"
+
+
+def _trial_line(rec) -> str:
+    line = f"trial {rec.index} seed {rec.seed} "
+    if rec.error is not None:
+        return line + f"failed {rec.error}"
+    line += f"lambda_new {_fmt(rec.lambda_new)}"
+    return line if rec.root_radii is None else line + f" radii {_fmt(rec.root_radii)}"
 
 
 def experiment_report_text(r: ExperimentReport) -> str:
     cfg = r.config
-    out = [
-        "report = lift_trials",
-        f"base = {cfg.base}",
-        f"copies = {cfg.copies}",
-        f"mode = {cfg.mode}",
-        f"k = {cfg.k}",
-        f"trials = {cfg.trials}",
-        f"seed = {cfg.base_seed}",
-        f"constants = {','.join(_fmt(c) for c in cfg.constants)}",
-        f"n = {r.n}",
-        f"d = {r.d}",
-        f"lambda = {_fmt(r.lam)}",
-        f"lambda_above_sqrt_d = {_fmt(r.lambda_above_sqrt_d)}",
-        f"moderately_expanding = {_fmt(r.moderately_expanding)}",
-        f"failed = {r.failed}",
-    ]
-    for c, frac in r.frac_additive:
-        out.append(f"frac lambda_new <= lambda + {_fmt(c)}*sqrt(d) = {_fmt(frac)}")
-    for c, frac in r.frac_multiplicative:
-        out.append(f"frac lambda_new <= {_fmt(c)}*lambda = {_fmt(frac)}")
-    for name, value in r.quantiles:
-        out.append(f"quantile {name} = {_fmt(value)}")
-    for rec in r.records:
-        if rec.error is not None:
-            out.append(f"trial {rec.index} seed {rec.seed} failed {rec.error}")
-        elif rec.root_radii is not None:
-            out.append(
-                f"trial {rec.index} seed {rec.seed} lambda_new {_fmt(rec.lambda_new)} "
-                f"radii {_values_csv(rec.root_radii)}"
-            )
-        else:
-            out.append(
-                f"trial {rec.index} seed {rec.seed} lambda_new {_fmt(rec.lambda_new)}"
-            )
-    return "\n".join(out) + "\n"
+    return _report("lift_trials", [
+        ("base", cfg.base), ("copies", cfg.copies), ("mode", cfg.mode), ("k", cfg.k),
+        ("trials", cfg.trials), ("seed", cfg.base_seed), ("constants", cfg.constants),
+        ("n", r.n), ("d", r.d), ("lambda", r.lam),
+        ("lambda_above_sqrt_d", r.lambda_above_sqrt_d),
+        ("moderately_expanding", r.moderately_expanding), ("failed", r.failed),
+        *((f"frac lambda_new <= lambda + {_fmt(c)}*sqrt(d)", f) for c, f in r.frac_additive),
+        *((f"frac lambda_new <= {_fmt(c)}*lambda", f) for c, f in r.frac_multiplicative),
+        *((f"quantile {name}", value) for name, value in r.quantiles),
+    ], map(_trial_line, r.records))
 
 
 def experiment_report_csv(r: ExperimentReport) -> str:
@@ -353,97 +352,60 @@ def experiment_report_csv(r: ExperimentReport) -> str:
 
 
 def characterization_report_text(r: CharacterizationReport) -> str:
-    out = [
-        "report = shift_characterization",
-        f"k = {r.k}",
-        f"n = {len(r.lift_spectrum) // r.k}",
-        f"max_multiset_mismatch = {_fmt(r.max_multiset_mismatch)}",
-        f"max_eigenvector_residual = {_fmt(r.max_eigenvector_residual)}",
-        f"max_cross_root_inner = {_fmt(r.max_cross_root_inner)}",
-        f"lift_frobenius_norm = {_fmt(r.lift_frobenius_norm)}",
-        f"lift_spectrum = {_values_csv(r.lift_spectrum.values)}",
-    ]
-    for j, spec in enumerate(r.per_root_spectra):
-        out.append(f"root {j} spectrum = {_values_csv(spec.values)}")
-    return "\n".join(out) + "\n"
+    return _report("shift_characterization", [
+        ("k", r.k), ("n", len(r.lift_spectrum) // r.k),
+        ("max_multiset_mismatch", r.max_multiset_mismatch),
+        ("max_eigenvector_residual", r.max_eigenvector_residual),
+        ("max_cross_root_inner", r.max_cross_root_inner),
+        ("lift_frobenius_norm", r.lift_frobenius_norm),
+        ("lift_spectrum", r.lift_spectrum.values),
+        *((f"root {j} spectrum", spec.values) for j, spec in enumerate(r.per_root_spectra)),
+    ])
 
 
 def mixing_report_text(r: MixingReport) -> str:
-    out = [
-        "report = mixing_check",
-        f"method = {r.method}",
-        f"lambda = {_fmt(r.lam)}",
-        f"max_ratio = {_fmt(r.max_ratio)}",
-        f"passed = {_fmt(r.passed)}",
-        f"worst_s = {','.join(str(x) for x in sorted(r.worst_s))}",
-        f"worst_t = {','.join(str(x) for x in sorted(r.worst_t))}",
-    ]
-    return "\n".join(out) + "\n"
+    return _report("mixing_check", [
+        ("method", r.method), ("lambda", r.lam), ("max_ratio", r.max_ratio),
+        ("passed", r.passed), ("worst_s", sorted(r.worst_s)), ("worst_t", sorted(r.worst_t)),
+    ])
 
 
 def cheeger_report_text(r: CheegerReport) -> str:
-    out = [
-        "report = cheeger_check",
-        f"h = {_fmt(r.h)}",
-        f"lambda2 = {_fmt(r.lambda2)}",
-        f"lower = {_fmt(r.lower)}",
-        f"upper = {_fmt(r.upper)}",
-        f"passed = {_fmt(r.passed)}",
-    ]
-    return "\n".join(out) + "\n"
+    return _report("cheeger_check", [
+        ("h", r.h), ("lambda2", r.lambda2), ("lower", r.lower), ("upper", r.upper),
+        ("passed", r.passed),
+    ])
 
 
 def converse_mixing_report_text(r: ConverseMixingReport) -> str:
-    out = [
-        "report = converse_mixing",
-        f"method = {r.method}",
-        f"alpha = {_fmt(r.alpha)}",
-        f"lambda = {_fmt(r.lam)}",
-        f"alpha_log_shape = {_fmt(r.diagnostic)}",
-    ]
-    return "\n".join(out) + "\n"
+    return _report("converse_mixing", [
+        ("method", r.method), ("alpha", r.alpha), ("lambda", r.lam),
+        ("alpha_log_shape", r.diagnostic),
+    ])
 
 
 def signing_search_report_text(r: SigningSearchResult) -> str:
-    out = [
-        "report = signing_search",
-        f"num_signings = {r.num_signings}",
-        f"num_classes = {r.num_classes}",
-        f"min_radius = {_fmt(r.min_radius)}",
-        f"ramanujan_bound = {_fmt(r.ramanujan_bound)}",
-        f"within_bound = {_fmt(r.within_bound)}",
-        f"best_signs = {','.join(str(s) for s in r.best.signs)}",
-    ]
-    return "\n".join(out) + "\n"
+    return _report("signing_search", [
+        ("num_signings", r.num_signings), ("num_classes", r.num_classes),
+        ("min_radius", r.min_radius), ("ramanujan_bound", r.ramanujan_bound),
+        ("within_bound", r.within_bound), ("best_signs", r.best.signs),
+    ])
 
 
 def growth_report_text(t: GrowthTrajectory) -> str:
-    out = [
-        "report = greedy_growth",
-        f"k = {t.k}",
-        f"samples_per_level = {t.samples_per_level}",
-        f"seed = {t.seed}",
-        f"truncated = {_fmt(t.truncated)}",
-    ]
-    for rec in t.records:
-        out.append(
-            f"level {rec.level} n {rec.n} lambda {_fmt(rec.lam)} "
-            f"lambda_new {_fmt(rec.lambda_new)}"
-        )
-    return "\n".join(out) + "\n"
+    return _report("greedy_growth", [
+        ("k", t.k), ("samples_per_level", t.samples_per_level), ("seed", t.seed),
+        ("truncated", t.truncated),
+    ], (f"level {rec.level} n {rec.n} lambda {_fmt(rec.lam)} "
+        f"lambda_new {_fmt(rec.lambda_new)}" for rec in t.records))
 
 
 def spot_check_report_text(r: SpotCheckReport) -> str:
-    out = [
-        "report = inequality_spot_check",
-        f"which = {r.which}",
-        f"trials = {r.trials}",
-        f"violations = {r.violations}",
-        f"violation_rate = {_fmt(r.violation_rate)}",
-        f"max_ratio = {_fmt(r.max_ratio)}",
-        f"not_applicable = {_fmt(r.not_applicable)}",
-    ]
-    return "\n".join(out) + "\n"
+    return _report("inequality_spot_check", [
+        ("which", r.which), ("trials", r.trials), ("violations", r.violations),
+        ("violation_rate", r.violation_rate), ("max_ratio", r.max_ratio),
+        ("not_applicable", r.not_applicable),
+    ])
 
 
 def write_text(text: str, path: str) -> None:

@@ -98,52 +98,23 @@ def _verify_residuals(m, w, v, tol):
         )
 
 
-def eig_symmetric(m: np.ndarray, tol: float = DEFAULT_TOL, return_vectors: bool = False):
-    """Full spectrum of a real symmetric matrix, descending.
+def eig_symmetric(m, tol: float = DEFAULT_TOL, return_vectors: bool = False):
+    """Full spectrum of a real symmetric or complex Hermitian matrix, descending.
 
-    Input must be symmetric within 1e-12 entrywise. With return_vectors=True
-    the orthonormal eigenvectors come back as columns aligned with the
-    descending eigenvalues, and each pair is verified against the residual
-    contract (NumericalError on failure).
+    Accepts a HermitianMatrix or a raw array equal to its conjugate transpose
+    within 1e-12 entrywise. Real input is solved by LAPACK's real symmetric
+    routine, complex input by its complex Hermitian one, which returns each
+    eigenvalue exactly once (the test suite cross-checks it against the
+    doubled real-symmetric embedding). With return_vectors=True the
+    orthonormal eigenvectors come back as columns aligned with the descending
+    eigenvalues, and each pair is verified against the residual contract
+    (NumericalError on failure).
     """
-    m = _check_square(m)
-    m = np.asarray(m, dtype=float)
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    m = _check_square(m.data if isinstance(m, HermitianMatrix) else m)
+    m = np.asarray(m, dtype=np.result_type(m.dtype, np.float64))
+    asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if asym > 1e-12:
         raise InvalidParameterError(f"matrix asymmetry {asym:.3e} exceeds 1e-12")
-    m = (m + m.T) / 2.0
-    try:
-        if return_vectors:
-            w, v = np.linalg.eigh(m)
-        else:
-            w = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
-    w = w[::-1]
-    spec = Spectrum(np.ascontiguousarray(w), tol)
-    if return_vectors:
-        v = np.ascontiguousarray(v[:, ::-1])
-        _verify_residuals(m, spec.values, v, tol)
-        return spec, v
-    return spec
-
-
-def eig_hermitian(h, tol: float = DEFAULT_TOL, return_vectors: bool = False):
-    """Full (real) spectrum of a complex Hermitian matrix, descending.
-
-    Accepts a HermitianMatrix or a raw array Hermitian within 1e-12. Uses the
-    native complex LAPACK path, which returns each eigenvalue exactly once;
-    no pairing or dedup rule is needed (the test suite cross-checks against
-    the doubled real-symmetric embedding, where every eigenvalue shows up
-    twice and is deduplicated by taking alternate entries of the sorted list).
-    """
-    m = h.data if isinstance(h, HermitianMatrix) else np.asarray(h, dtype=complex)
-    m = _check_square(m)
-    herm_err = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if herm_err > 1e-12:
-        raise InvalidParameterError(
-            f"matrix deviates from Hermitian by {herm_err:.3e} > 1e-12"
-        )
     m = (m + m.conj().T) / 2.0
     try:
         if return_vectors:
@@ -151,9 +122,8 @@ def eig_hermitian(h, tol: float = DEFAULT_TOL, return_vectors: bool = False):
         else:
             w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
-    w = w[::-1].real
-    spec = Spectrum(np.ascontiguousarray(w), tol)
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
+    spec = Spectrum(np.ascontiguousarray(w[::-1]), tol)
     if return_vectors:
         v = np.ascontiguousarray(v[:, ::-1])
         _verify_residuals(m, spec.values, v, tol)
@@ -163,11 +133,7 @@ def eig_hermitian(h, tol: float = DEFAULT_TOL, return_vectors: bool = False):
 
 def spectral_radius(m) -> float:
     """Largest absolute eigenvalue of a symmetric or Hermitian matrix."""
-    arr = m.data if isinstance(m, HermitianMatrix) else np.asarray(m)
-    if np.iscomplexobj(arr):
-        spec = eig_hermitian(arr)
-    else:
-        spec = eig_symmetric(arr)
+    spec = eig_symmetric(m)
     if len(spec) == 0:
         return 0.0
     return float(max(abs(spec.values[0]), abs(spec.values[-1])))

@@ -162,7 +162,7 @@ def dense_root_radii(g, sa) -> list[float]:
     complex Hermitian matrix."""
     radii = []
     for j in range(1, sa.k):
-        vals = ll.eig_hermitian(ll.shift_matrix(g, sa, ll.RootOfUnity(sa.k, j))).values
+        vals = ll.eig_symmetric(ll.shift_matrix(g, sa, ll.RootOfUnity(sa.k, j))).values
         radii.append(max(abs(vals[0]), abs(vals[-1])))
     return radii
 
@@ -186,6 +186,41 @@ def dense_split_lambda_new(g, sa) -> float:
         ll.eig_symmetric(ll.adjacency_matrix(lifted.graph)),
         sa.k,
     ).lambda_new
+
+
+def dense_scored_growth(g0, levels: int, samples_per_level: int, k: int, seed: int) -> list:
+    """greedy_lift_growth scored the way it was before the root path: every
+    candidate lift is built and solved densely, lambda_new comes from
+    split_old_new and each level's lambda from the kept lift's own spectrum.
+    The candidates and the tie rule (replace the best only when lower by more
+    than CROSS_CHECK_TOL) are the library's. Returns (n, lambda, lambda_new,
+    kept shift assignment) per level; level 0 has no lambda_new or lift."""
+    current = g0
+    spec = ll.eig_symmetric(ll.adjacency_matrix(current))
+    out = [(current.n, ll.lambda_nontrivial(spec, current.d), None, None)]
+    for level in range(1, levels + 1):
+        if k * current.n > ll.spectra.MAX_DENSE_DIM:
+            break
+        m = current.num_edges
+        exhaustive = k**m <= samples_per_level
+        best = None
+        for s in range(k**m if exhaustive else samples_per_level):
+            if exhaustive:
+                code, shifts = s, []
+                for _ in range(m):
+                    shifts.append(code % k)
+                    code //= k
+                sa = ll.ShiftAssignment(k, tuple(shifts))
+            else:
+                sa = ll.random_shift_lift(current, k, ll.trial_seed(seed, (level << 32) | s))
+            lifted = ll.build_shift_lift(current, sa)
+            lift_spec = ll.eig_symmetric(ll.adjacency_matrix(lifted.graph))
+            lam_new = ll.split_old_new(spec, lift_spec, k).lambda_new
+            if best is None or lam_new < best[0] - ll.experiments.CROSS_CHECK_TOL:
+                best = (lam_new, sa, lifted.graph, lift_spec)
+        lam_new, sa, current, spec = best
+        out.append((current.n, ll.lambda_nontrivial(spec, current.d), lam_new, sa))
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import liftlab as ll
@@ -217,6 +217,22 @@ def test_round_trips_and_writer_bytes(data, g):
     assert text == oracles.line_assignment_to_text(a.k, kind, rows)
     assert fileio.assignment_from_text(text) == a
     assert fileio.assignment_to_text(fileio.assignment_from_text(text)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+@example(values=[-1.7976931348623157e308, 1.7976931348623101e308, 0.30000000000000004])
+def test_spectrum_file_round_trip(tmp_path_factory, values):
+    # 15 significant digits: reading back is not bit-exact, but within
+    # 5e-15 relative plus the parse rounding, and writing again is
+    path = tmp_path_factory.getbasetemp() / "round_trip.spec"
+    spec = ll.Spectrum(np.sort(np.array(values, dtype=float))[::-1])
+    fileio.write_spectrum(spec, str(path))
+    text = path.read_text()
+    back = fileio.read_spectrum(str(path))
+    np.testing.assert_allclose(back.values, spec.values, rtol=6e-15, atol=0)
+    fileio.write_spectrum(back, str(path))
+    assert path.read_text() == text
 
 
 _TEXT_FAULTS = ["missing", "extra", "non_integer", "value", "blank", "crlf", "count", "mixed"]

@@ -90,6 +90,12 @@ class TestSpectrumFormat:
         fileio.write_spectrum(spec, str(path))
         assert path.read_text() == "0.333333333333333\n-0.285714285714286\n"
 
+    def test_non_number_line_is_a_format_error(self, tmp_path):
+        path = tmp_path / "s.spec"
+        path.write_text("3\n\n1.5x\n-3\n")
+        with pytest.raises(FormatError, match="line 3"):
+            fileio.read_spectrum(str(path))
+
 
 class TestConfigFormat:
     def test_parse_and_defaults(self):

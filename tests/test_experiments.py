@@ -14,6 +14,7 @@ from oracles import (
     bfs_components,
     brute_force_signing_min_radius,
     dense_root_radii,
+    dense_scored_growth,
     dense_split_lambda_new,
     k4_top_radius_rate,
 )
@@ -381,6 +382,42 @@ class TestGreedyGrowth:
         traj = ll.greedy_lift_growth(big, 1, 2, 8, 0)
         assert traj.truncated
         assert len(traj.records) == 1
+
+
+# (base, levels, samples per level, k, seed); K_{3,3} with 512 samples
+# enumerates its 2^9 level-1 candidates and samples level 2
+GROWTH_CONFIGS = [
+    ("complete 4", 5, 50, 2, 3),
+    ("complete 4", 3, 12, 3, 5),
+    ("complete 4", 3, 10, 4, 1),
+    ("complete_bipartite 3", 2, 512, 2, 0),
+    ("complete_bipartite 3", 4, 20, 2, 0),
+    ("random_regular 12 4 5", 3, 20, 2, 7),
+    ("cycle 7", 3, 25, 3, 2),
+]
+
+
+@pytest.mark.parametrize("base,levels,samples,k,seed", GROWTH_CONFIGS)
+def test_root_scored_growth_keeps_the_dense_oracle_lift(base, levels, samples, k, seed,
+                                                        monkeypatch):
+    g = ll.resolve_base_graph(ll.ExperimentConfig(base, 2, 1, 0, (), "two_lift"))
+    kept = []
+    build = experiments.build_shift_lift
+
+    def recording_build(graph, sa):
+        kept.append(sa)
+        return build(graph, sa)
+
+    monkeypatch.setattr(experiments, "build_shift_lift", recording_build)
+    traj = ll.greedy_lift_growth(g, levels, samples, k, seed)
+    oracle = dense_scored_growth(g, levels, samples, k, seed)
+    assert [r.n for r in traj.records] == [n for n, *_ in oracle]
+    assert kept == [sa for *_, sa in oracle[1:]]
+    assert traj.records[0].lambda_new is None
+    for rec, (_, lam, lam_new, _) in zip(traj.records, oracle):
+        assert abs(rec.lam - lam) <= 1e-9
+        if lam_new is not None:
+            assert abs(rec.lambda_new - lam_new) <= 1e-9
 
 
 class TestMoreGrowthAndChecks:

@@ -1,11 +1,14 @@
-"""Golden bytes of the `gen` and `lift` artifacts.
+"""Golden bytes of the CLI artifacts and reports.
 
-Each digest is the sha256 of a file written by the CLI, recorded from the
-per-edge-loop implementation that the array-backed graphs, lifts and fileio
-replaced. Criterion 11 only checks that a rerun gives the same bytes; these
-digests check that the bytes agree across implementations, so a refactor of
-the storage, the lift construction, the stub pairing or the text writers must
-reproduce them exactly.
+Each digest is the sha256 of a file written by the CLI (or of a report text
+built through the library). The `gen` and `lift` digests were recorded from
+the per-edge-loop implementation that the array-backed graphs, lifts and
+fileio replaced; the report digests were recorded from the hand-written
+report writers and the separate real and complex dense eigensolvers, before
+one `key = value` emitter and one eigensolver took their place. Criterion 11
+only checks that a rerun gives the same bytes; these digests check that the
+bytes agree across implementations, so a refactor must reproduce them
+exactly.
 """
 from __future__ import annotations
 
@@ -118,3 +121,122 @@ def test_shift_file_replay_bytes(tmp_path):
     fileio.write_assignment(shifts, str(assign))
     _cli("lift", "--graph", str(base), "--assignment", str(assign), "--out", str(lift))
     assert _sha256(lift) == SHIFT_REPLAY
+
+
+# Bases of the report digests stay at n <= 60: the last digits of a dense
+# eigensolve can move with the BLAS thread count from n of about 300 on.
+SMALL = "random_regular --n 12 --d 3 --seed 6"
+MID = "random_regular --n 60 --d 4 --seed 15"
+K33 = "complete_bipartite --m 3"
+
+# (base, command arguments) -> (exit code, digest of the --out report)
+REPORT_CASES = {
+    ("complete --m 4", "search-signing"):
+        (0, "38498737880caef21fc1a27db9b585f9b771c93b5059a237afb607e7347b8e82"),
+    ("complete --m 5", "eml"):
+        (0, "55c0821feb40bb4f802342734762e6d621c0e64dbe13ca0ae7319f256de72a62"),
+    (K33, "cheeger"):
+        (0, "1d3b661a96bfe4d1d6cc9c6c466946e40ca5cb206bf4a3f17016ec45aee9d0b7"),
+    (K33, "eml --bipartite"):
+        (1, "49a5113b385902380033c535d26ea2a5df5e4989b9acec970736fbd08dc13ac4"),
+    (K33, "spec"):
+        (0, "f4283f99653aa159ee386229d73a3a8497cca5aa88e0514d2bacad541e1af959"),
+    (K33, "verify-shift --k 4 --shifts 0,1,2,3,0,1,2,3,1"):
+        (0, "dedde6a4617c828f880a98db4525583d76d23c7a74195006e73907d1e8b162df"),
+    ("random_regular --n 10 --d 3 --seed 2", "search-signing"):
+        (0, "dd645d4d96d9d0f98c7a1e31b90152d1acf4ae6cc3ddc1cebfd1000a9115c574"),
+    (SMALL, "cheeger"):
+        (0, "5659239c7162e391853c01a24b9e17d4c173b9080a233a4d40739e601081530a"),
+    (SMALL, "eml"):
+        (0, "cb4099c2885fd239cbabc649f367e083fa0fde4a9b4854aefad8f0c359b1636e"),
+    (SMALL, "verify-shift --k 3 --shifts 0,1,2,0,1,2,2,1,0,0,0,1,1,2,2,0,2,1"):
+        (0, "8f074f415b53ac2798f0c00857811b57a36f14c46b0819fbc8bef9d5691a8dde"),
+    (MID, "eml --method sampled --samples 300 --seed 2"):
+        (0, "6baf9911107ba42921b47867e6d5eef21a0de15fe859d17a76c5a39d042bd769"),
+    (MID, "lemma-check --which lemma3 --trials 300 --seed 1"):
+        (0, "3892188dc9499216502d1342bc0bbd6557bef2522abfd9679dab345252d2fe15"),
+    (MID, "lemma-check --which lemma4 --trials 300 --seed 1"):
+        (0, "38541918585a016c9023094af5a2d459e5b6b31a5bd82c3d71adaec72236bccc"),
+    (MID, "spec"):
+        (0, "6457959d1ee62e9c0e5e930ce772568d6b6615e123b1e4df002567e2660fde6d"),
+}
+
+# `mc` config -> (digest of the report, digest of the CSV)
+MC_CASES = {
+    "base = complete 4\ncopies = 3\nmode = two_lift\ntrials = 6\nseed = 2\n"
+    "constants = 0.5,1,2\n": (
+        "85a41924c8b10a5344662c9420888e6af5438bd6c5bb6f48d6cc2eaf4a255880",
+        "43714949ef45e8f28c22f14f75fe69b48a6ae3b14304d0d0ba6981cab84c51a0",
+    ),
+    "base = random_regular 40 4 3\nmode = shift_lift\nk = 3\ntrials = 5\nseed = 11\n": (
+        "8cd96e5628878679f546b807098b5fdc80482f4b46e5765759bff72b4de99827",
+        "4c1a5206eaaa7eb1687b03dd8fff19e41387897960f30a82ae1eb6b702fe75c9",
+    ),
+}
+
+# converse_mixing_report_text of (graph, method) with lambda from the spectrum
+CONVERSE_CASES = {
+    ("complete 5", "exhaustive"):
+        "caf63816b3b34e31cf09b1f10a6b8b769d1945f69cfc2ecffc947a33711cc0d6",
+    ("random_regular 60 4 15", "sampled"):
+        "344eb199e603721febfb02727ba15878d888e3fb200c0d4ecd981cc00edbfbcf",
+}
+
+
+def _report_case_id(case):
+    return f"{case[0]} | {case[1]}"
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES), ids=_report_case_id)
+def test_report_bytes(tmp_path, case):
+    base_spec, args = case
+    code, digest = REPORT_CASES[case]
+    out = tmp_path / "report"
+    argv = [args.split()[0], "--graph", str(_gen(tmp_path, base_spec)),
+            *args.split()[1:], "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(argv) == code
+    assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("config", sorted(MC_CASES))
+def test_mc_report_and_csv_bytes(tmp_path, config):
+    cfg, out, csv = tmp_path / "exp.cfg", tmp_path / "report", tmp_path / "trials.csv"
+    cfg.write_text(config)
+    _cli("mc", "--config", str(cfg), "--threads", "1", "--out", str(out), "--csv", str(csv))
+    assert (_sha256(out), _sha256(csv)) == MC_CASES[config]
+
+
+@pytest.mark.parametrize("case", sorted(CONVERSE_CASES), ids=_report_case_id)
+def test_converse_mixing_report_bytes(case):
+    spec, method = case
+    family, *args = spec.split()
+    make, _ = ll.experiments.FAMILIES[family]
+    g = make(*map(int, args))
+    lam = ll.lambda_nontrivial(ll.eig_symmetric(ll.adjacency_matrix(g)), g.d)
+    report = ll.converse_eml_alpha(g, lam, method=method, samples=200, seed=4)
+    text = fileio.converse_mixing_report_text(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == CONVERSE_CASES[case]
+
+
+# `grow` report digests, recorded after grow moved to root scoring with the
+# CROSS_CHECK_TOL tie rule; the dense-scored reports before it differ in
+# their last digits and, where candidates tied, in the kept lift.
+GROW_CASES = {
+    ("complete --m 4", "--levels 5 --samples 50 --k 2 --seed 3"):
+        "837b382eaab19f7d6ee91f18ddbe34b5dc77124f2e82d73471a6f8f0b21f1449",
+    (K33, "--levels 1 --samples 512 --k 2 --seed 0"):
+        "b8bac69f1ddbb0a393c3528308562efc0e694bb8cc2cdcb1ae4131607bb36f76",
+    ("cycle --n 7", "--levels 2 --samples 25 --k 3 --seed 2"):
+        "95ba50624d1e66d16cca475bcf9edf2487965e6a7493724405f537be8a5d1066",
+    (SMALL, "--levels 2 --samples 10 --k 4 --seed 1"):
+        "2b6d5dd4264f9770d2844bcb2407a9914510c75ed0bb4c50dd1b539b40c57f15",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROW_CASES), ids=_report_case_id)
+def test_grow_report_bytes(tmp_path, case):
+    base_spec, args = case
+    out = tmp_path / "report"
+    _cli("grow", "--graph", str(_gen(tmp_path, base_spec)), *args.split(), "--out", str(out))
+    assert _sha256(out) == GROW_CASES[case]

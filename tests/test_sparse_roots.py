@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import liftlab as ll
-from liftlab import characterization, experiments, lifts, spectra
+from liftlab import characterization, experiments, fileio, graphs, lifts, spectra
 from liftlab.cli import dispatch
 
 from oracles import dense_half_root_radii, dense_root_radii, dense_split_lambda_new
@@ -101,7 +101,18 @@ class TestRootRadiiOracle:
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("a trial called a dense constructor or eigensolver")
+    raise AssertionError("a dense constructor or eigensolver was called")
+
+
+def _refuse_dense(monkeypatch):
+    for module in (characterization, spectra, experiments):
+        for name in ("shift_matrix", "eig_symmetric", "spectral_radius"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _refuse)
+    monkeypatch.setattr(lifts, "signed_adjacency", _refuse)
+    for module in (np.linalg, scipy.linalg):
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(module, name, _refuse)
 
 
 @pytest.mark.parametrize("mode,k", [("shift_lift", 4), ("shift_lift", 5), ("two_lift", 2)])
@@ -109,14 +120,7 @@ def test_campaigns_build_no_dense_matrix(mode, k, monkeypatch):
     n = 1000
     cfg = ll.ExperimentConfig(f"random_regular {n} 6 2", k, 2, 9, (1.0,), mode)
     g = ll.resolve_base_graph(cfg)
-    for module in (characterization, spectra, experiments):
-        for name in ("shift_matrix", "eig_symmetric", "eig_hermitian", "spectral_radius"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, _refuse)
-    monkeypatch.setattr(lifts, "signed_adjacency", _refuse)
-    for module in (np.linalg, scipy.linalg):
-        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-            monkeypatch.setattr(module, name, _refuse)
+    _refuse_dense(monkeypatch)
     tracemalloc.start()
     try:
         report = ll.run_lift_trials(cfg, graph=g, threads=1)
@@ -126,6 +130,15 @@ def test_campaigns_build_no_dense_matrix(mode, k, monkeypatch):
     assert report.failed == 0, [r.error for r in report.records]
     # a dense n x n real matrix alone would take n*n*8 bytes
     assert peak < n * n * 8, peak
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_growth_solves_nothing_densely(k, monkeypatch):
+    _refuse_dense(monkeypatch)
+    for module in (graphs, characterization, experiments):
+        monkeypatch.setattr(module, "adjacency_matrix", _refuse)
+    traj = ll.greedy_lift_growth(ll.complete_bipartite(3), 4, 6, k, 1)
+    assert [r.n for r in traj.records] == [6 * k**level for level in range(5)]
 
 
 def test_root_lanczos_failure_is_a_named_failed_trial(monkeypatch, tmp_path):
@@ -171,6 +184,8 @@ def test_report_bytes_do_not_depend_on_threads_or_blas(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("base = random_regular 300 5 4\nmode = shift_lift\n"
                         "k = 6\ntrials = 6\nseed = 21\nconstants = 1,2,3\n")
+    graph = tmp_path / "base.graph"
+    fileio.write_graph(ll.random_regular(300, 5, 4), str(graph))
     outputs = set()
     for threads in (1, 2):
         for blas in ("1", None):
@@ -180,13 +195,14 @@ def test_report_bytes_do_not_depend_on_threads_or_blas(tmp_path):
             if blas is not None:
                 env["OPENBLAS_NUM_THREADS"] = blas
             tag = f"{threads}_{blas}"
-            out, csv = tmp_path / f"r{tag}.txt", tmp_path / f"t{tag}.csv"
-            subprocess.run(
-                [sys.executable, "-m", "liftlab.cli", "mc", "--config", str(cfg_path),
-                 "--threads", str(threads), "--out", str(out), "--csv", str(csv)],
-                env=env, check=True, capture_output=True,
-            )
-            outputs.add((out.read_bytes(), csv.read_bytes()))
+            out, csv, grown = (tmp_path / f"{name}{tag}" for name in ("r", "t", "g"))
+            for argv in (["mc", "--config", str(cfg_path), "--threads", str(threads),
+                          "--out", str(out), "--csv", str(csv)],
+                         ["grow", "--graph", str(graph), "--levels", "1", "--samples", "4",
+                          "--out", str(grown)]):
+                subprocess.run([sys.executable, "-m", "liftlab.cli", *argv],
+                               env=env, check=True, capture_output=True)
+            outputs.add((out.read_bytes(), csv.read_bytes(), grown.read_bytes()))
     assert len(outputs) == 1
     report = outputs.pop()[0].decode()
     assert "failed = 0" in report
