@@ -366,8 +366,6 @@ def _lemma3_size_pairs(n: int, d: int, lam: float) -> list[tuple[int, int]]:
     cap = (n * lam / d) ** 2
     pairs = []
     for b in range(int(n / d**2) + 1, n + 1):
-        if b <= n / d**2:
-            continue
         for a in range(max(1, -(-b // d)), b + 1):
             if a * b < cap and b <= d * a:
                 pairs.append((a, b))

@@ -1,10 +1,12 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Everything here recomputes results by a route different from the library
-path it checks: direct enumeration, closed-form spectra, BFS, exact
-characteristic polynomials, dense eigensolves of the matrices the campaigns
-solve sparsely, or the per-edge Python loops that the array-backed graphs,
-lifts and text readers replaced.
+path it checks: direct enumeration (including the full subset and
+subset-pair scans that the exhaustive expansion and mixing checks
+shortcut), closed-form spectra, BFS, exact characteristic polynomials,
+dense eigensolves of the matrices the campaigns solve sparsely, or the
+per-edge Python loops that the array-backed graphs, lifts and text readers
+replaced.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import numpy as np
 
 import liftlab as ll
 from liftlab.errors import FormatError, InvalidParameterError
+from liftlab.expansion import _cut_sizes, _cut_tables
 
 
 def circulant_cycle_spectrum(n: int) -> np.ndarray:
@@ -79,6 +82,78 @@ def per_edge_cut_sizes(masks: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.
     for u, v in zip(eu.tolist(), ev.tolist()):
         cut += ((masks >> u) ^ (masks >> v)) & 1
     return cut
+
+
+def full_mask_expansion(g) -> tuple[float, frozenset]:
+    """(h, argmin subset) by the full scan of all 2^n - 1 nonempty masks with
+    the byte-table cut count: the first mask in mask order with 2|S| <= n
+    whose float ratio cut/|S| is the minimum."""
+    tables = _cut_tables(g.n, *ll.edge_endpoints(g))
+    best = math.inf
+    best_mask = 0
+    for lo in range(1, 1 << g.n, 1 << 16):
+        masks = np.arange(lo, min(lo + (1 << 16), 1 << g.n), dtype=np.int64)
+        pop = np.bitwise_count(masks).astype(np.int64)
+        valid = 2 * pop <= g.n
+        if not valid.any():
+            continue
+        ratios = np.where(valid, _cut_sizes(masks, tables) / np.maximum(pop, 1), math.inf)
+        idx = int(np.argmin(ratios))
+        if ratios[idx] < best:
+            best = float(ratios[idx])
+            best_mask = int(masks[idx])
+    return best, frozenset(x for x in range(g.n) if (best_mask >> x) & 1)
+
+
+def sampled_expansion(g, samples: int, seed: int) -> tuple[float, frozenset]:
+    """combinatorial_expansion's sampled draws, each cut counted one edge at a
+    time on the draw's mask: (best ratio, first subset reaching it)."""
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    eu, ev = ll.edge_endpoints(g)
+    best = math.inf
+    best_subset = frozenset()
+    done = 0
+    while done < samples:
+        bits = rng.integers(0, 2, size=g.n)
+        size = int(bits.sum())
+        if size == 0 or size == g.n:
+            continue
+        if 2 * size > g.n:
+            bits = 1 - bits
+            size = g.n - size
+        done += 1
+        mask = np.array([sum(int(b) << x for x, b in enumerate(bits))], dtype=np.int64)
+        ratio = int(per_edge_cut_sizes(mask, eu, ev)[0]) / size
+        if ratio < best:
+            best = ratio
+            best_subset = frozenset(x for x in range(g.n) if bits[x])
+    return best, best_subset
+
+
+def pair_scan_mixing(g) -> tuple[float, frozenset, frozenset]:
+    """(max ratio, S, T) over all ordered pairs of nonempty subsets, one
+    matrix product per block of T masks. The witness is the first maximum in
+    scan order: the lowest block of T, then the lowest S mask, then the
+    lowest T mask, where block = (T - 1) // max(1, 2^22 // (2^n - 1))."""
+    masks = np.arange(1, 1 << g.n, dtype=np.int64)
+    u = np.stack([(masks >> x) & 1 for x in range(g.n)], axis=1).astype(float)
+    sizes = u.sum(axis=1)
+    au = u @ ll.adjacency_matrix(g)
+    best = -math.inf
+    best_pair = (1, 1)
+    step = max(1, (1 << 22) // u.shape[0])
+    for lo in range(0, u.shape[0], step):
+        hi = min(lo + step, u.shape[0])
+        counts = au @ u[lo:hi].T
+        expected = g.d * np.outer(sizes, sizes[lo:hi]) / g.n
+        ratios = np.abs(counts - expected) / np.sqrt(np.outer(sizes, sizes[lo:hi]))
+        idx = int(np.argmax(ratios))
+        if ratios.flat[idx] > best:
+            best = float(ratios.flat[idx])
+            s_idx, t_idx = divmod(idx, hi - lo)
+            best_pair = (s_idx + 1, lo + t_idx + 1)
+    s, t = (frozenset(x for x in range(g.n) if (mask >> x) & 1) for mask in best_pair)
+    return best, s, t
 
 
 def brute_force_mixing_ratio(n: int, d: int, a: np.ndarray) -> float:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,13 +8,64 @@ import pytest
 import liftlab as ll
 from liftlab.errors import InvalidParameterError, SizeLimitError
 
-from liftlab.expansion import _cut_sizes, _cut_tables
-from oracles import brute_force_expansion, brute_force_mixing_ratio, per_edge_cut_sizes
+from liftlab.expansion import _cut_sizes, _cut_tables, _lowest_extreme_masks
+from oracles import (
+    brute_force_expansion,
+    brute_force_mixing_ratio,
+    full_mask_expansion,
+    pair_scan_mixing,
+    per_edge_cut_sizes,
+    sampled_expansion,
+)
 
 
 def base_lambda(g, bipartite=False):
     return ll.lambda_nontrivial(ll.eig_symmetric(ll.adjacency_matrix(g)), g.d,
                                 bipartite=bipartite)
+
+
+def _tie_corpus():
+    """(id, graph, lam) for n <= 12: complete, cycle, complete bipartite and
+    disjoint-copy graphs, whose symmetries make many pairs and cuts tie, then
+    90 seeded random regular graphs, each with a random lam."""
+    cases = [(f"K{n}", ll.complete_graph(n)) for n in range(2, 13)]
+    cases += [(f"C{n}", ll.cycle_graph(n)) for n in range(3, 13)]
+    cases += [(f"K{m},{m}", ll.complete_bipartite(m)) for m in range(1, 7)]
+    for name, g in [("K3", ll.complete_graph(3)), ("K4", ll.complete_graph(4)),
+                    ("C4", ll.cycle_graph(4))]:
+        cases += [(f"{c}x{name}", ll.disjoint_copies(g, c)) for c in range(2, 12 // g.n + 1)]
+    rng = np.random.default_rng(2024)
+    out = [(name, g, float(rng.uniform(0.0, g.d))) for name, g in cases]
+    while len(out) < len(cases) + 90:
+        n = int(rng.integers(3, 13))
+        d = int(rng.integers(1, n))
+        if n * d % 2:
+            continue
+        seed = int(rng.integers(0, 2**31))
+        out.append((f"rr{n}_{d}_{seed}", ll.random_regular(n, d, seed),
+                    float(rng.uniform(0.0, d))))
+    return out
+
+
+TIE_CORPUS = _tie_corpus()
+LARGE_CUTS = [
+    ("C16", ll.cycle_graph(16)),
+    ("K8,8", ll.complete_bipartite(8)),
+    ("4xK4", ll.disjoint_copies(ll.complete_graph(4), 4)),
+    ("rr16_4", ll.random_regular(16, 4, 16)),
+    ("C17", ll.cycle_graph(17)),
+    ("C20", ll.cycle_graph(20)),
+    ("5xC4", ll.disjoint_copies(ll.cycle_graph(4), 5)),
+    ("rr20_3", ll.random_regular(20, 3, 20)),
+    ("rr21_4", ll.random_regular(21, 4, 21)),
+    ("C24", ll.cycle_graph(24)),
+    ("8xK3", ll.disjoint_copies(ll.complete_graph(3), 8)),
+    ("rr24_3", ll.random_regular(24, 3, 24)),
+    # the first chunk reaching h holds only masks whose complement is the
+    # witness; a later chunk holds a smaller canonical mask
+    ("rr18_4_1443098011", ll.random_regular(18, 4, 1443098011)),
+    ("rr18_3_267479194", ll.random_regular(18, 3, 267479194)),
+]
 
 
 class TestCombinatorialExpansion:
@@ -64,6 +117,16 @@ class TestCombinatorialExpansion:
         assert sampled.method == "sampled"
         assert sampled.h >= exact.h - 1e-12
 
+    @pytest.mark.parametrize("g, samples, seed", [
+        (ll.random_regular(14, 3, 9), 200, 3),
+        (ll.random_regular(40, 5, 1), 500, 11),
+        (ll.disjoint_copies(ll.complete_graph(4), 3), 100, 0),
+        (ll.cycle_graph(9), 50, 2**63 + 5),
+    ], ids=["rr14_3", "rr40_5", "3xK4", "C9"])
+    def test_sampled_matches_per_edge_oracle(self, g, samples, seed):
+        report = ll.combinatorial_expansion(g, method="sampled", samples=samples, seed=seed)
+        assert (report.h, report.argmin_subset) == sampled_expansion(g, samples, seed)
+
     def test_sampled_needs_parameters(self, k4):
         with pytest.raises(InvalidParameterError):
             ll.combinatorial_expansion(k4, method="sampled")
@@ -90,6 +153,56 @@ class TestCutKernel:
         masks = np.concatenate([rng.integers(0, 1 << 20, 4096), [(1 << 20) - 1]])
         got = _cut_sizes(masks, _cut_tables(g.n, eu, ev))
         np.testing.assert_array_equal(got, per_edge_cut_sizes(masks, eu, ev))
+
+
+class TestExhaustiveOracles:
+    """The complement-halved cut scan and the prefix-sum mixing maximum
+    against the full scans they replace: equal floats and equal witnesses."""
+
+    @pytest.mark.parametrize("g", [g for _, g, _ in TIE_CORPUS] + [g for _, g in LARGE_CUTS],
+                             ids=[i for i, _, _ in TIE_CORPUS] + [i for i, _ in LARGE_CUTS])
+    def test_expansion_matches_full_mask_scan(self, g):
+        report = ll.combinatorial_expansion(g)
+        h, subset = full_mask_expansion(g)
+        assert report.h.hex() == h.hex()
+        assert report.argmin_subset == subset
+
+    @pytest.mark.parametrize("g, lam", [(g, lam) for _, g, lam in TIE_CORPUS],
+                             ids=[i for i, _, _ in TIE_CORPUS])
+    def test_mixing_matches_pair_scan(self, g, lam):
+        report = ll.eml_check(g, lam)
+        ratio, s, t = pair_scan_mixing(g)
+        assert report.max_ratio.hex() == ratio.hex()
+        assert (report.worst_s, report.worst_t) == (s, t)
+        assert report.passed == (ratio <= lam + report.slack)
+
+    def test_lowest_extreme_masks_match_enumeration(self):
+        # eml_check never reaches a partial tie: with one, sizes t - 1 and
+        # t + 1 move the deviation by the same step, and as sqrt is strictly
+        # concave one of them has the larger ratio. So the lowest-index rule
+        # for partial ties is checked here, against enumeration.
+        rng = np.random.default_rng(11)
+        rows = rng.integers(0, 3, size=(300, 7)).astype(float)
+        t = rng.integers(1, 8, size=300)
+        high = rng.integers(0, 2, size=300).astype(bool)
+        got = _lowest_extreme_masks(rows, t, high)
+        for row, size, hi, mask in zip(rows, t, high, got):
+            sums = {c: row[list(c)].sum() for c in combinations(range(7), int(size))}
+            target = (max if hi else min)(sums.values())
+            want = min(sum(1 << x for x in c) for c, total in sums.items() if total == target)
+            assert mask == want
+
+    def test_pair_scan_memory_stays_small(self):
+        # the full pair scan held (2^12 - 1) x 1024 float blocks, about 193 MB
+        g = ll.random_regular(12, 4, 72)
+        lam = base_lambda(g)
+        tracemalloc.start()
+        try:
+            ll.eml_check(g, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCheeger:
