@@ -3,6 +3,12 @@
 Everything is line-oriented ASCII. Writers always emit LF; readers accept
 CRLF. Floats in reports use repr (shortest round-trip), so identical runs
 produce byte-identical artifacts; spectrum files use 15 significant digits.
+
+Edge lists and assignments are written by `_int_lines`, which builds the
+bytes of all their integer lines with numpy lookups in a digit table rather
+than formatting each value in Python; the bytes are those of `%d`. They are
+read back by one `numpy.loadtxt` call, and only a file that call rejects is
+scanned line by line for the first malformed line.
 """
 from __future__ import annotations
 
@@ -80,13 +86,77 @@ def _raise_first_bad_line(text: str, check) -> None:
 
 
 # --------------------------------------------------------------------------
+# Integer lines
+# --------------------------------------------------------------------------
+
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+
+
+def _digit_words(width: int, lead: bool) -> np.ndarray:
+    """The 10**width uint64 words whose bytes 7 - width .. 6 hold the ASCII
+    digits of the word's index, padded on the left with '0', or, if `lead`,
+    with NUL bytes (and 0 then has no digit at all). Byte 7 is NUL."""
+    table = np.zeros((10,) * width + (8,), dtype=np.uint8)
+    for p in range(width):
+        table[..., 7 - width + p] = _DIGITS.reshape([-1 if i == p else 1 for i in range(width)])
+    table = table.reshape(-1, 8)
+    if lead:
+        for i in range(width):  # indices with i digits
+            table[10**i // 10:10**i, 7 - width:7 - i] = 0
+    return table.view(np.uint64).ravel()
+
+
+def _int_lines(prefix: str, values: np.ndarray) -> bytes:
+    """The lines `prefix v_1 .. v_c`, one per row of the (r, c) array of
+    nonnegative ints `values`, space-separated and LF-terminated, as %d
+    writes them.
+
+    A value is cut into groups of `width` digits, and each group is one
+    lookup in a table of 8-byte words: the digits right-aligned before a
+    free last byte, padded with NUL bytes. Each row of a word block holds
+    the prefix and then, per value, its groups from the highest. The
+    separator goes into the free byte of a value's lowest group, and
+    deleting every NUL byte drops the padding. The table has 10**width
+    words with 10**width <= max(10**4, values.size), so its size follows
+    the value count, not the largest value.
+    """
+    rows, cols = values.shape
+    if values.size == 0:
+        return b""
+    digits = len(str(int(values.max())))
+    width = min(digits, max(4, len(str(values.size)) - 1), 7)
+    chunks = -(-digits // width)
+    lead = _digit_words(width, lead=True)
+    head = np.frombuffer(prefix.encode().ljust(-(-len(prefix) // 8) * 8, b"\0"), np.uint64)
+    words = np.empty((rows, head.size + cols * chunks), dtype=np.uint64)
+    words[:, :head.size] = head
+    groups = words[:, head.size:].reshape(rows, cols, chunks)
+    rest = values
+    if chunks > 1:
+        zero = _digit_words(width, lead=False)
+        for j in range(chunks - 1, 0, -1):
+            rest, low = np.divmod(rest, 10**width)
+            groups[:, :, j] = np.where(rest > 0, zero[low], lead[low])
+    groups[:, :, 0] = lead[rest]
+    # 0 has no digit in `lead`, so its lowest group is set to a single '0'
+    groups[:, :, -1][values == 0] = _digit_words(1, lead=False)[0]
+    text = words.view(np.uint8).reshape(rows, -1, 8)
+    text[:, head.size + chunks - 1::chunks, 7] = ord(" ")
+    text[:, -1, 7] = ord("\n")
+    return text.tobytes().translate(None, b"\0")
+
+
+# --------------------------------------------------------------------------
 # Edge lists
 # --------------------------------------------------------------------------
 
 
+def _graph_bytes(g: RegularGraph) -> bytes:
+    return f"{g.n} {g.d}\n".encode() + _int_lines("", g.edge_array)
+
+
 def graph_to_text(g: RegularGraph) -> str:
-    body = ("%d %d\n" * g.num_edges) % tuple(g.edge_array.ravel().tolist())
-    return f"{g.n} {g.d}\n" + body
+    return _graph_bytes(g).decode("ascii")
 
 
 def _check_edge_line(parts: list[str], ln: str, no: int) -> None:
@@ -113,8 +183,8 @@ def graph_from_text(text: str) -> RegularGraph:
 
 
 def write_graph(g: RegularGraph, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(graph_to_text(g))
+    with open(path, "wb") as fh:
+        fh.write(_graph_bytes(g))
 
 
 def read_graph(path: str) -> RegularGraph:
@@ -127,15 +197,18 @@ def read_graph(path: str) -> RegularGraph:
 # --------------------------------------------------------------------------
 
 
-def assignment_to_text(a: ShiftAssignment | LiftAssignment) -> str:
+def _assignment_bytes(a: ShiftAssignment | LiftAssignment) -> bytes:
     if isinstance(a, ShiftAssignment):
-        line, values = "shift %d\n", a.shift_array
+        prefix, values = "shift ", a.shift_array[:, None]
     elif isinstance(a, LiftAssignment):
-        line, values = "perm" + " %d" * a.k + "\n", a.perm_array
+        prefix, values = "perm ", a.perm_array
     else:
         raise InvalidParameterError(f"not an assignment: {type(a).__name__}")
-    m = values.shape[0]
-    return f"{a.k} {m}\n" + (line * m) % tuple(values.ravel().tolist())
+    return f"{a.k} {values.shape[0]}\n".encode() + _int_lines(prefix, values)
+
+
+def assignment_to_text(a: ShiftAssignment | LiftAssignment) -> str:
+    return _assignment_bytes(a).decode("ascii")
 
 
 def _keyword_rows(lines, keyword: str, width: int) -> np.ndarray:
@@ -199,8 +272,8 @@ def assignment_from_text(text: str):
 
 
 def write_assignment(a, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(assignment_to_text(a))
+    with open(path, "wb") as fh:
+        fh.write(_assignment_bytes(a))
 
 
 def read_assignment(path: str):

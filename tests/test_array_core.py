@@ -2,6 +2,7 @@
 loops they replaced (kept in oracles.py), on random graphs and inputs."""
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,77 @@ def test_tokens_beyond_int64_are_a_format_error():
     # the line parser took any Python int and failed later on the vertex range
     with pytest.raises(ll.FormatError, match="^line 3: non-integer edge '0 99999999999999999999'$"):
         fileio.graph_from_text("2 1\n0 1\n0 99999999999999999999\n")
+
+
+# The hypothesis property above draws values of at most two digits. These
+# cases cross every width from 1 to 19 digits, and values longer than one
+# digit-table group: 4 digits for a few values, 5 for the 200002 values of
+# cycle 100001.
+WIDE_GRAPHS = {
+    "cycle 100001": lambda: ll.cycle_graph(100001),
+    "cycle 12": lambda: ll.cycle_graph(12),
+    "complete 101": lambda: ll.complete_graph(101),
+    "random_regular 10001 4": lambda: ll.random_regular(10001, 4, 2),
+}
+
+
+def _first_mismatch(got: str, want: str):
+    """None for equal texts, else the first differing line: pytest's own
+    diff of two megabyte strings would take minutes."""
+    if got == want:
+        return None
+    for no, (a, b) in enumerate(zip(got.split("\n"), want.split("\n")), start=1):
+        if a != b:
+            return f"line {no}: {a!r} != {b!r}"
+    return f"lengths {len(got)} != {len(want)}"
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_GRAPHS))
+def test_graph_writer_bytes_across_digit_widths(tmp_path, name):
+    g = WIDE_GRAPHS[name]()
+    want = oracles.line_graph_to_text(g.n, g.d, g.edges)
+    assert _first_mismatch(fileio.graph_to_text(g), want) is None
+    fileio.write_graph(g, str(tmp_path / "g"))
+    assert _first_mismatch((tmp_path / "g").read_bytes().decode(), want) is None
+
+
+WIDE_ASSIGNMENTS = {
+    "perm k=10": lambda: ll.random_k_lift(ll.complete_graph(6), 10, 1),
+    "perm k=11": lambda: ll.random_k_lift(ll.complete_graph(6), 11, 2),
+    "perm k=12": lambda: ll.random_k_lift(ll.random_regular(40, 3, 1), 12, 3),
+    "shift k=10**15": lambda: ll.ShiftAssignment(10**15, [0, 9, 10, 10**15 - 1]),
+    "shift k=2**63-1": lambda: ll.ShiftAssignment(
+        2**63 - 1, [0, 1, 2**63 - 2] + [10**i + j for i in range(1, 19) for j in (-1, 0, 1)]),
+    "shift empty": lambda: ll.ShiftAssignment(3, []),
+    "perm empty": lambda: ll.LiftAssignment(3, np.empty((0, 3), dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_ASSIGNMENTS))
+def test_assignment_writer_bytes_across_digit_widths(tmp_path, name):
+    a = WIDE_ASSIGNMENTS[name]()
+    kind, rows = ("shift", a.shifts) if isinstance(a, ll.ShiftAssignment) else ("perm", a.perms)
+    want = oracles.line_assignment_to_text(a.k, kind, rows)
+    assert _first_mismatch(fileio.assignment_to_text(a), want) is None
+    fileio.write_assignment(a, str(tmp_path / "a"))
+    assert _first_mismatch((tmp_path / "a").read_bytes().decode(), want) is None
+    # an empty perm file reads back as an empty shift file, with the same text
+    assert fileio.assignment_to_text(fileio.read_assignment(str(tmp_path / "a"))) == want
+
+
+def test_huge_shift_file_writer_memory_follows_the_value_count(tmp_path):
+    # a digit table over 0..max would hold 10**15 rows; it is sized by the
+    # four values instead
+    a = ll.ShiftAssignment(10**15, [0, 9, 10, 10**15 - 1])
+    path = str(tmp_path / "a")
+    tracemalloc.start()
+    try:
+        fileio.write_assignment(a, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert fileio.read_assignment(path) == a
 
 
 # --------------------------------------------------------------------------

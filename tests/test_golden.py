@@ -48,10 +48,17 @@ GEN_CASES = {
         "87be0d005ae7f221ab73ec2c6f033095afd40020752bb3a8ea4507a53ac92825",
     "cycle --n 7":
         "7fafc86a75354a2f8b0644226a30e73349be6c7abc7dfb0ae1093fac4bf79c6f",
+    "random_regular --n 1000 --d 3 --seed 4":
+        "9173986b31fc7b889d604a8b9b58f9bded01325fbe50f96999cf602d307c95ac",
 }
 
 LIFT_BASE = "random_regular --n 40 --d 5 --seed 3"
 LARGE_BASE = "random_regular --n 2000 --d 6 --seed 11"
+# A 12-lift of WIDE_BASE has 5-digit vertex ids and 2-digit perm images.
+# Its digests, and the WIDE_BASE gen digest, were recorded from the
+# %-format edge-list and assignment writers, before the digit-table writer
+# replaced them.
+WIDE_BASE = "random_regular --n 1000 --d 3 --seed 4"
 
 # (base, lift arguments) -> (digest of the lift, digest of the saved assignment)
 LIFT_CASES = {
@@ -74,6 +81,10 @@ LIFT_CASES = {
     (LARGE_BASE, "--mode shift_lift --k 4 --seed 7"): (
         "aeb793432de437f065903f8801fdf6847af681d852f7fbdb9b71645673c113ec",
         "f4b41e30db826ed5ed875f58a93433a54b1ade6fab95e85b48d86880f741d637",
+    ),
+    (WIDE_BASE, "--mode k_lift --k 12 --seed 9"): (
+        "cffc2fca9f78b7915e3681860f5c2f97d8653a3ad703af06a7103b7666895198",
+        "2e3b3f204f900b9208646764410fa275ca737f9bdbdcc98c775c2914f936c046",
     ),
 }
 

@@ -1,5 +1,7 @@
 """Campaign trials in forked worker processes: clamped pool size, identical
-bytes under any worker count, separate processes, and loud worker deaths."""
+bytes under any worker count, separate processes, loud worker deaths, and no
+worker left running after the campaign."""
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -55,6 +57,7 @@ def test_trials_run_in_two_worker_processes(monkeypatch, tmp_path):
     # contiguous chunks: trials 0-1 in one worker, 2-3 in the other
     assert pids[0] == pids[1] != pids[2] == pids[3]
     assert os.getpid() not in pids
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
@@ -71,6 +74,7 @@ def test_dead_worker_raises(monkeypatch):
                               "shift_lift")
     with pytest.raises(NumericalError, match="campaign worker process died"):
         ll.run_lift_trials(cfg, threads=2)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
