@@ -50,7 +50,6 @@ from .experiments import (
 )
 from .graphs import (
     RegularGraph,
-    VertexSubset,
     adjacency_matrix,
     complete_bipartite,
     complete_graph,
@@ -80,7 +79,6 @@ from .lifts import (
     two_lift_block_matrix,
 )
 from .spectra import (
-    HermitianMatrix,
     OldNewSplit,
     Spectrum,
     eig_symmetric,

@@ -17,13 +17,7 @@ import numpy as np
 from .errors import CharacterizationError, InvalidParameterError, NumericalError
 from .graphs import RegularGraph, adjacency_matrix, edge_endpoints
 from .lifts import ShiftAssignment, build_shift_lift
-from .spectra import (
-    HermitianMatrix,
-    Spectrum,
-    eig_symmetric,
-    max_multiset_mismatch,
-    spectral_radius,
-)
+from .spectra import Spectrum, eig_symmetric, max_multiset_mismatch, spectral_radius
 
 
 def _root_value(k: int, m: int) -> complex:
@@ -72,7 +66,7 @@ def _check_shift_count(g: RegularGraph, sa: ShiftAssignment) -> None:
         )
 
 
-def shift_matrix(g: RegularGraph, sa: ShiftAssignment, t: RootOfUnity) -> HermitianMatrix:
+def shift_matrix(g: RegularGraph, sa: ShiftAssignment, t: RootOfUnity) -> np.ndarray:
     """Hermitian matrix with entry t**shift on each stored edge direction.
 
     Entry (u, v) of a stored edge (u < v, shift s) is t**s and entry (v, u)
@@ -86,7 +80,7 @@ def shift_matrix(g: RegularGraph, sa: ShiftAssignment, t: RootOfUnity) -> Hermit
     m = np.zeros((g.n, g.n), dtype=complex)
     m[u, v] = w
     m[v, u] = w.conj()
-    return HermitianMatrix(m)
+    return m
 
 
 def lift_eigenvector(v: np.ndarray, t: RootOfUnity, k: int) -> np.ndarray:
@@ -254,16 +248,37 @@ def _mean_free_radius(a, blocks: int, what: str) -> float:
     return _lanczos_radius(op, what)
 
 
-def lambda_nontrivial_sparse(g: RegularGraph) -> float:
+def lambda_nontrivial_sparse(g: RegularGraph, bipartite: bool = False) -> float:
     """lambda of a d-regular graph: the largest |eigenvalue| once one copy of
-    d is dropped, as lambda_nontrivial gives it from the full spectrum.
+    d (and of -d if bipartite) is dropped, as lambda_nontrivial gives it from
+    the full spectrum.
 
     The constant vector is an eigenvector for d and A maps its orthogonal
     complement to itself, so lambda is the spectral radius of A on the
-    mean-zero vectors; no dense matrix is built.
+    mean-zero vectors; no dense matrix is built. With bipartite=True the
+    sides L and R are read off the components of the bipartite double cover
+    (vertex (x, c) is x + c*n); a graph that is not bipartite raises
+    InvalidParameterError. A maps 1_L to d*1_R and 1_R to d*1_L, so with L
+    ordered first lambda is the radius of A on the vectors that sum to zero
+    on each side. When 2d = n the graph is K_{d,d} and A is zero there.
     """
     eu, ev = edge_endpoints(g)
-    return _mean_free_radius(_symmetric_csr(g.n, eu, ev), 1, "the base graph")
+    if not bipartite:
+        return _mean_free_radius(_symmetric_csr(g.n, eu, ev), 1, "the base graph")
+    from scipy.sparse.csgraph import connected_components
+
+    n = g.n
+    cover = _symmetric_csr(2 * n, np.concatenate([eu, eu + n]), np.concatenate([ev + n, ev]))
+    label = connected_components(cover, directed=False)[1]
+    if np.any(label[:n] == label[n:]):
+        raise InvalidParameterError("bipartite flag set but the graph is not bipartite")
+    if 2 * g.d == n:
+        return 0.0
+    # side 1 of each component is the copy-0 vertices whose label is larger
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(label[:n] > label[n:], kind="stable")] = np.arange(n)
+    return _mean_free_radius(_symmetric_csr(n, rank[eu], rank[ev]), 2,
+                             "the bipartite graph")
 
 
 def lambda_new_from_roots(g: RegularGraph, sa: ShiftAssignment) -> tuple[float, tuple[float, ...]]:

@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import fileio
-from .characterization import verify_characterization
+from .characterization import lambda_nontrivial_sparse, verify_characterization
 from .errors import (
     CharacterizationError,
     InvalidParameterError,
@@ -207,8 +207,7 @@ def _verify_shift(args) -> int:
 
 def _eml(args) -> int:
     g = fileio.read_graph(args.graph)
-    spec = eig_symmetric(adjacency_matrix(g))
-    lam = lambda_nontrivial(spec, g.d, bipartite=args.bipartite)
+    lam = lambda_nontrivial_sparse(g, bipartite=args.bipartite)
     report = eml_check(g, lam, method=args.method, samples=args.samples, seed=args.seed)
     if args.out:
         fileio.write_text(fileio.mixing_report_text(report), args.out)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
-from .graphs import RegularGraph, adjacency_matrix, edge_endpoints
+from .graphs import RegularGraph, _incidences, adjacency_matrix, edge_endpoints
 from .spectra import eig_symmetric
 
 H_EXHAUSTIVE_CAP = 24
@@ -291,18 +291,18 @@ def eml_check(
     once, and the prefix sums give the largest and smallest E(S, T) for every
     |T|. The ratio and the witness pair are those of a full pair scan, ties
     included; see `_exhaustive_mixing`. Sampled mode scans `samples` random
-    pairs. E(S, T) counts ordered incidences, so an edge inside the
+    pairs and counts E(S, T) from the edge arrays, so it builds no n x n
+    matrix. E(S, T) counts ordered incidences, so an edge inside the
     intersection contributes 2. The caller chooses the lam convention:
     passing max_{i>=2}|lambda_i| (no bipartite exclusion) makes the bound
     hold for every graph, bipartite ones included.
     """
-    a = adjacency_matrix(g)
     if method == "exhaustive":
         if g.n > PAIR_EXHAUSTIVE_CAP:
             raise SizeLimitError(
                 f"exhaustive pair scan capped at n={PAIR_EXHAUSTIVE_CAP}, got {g.n}"
             )
-        best, s_mask, t_mask = _exhaustive_mixing(g, a)
+        best, s_mask, t_mask = _exhaustive_mixing(g, adjacency_matrix(g))
         return MixingReport(
             best,
             _mask_to_subset(s_mask, g.n),
@@ -315,6 +315,7 @@ def eml_check(
         if not samples or samples < 1 or seed is None:
             raise InvalidParameterError("sampled mode needs samples >= 1 and a seed")
         rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+        eu, ev = edge_endpoints(g)
         best = -math.inf
         best_pair_sets = (frozenset(), frozenset())
         done = 0
@@ -325,7 +326,7 @@ def eml_check(
             if ssize == 0 or tsize == 0:
                 continue
             done += 1
-            count = float(s_bits @ a @ t_bits)
+            count = _incidences(eu, ev, s_bits, t_bits)
             ratio = abs(count - g.d * ssize * tsize / g.n) / math.sqrt(ssize * tsize)
             if ratio > best:
                 best = ratio

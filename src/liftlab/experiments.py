@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ from .errors import (
 )
 from .graphs import (
     RegularGraph,
-    adjacency_matrix,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -43,11 +41,12 @@ from .lifts import (
     random_signing,
     signing_to_shifts,
 )
-from .spectra import MAX_DENSE_DIM, eig_symmetric, lambda_nontrivial
+from .spectra import MAX_DENSE_DIM
 
 _M64 = (1 << 64) - 1
 CROSS_CHECK_TOL = 1e-6
 SIGNING_SEARCH_CAP = 24
+LEMMA3_CAP = 5000  # the lemma3 size table holds 8.8e6 pairs at n = 5000
 QUANTILE_LEVELS = ((0.0, "min"), (0.25, "q25"), (0.5, "median"), (0.75, "q75"),
                    (0.9, "q90"), (0.95, "q95"), (1.0, "max"))
 
@@ -170,15 +169,12 @@ class TrialRecord:
     `root_radii` holds the spectral radius of each nontrivial root matrix in
     shift mode (None in two-lift mode). `error` is set when the trial failed;
     failed trials are excluded from the bound fractions but stay counted.
-    `wall_time` is in-memory diagnostics only and never serialized, so
-    reports stay byte-identical across reruns.
     """
 
     index: int
     seed: int
     lambda_new: float | None
     root_radii: tuple[float, ...] | None
-    wall_time: float
     error: str | None = None
 
 
@@ -215,7 +211,6 @@ def _scored_lambda_new(g: RegularGraph, sa: ShiftAssignment) -> tuple[float, tup
 
 def _run_one_trial(g: RegularGraph, cfg: ExperimentConfig, index: int) -> TrialRecord:
     seed = trial_seed(cfg.base_seed, index)
-    started = time.perf_counter()
     try:
         if cfg.mode == "two_lift":
             sa = signing_to_shifts(random_signing(g, seed))
@@ -223,11 +218,10 @@ def _run_one_trial(g: RegularGraph, cfg: ExperimentConfig, index: int) -> TrialR
             sa = random_shift_lift(g, cfg.k, seed)
         lam_new, radii = _scored_lambda_new(g, sa)
     except LiftLabError as exc:
-        return TrialRecord(index, seed, None, None, time.perf_counter() - started,
-                           error=str(exc))
+        return TrialRecord(index, seed, None, None, error=str(exc))
     if cfg.mode == "two_lift":
         radii = None  # the one radius is lambda_new itself
-    return TrialRecord(index, seed, lam_new, radii, time.perf_counter() - started)
+    return TrialRecord(index, seed, lam_new, radii)
 
 
 # (graph, config) of the campaign a forked pool worker serves. The pool's
@@ -302,8 +296,8 @@ def run_lift_trials(
     workers = -(-cfg.trials // chunk)  # e.g. 5 trials, 4 requested: 3 chunks of 2
 
     if base_error is not None:
-        records = [TrialRecord(i, trial_seed(cfg.base_seed, i), None, None, 0.0,
-                               error=base_error) for i in range(cfg.trials)]
+        records = [TrialRecord(i, trial_seed(cfg.base_seed, i), None, None, error=base_error)
+                   for i in range(cfg.trials)]
     elif workers == 1:
         records = [_run_one_trial(g, cfg, i) for i in range(cfg.trials)]
     else:
@@ -404,12 +398,17 @@ def lemma_inequality_spot_check(
     Every trial draws a fresh uniform signing plus support sizes uniform over
     the admissible size combinations, then uniform supports and uniform +-1
     entries, and evaluates the inequality. Graphs where no admissible sizes
-    exist are reported as not_applicable rather than silently passing.
+    exist are reported as not_applicable rather than silently passing. lam
+    defaults to lambda_nontrivial_sparse(g). The lemma3 size table lists
+    every admissible pair, O(n^2) of them, so lemma3 is capped at
+    n <= LEMMA3_CAP.
     """
     if which not in ("lemma3", "lemma4"):
         raise InvalidParameterError("which must be 'lemma3' or 'lemma4'")
+    if which == "lemma3" and g.n > LEMMA3_CAP:
+        raise SizeLimitError(f"lemma3 spot check capped at n={LEMMA3_CAP}, got {g.n}")
     if lam is None:
-        lam = lambda_nontrivial(eig_symmetric(adjacency_matrix(g)), g.d)
+        lam = lambda_nontrivial_sparse(g)
     n, d = g.n, g.d
     eu, ev = edge_endpoints(g)
     rng = np.random.default_rng(trial_seed(seed, 0))

@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import GenerationError, InvalidParameterError
 
-# Vertex subsets are plain frozensets of vertex indices.
-VertexSubset = frozenset
-
 _RESTART_CAP = 1000
 
 
@@ -236,7 +233,11 @@ def edges_between(g: RegularGraph, s: Iterable[int], t: Iterable[int]) -> int:
     in_t = np.zeros(g.n, dtype=bool)
     in_s[list(_check_subset(g, s))] = True
     in_t[list(_check_subset(g, t))] = True
-    u, v = edge_endpoints(g)
+    return _incidences(*edge_endpoints(g), in_s, in_t)
+
+
+def _incidences(u: np.ndarray, v: np.ndarray, in_s: np.ndarray, in_t: np.ndarray) -> int:
+    """edges_between for the edges (u, v) and 0/1 membership masks of S and T."""
     return int(np.count_nonzero(in_s[u] & in_t[v]) + np.count_nonzero(in_s[v] & in_t[u]))
 
 

@@ -24,10 +24,9 @@ DEFAULT_MATCH_WINDOW = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Real eigenvalues sorted descending, plus the solver tolerance used."""
+    """Real eigenvalues sorted descending."""
 
     values: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -49,30 +48,6 @@ class OldNewSplit:
     new: np.ndarray
     lambda_new: float
     window: float
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianMatrix:
-    """Complex Hermitian matrix; symmetry is exact by construction.
-
-    numpy complex128 stores each entry as an explicit (real, imaginary) pair;
-    the constructor rejects data where entry (j,i) is not the exact conjugate
-    of entry (i,j), so the diagonal is exactly real.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.data, dtype=complex)
-        object.__setattr__(self, "data", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidParameterError("Hermitian matrix must be square")
-        if not np.array_equal(m, m.conj().T):
-            raise InvalidParameterError("matrix is not exactly Hermitian")
-
-    @property
-    def n(self) -> int:
-        return int(self.data.shape[0])
 
 
 def _check_square(m: np.ndarray) -> np.ndarray:
@@ -101,16 +76,16 @@ def _verify_residuals(m, w, v, tol):
 def eig_symmetric(m, tol: float = DEFAULT_TOL, return_vectors: bool = False):
     """Full spectrum of a real symmetric or complex Hermitian matrix, descending.
 
-    Accepts a HermitianMatrix or a raw array equal to its conjugate transpose
-    within 1e-12 entrywise. Real input is solved by LAPACK's real symmetric
-    routine, complex input by its complex Hermitian one, which returns each
+    Accepts an array equal to its conjugate transpose within 1e-12
+    entrywise. Real input is solved by LAPACK's real symmetric routine,
+    complex input by its complex Hermitian one, which returns each
     eigenvalue exactly once (the test suite cross-checks it against the
     doubled real-symmetric embedding). With return_vectors=True the
     orthonormal eigenvectors come back as columns aligned with the descending
     eigenvalues, and each pair is verified against the residual contract
     (NumericalError on failure).
     """
-    m = _check_square(m.data if isinstance(m, HermitianMatrix) else m)
+    m = _check_square(m)
     m = np.asarray(m, dtype=np.result_type(m.dtype, np.float64))
     asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if asym > 1e-12:
@@ -123,7 +98,7 @@ def eig_symmetric(m, tol: float = DEFAULT_TOL, return_vectors: bool = False):
             w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
-    spec = Spectrum(np.ascontiguousarray(w[::-1]), tol)
+    spec = Spectrum(np.ascontiguousarray(w[::-1]))
     if return_vectors:
         v = np.ascontiguousarray(v[:, ::-1])
         _verify_residuals(m, spec.values, v, tol)
@@ -183,7 +158,9 @@ def lambda_nontrivial(
     """Largest |eigenvalue| after dropping one copy of d (and of -d if bipartite).
 
     The input must be the adjacency spectrum of a connected-or-not d-regular
-    graph: its top value has to equal d within tol.
+    graph: its top value has to equal d within tol. With bipartite=True the
+    spectrum must be symmetric about 0 within tol, which holds exactly when
+    the graph is bipartite.
     """
     vals = list(s.values)
     if not vals:
@@ -194,9 +171,9 @@ def lambda_nontrivial(
         )
     vals.pop(0)
     if bipartite:
-        if not vals or abs(vals[-1] + d) > tol:
+        if np.max(np.abs(s.values + s.values[::-1])) > tol:
             raise InvalidParameterError(
-                "bipartite flag set but -d is not in the spectrum"
+                "bipartite flag set but the spectrum is not symmetric about 0"
             )
         vals.pop()
     if not vals:
@@ -206,12 +183,11 @@ def lambda_nontrivial(
 
 def rayleigh_quotient(m, x) -> float:
     """|x* M x| / (x* x) for a nonzero real or complex vector x."""
-    arr = m.data if isinstance(m, HermitianMatrix) else np.asarray(m)
     x = np.asarray(x)
     denom = float(np.real(np.vdot(x, x)))
     if denom == 0.0:
         raise InvalidParameterError("Rayleigh quotient of the zero vector")
-    num = abs(complex(np.vdot(x, arr @ x)))
+    num = abs(complex(np.vdot(x, np.asarray(m) @ x)))
     return num / denom
 
 

@@ -248,7 +248,7 @@ def dense_half_root_radii(g, sa) -> tuple[float, ...]:
     k = sa.k
     half = []
     for j in range(1, k // 2 + 1):
-        m = ll.shift_matrix(g, sa, ll.RootOfUnity(k, j)).data
+        m = ll.shift_matrix(g, sa, ll.RootOfUnity(k, j))
         half.append(ll.spectral_radius(m.real if 2 * j == k else m))
     return tuple(half[min(j, k - j) - 1] for j in range(1, k))
 

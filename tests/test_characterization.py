@@ -35,19 +35,19 @@ class TestShiftMatrix:
         g = random_base(rng)
         sa = ll.random_shift_lift(g, 6, 1)
         h = ll.shift_matrix(g, sa, ll.RootOfUnity(6, 0))
-        assert np.array_equal(h.data, ll.adjacency_matrix(g).astype(complex))
+        assert np.array_equal(h, ll.adjacency_matrix(g).astype(complex))
 
     def test_k2_matches_signed_adjacency_exactly(self, rng):
         g = random_base(rng)
         sa = ll.random_shift_lift(g, 2, 9)
         h = ll.shift_matrix(g, sa, ll.RootOfUnity(2, 1))
         signed = ll.signed_adjacency(g, ll.shift_to_signing(sa))
-        assert np.array_equal(h.data, signed.astype(complex))
+        assert np.array_equal(h, signed.astype(complex))
 
     def test_entries_and_hermitian_structure(self):
         g = ll.cycle_graph(3)
         sa = ll.ShiftAssignment(4, (1, 2, 3))
-        h = ll.shift_matrix(g, sa, ll.RootOfUnity(4, 1)).data
+        h = ll.shift_matrix(g, sa, ll.RootOfUnity(4, 1))
         assert h[0, 1] == 1j and h[1, 0] == -1j        # shift 1 at t=i
         assert h[0, 2] == -1.0 and h[2, 0] == -1.0     # shift 2
         assert h[1, 2] == -1j and h[2, 1] == 1j        # shift 3

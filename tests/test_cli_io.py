@@ -189,6 +189,11 @@ class TestCli:
         assert dispatch(["eml", "--graph", str(k33_path)]) == 0
         # excluding -d from lambda makes the bound fail on bipartite graphs
         assert dispatch(["eml", "--graph", str(k33_path), "--bipartite"]) == 1
+        # and is a usage error on graphs that are not bipartite
+        assert dispatch(["eml", "--graph", str(k5_path), "--bipartite"]) == 2
+        c7_path = tmp_path / "c7.graph"
+        dispatch(["gen", "--family", "cycle", "--n", "7", "--out", str(c7_path)])
+        assert dispatch(["eml", "--graph", str(c7_path), "--bipartite"]) == 2
 
     def test_cheeger_command(self, tmp_path):
         path = tmp_path / "c6.graph"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import liftlab as ll
-from liftlab import experiments
+from liftlab import experiments, fileio
 from liftlab.cli import dispatch
 from liftlab.errors import InvalidParameterError, SizeLimitError
 from liftlab.fileio import experiment_report_csv, experiment_report_text
@@ -266,6 +266,25 @@ class TestSpotChecks:
     def test_unknown_inequality_name(self, k4):
         with pytest.raises(InvalidParameterError):
             ll.lemma_inequality_spot_check(k4, 10, 0, "lemma5")
+
+    def test_lemma3_is_capped_before_any_work(self, monkeypatch, tmp_path):
+        # the admissible (a, b) table is O(n^2): 1.4e8 pairs at n = 20000
+        g = ll.random_regular(experiments.LEMMA3_CAP + 2, 3, 1)
+        path = tmp_path / "big.graph"
+        fileio.write_graph(g, str(path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lemma3 computed lambda or its table past the cap")
+
+        with monkeypatch.context() as patch:
+            for name in ("lambda_nontrivial_sparse", "_lemma3_size_pairs"):
+                patch.setattr(experiments, name, refuse)
+            with pytest.raises(SizeLimitError):
+                ll.lemma_inequality_spot_check(g, 10, 0, "lemma3")
+            assert dispatch(["lemma-check", "--graph", str(path), "--which", "lemma3",
+                             "--trials", "10"]) == 2
+        # lemma4's table is O(n log n) and stays uncapped
+        assert not ll.lemma_inequality_spot_check(g, 2, 0, "lemma4").not_applicable
 
     def test_sign_sum_mean_zero(self):
         g = ll.random_regular(60, 4, 15)

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import liftlab as ll
-from liftlab import characterization, experiments, fileio, graphs, lifts, spectra
+from liftlab import characterization, cli, expansion, experiments, fileio, graphs, lifts, spectra
 from liftlab.cli import dispatch
 
 from oracles import dense_half_root_radii, dense_root_radii, dense_split_lambda_new
@@ -77,6 +77,21 @@ class TestRootRadiiOracle:
     def test_sparse_base_lambda_matches_the_dense_spectrum(self, g):
         dense = ll.lambda_nontrivial(ll.eig_symmetric(ll.adjacency_matrix(g)), g.d)
         assert abs(ll.lambda_nontrivial_sparse(g) - dense) <= 1e-12
+        _check_bipartite_lambda(g)
+
+    @pytest.mark.parametrize("g", [
+        *(pytest.param(ll.complete_bipartite(m), id=f"K{m},{m}") for m in range(1, 9)),
+        *(pytest.param(ll.disjoint_copies(ll.complete_graph(2), c), id=f"{c}xK2")
+          for c in (2, 3, 7)),
+        *(pytest.param(ll.disjoint_copies(ll.complete_bipartite(3), c), id=f"{c}xK3,3")
+          for c in (2, 4)),
+        *(pytest.param(ll.cycle_graph(n), id=f"C{n}") for n in (4, 6, 8, 10, 24)),
+    ])
+    def test_bipartite_lambda_matches_the_dense_spectrum(self, g):
+        # K_{m,m} (2d = n) takes the exact-zero shortcut
+        assert _check_bipartite_lambda(g) is not None
+        if 2 * g.d == g.n:
+            assert ll.lambda_nontrivial_sparse(g, bipartite=True) == 0.0
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("k", range(2, 9))
@@ -98,6 +113,22 @@ class TestRootRadiiOracle:
         sa = ll.random_shift_lift(g, k, 17)
         _, radii = ll.lambda_new_from_roots(g, sa)
         assert np.max(np.abs(np.subtract(radii, dense_half_root_radii(g, sa)))) <= 1e-12
+
+
+def _check_bipartite_lambda(g):
+    """lambda with -d dropped from both paths: both raise InvalidParameterError
+    (g is not bipartite) and return None, or they agree within 1e-12 and the
+    value is returned."""
+    spec = ll.eig_symmetric(ll.adjacency_matrix(g))
+    try:
+        dense = ll.lambda_nontrivial(spec, g.d, bipartite=True)
+    except ll.InvalidParameterError:
+        with pytest.raises(ll.InvalidParameterError):
+            ll.lambda_nontrivial_sparse(g, bipartite=True)
+        return None
+    sparse = ll.lambda_nontrivial_sparse(g, bipartite=True)
+    assert abs(sparse - dense) <= 1e-12
+    return sparse
 
 
 def _refuse(*args, **kwargs):
@@ -132,11 +163,42 @@ def test_campaigns_build_no_dense_matrix(mode, k, monkeypatch):
     assert peak < n * n * 8, peak
 
 
+@pytest.mark.parametrize("argv", [
+    ["eml", "--method", "sampled", "--samples", "50", "--seed", "3"],
+    ["lemma-check", "--which", "lemma3", "--trials", "50", "--seed", "1"],
+    ["lemma-check", "--which", "lemma4", "--trials", "50", "--seed", "1"],
+], ids=["eml-sampled", "lemma3", "lemma4"])
+def test_sampled_checks_build_no_dense_matrix(argv, monkeypatch, tmp_path):
+    n = 1000
+    g = ll.random_regular(n, 6, 7)
+    path, out = tmp_path / "g.graph", tmp_path / "report"
+    fileio.write_graph(g, str(path))
+    # lemma3's table of admissible size pairs is O(n^2) by design (about 30 MB
+    # here; capped at n = LEMMA3_CAP). It is built before tracing, so the peak
+    # measures what the check itself allocates.
+    pairs = experiments._lemma3_size_pairs(n, g.d, ll.lambda_nontrivial_sparse(g))
+    monkeypatch.setattr(experiments, "_lemma3_size_pairs", lambda *args: pairs)
+    _refuse_dense(monkeypatch)
+    for module in (graphs, characterization, experiments, expansion, cli):
+        if hasattr(module, "adjacency_matrix"):
+            monkeypatch.setattr(module, "adjacency_matrix", _refuse)
+    tracemalloc.start()
+    try:
+        code = dispatch([argv[0], "--graph", str(path), *argv[1:], "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # a dense n x n real matrix alone would take n*n*8 bytes
+    assert peak < n * n * 8, peak
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_growth_solves_nothing_densely(k, monkeypatch):
     _refuse_dense(monkeypatch)
     for module in (graphs, characterization, experiments):
-        monkeypatch.setattr(module, "adjacency_matrix", _refuse)
+        if hasattr(module, "adjacency_matrix"):
+            monkeypatch.setattr(module, "adjacency_matrix", _refuse)
     traj = ll.greedy_lift_growth(ll.complete_bipartite(3), 4, 6, k, 1)
     assert [r.n for r in traj.records] == [6 * k**level for level in range(5)]
 
@@ -195,14 +257,19 @@ def test_report_bytes_do_not_depend_on_threads_or_blas(tmp_path):
             if blas is not None:
                 env["OPENBLAS_NUM_THREADS"] = blas
             tag = f"{threads}_{blas}"
-            out, csv, grown = (tmp_path / f"{name}{tag}" for name in ("r", "t", "g"))
+            files = out, csv, grown, mixing, lemma = tuple(
+                tmp_path / f"{name}{tag}" for name in ("r", "t", "g", "e", "l"))
             for argv in (["mc", "--config", str(cfg_path), "--threads", str(threads),
                           "--out", str(out), "--csv", str(csv)],
                          ["grow", "--graph", str(graph), "--levels", "1", "--samples", "4",
-                          "--out", str(grown)]):
+                          "--out", str(grown)],
+                         ["eml", "--graph", str(graph), "--method", "sampled",
+                          "--samples", "200", "--seed", "3", "--out", str(mixing)],
+                         ["lemma-check", "--graph", str(graph), "--which", "lemma3",
+                          "--trials", "200", "--seed", "1", "--out", str(lemma)]):
                 subprocess.run([sys.executable, "-m", "liftlab.cli", *argv],
                                env=env, check=True, capture_output=True)
-            outputs.add((out.read_bytes(), csv.read_bytes(), grown.read_bytes()))
+            outputs.add(tuple(path.read_bytes() for path in files))
     assert len(outputs) == 1
     report = outputs.pop()[0].decode()
     assert "failed = 0" in report

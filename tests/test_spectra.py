@@ -64,7 +64,7 @@ class TestEigHermitian:
         g = random_base(rng)
         sa = ll.random_shift_lift(g, 4, 7)
         h = ll.shift_matrix(g, sa, ll.RootOfUnity(4, 0))
-        assert np.array_equal(h.data.real, ll.adjacency_matrix(g))
+        assert np.array_equal(h.real, ll.adjacency_matrix(g))
         spec = ll.eig_symmetric(h)
         base = ll.eig_symmetric(ll.adjacency_matrix(g))
         assert ll.max_multiset_mismatch(spec.values, base.values) <= 1e-9
@@ -100,7 +100,7 @@ class TestEigHermitian:
     def test_agrees_with_doubled_real_embedding(self, rng):
         g = random_base(rng)
         sa = ll.random_shift_lift(g, 5, 3)
-        h = ll.shift_matrix(g, sa, ll.RootOfUnity(5, 2)).data
+        h = ll.shift_matrix(g, sa, ll.RootOfUnity(5, 2))
         assert ll.max_multiset_mismatch(
             ll.eig_symmetric(h).values, doubled_real_embedding_spectrum(h)
         ) <= 1e-9
@@ -193,9 +193,14 @@ class TestLambdaNontrivial:
             ll.lambda_nontrivial(spec, 5)
 
     def test_bipartite_flag_on_nonbipartite_rejected(self, k5):
-        spec = ll.eig_symmetric(ll.adjacency_matrix(k5))
-        with pytest.raises(InvalidParameterError):
-            ll.lambda_nontrivial(spec, 4, bipartite=True)
+        # C_3 + C_4 has -2 in its spectrum (from C_4) but is not bipartite
+        c3_c4 = ll.RegularGraph(7, 2, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 6), (4, 5), (5, 6)])
+        for g in (k5, c3_c4):
+            spec = ll.eig_symmetric(ll.adjacency_matrix(g))
+            with pytest.raises(InvalidParameterError):
+                ll.lambda_nontrivial(spec, g.d, bipartite=True)
+            with pytest.raises(InvalidParameterError):
+                ll.lambda_nontrivial_sparse(g, bipartite=True)
 
 
 class TestRayleighQuotient:
