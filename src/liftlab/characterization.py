@@ -196,12 +196,13 @@ def verify_characterization(
 def _lanczos_radius(op, what: str) -> float:
     """Spectral radius of a real symmetric sparse matrix or operator.
 
-    Solved by ARPACK's symmetric Lanczos, asking for the two
-    largest-magnitude eigenvalues so that a +-lambda tie (a bipartite base)
-    converges, from a seeded start vector, so reruns give the same bytes.
-    ARPACK stops once each Ritz residual is below tol * |theta| <= tol * d,
-    which also bounds the Ritz value's distance to an eigenvalue. ARPACK
-    cannot return two values of an operator of order <= 2; those are solved
+    Solved by ARPACK's symmetric Lanczos for the one largest-magnitude
+    eigenvalue, from a seeded start vector, so reruns give the same bytes.
+    A +-lambda tie (a bipartite lift) needs no second value: whichever sign
+    converges has the radius as its magnitude, and asking for two values
+    would roughly double the Lanczos iterations. ARPACK stops once the Ritz residual is
+    below tol * |theta| <= tol * d, which also bounds the Ritz value's
+    distance to an eigenvalue. Operators of order <= 2 (K_2's) are solved
     densely. An ARPACK failure raises NumericalError naming `what`.
     """
     from scipy.sparse.linalg import ArpackError, eigsh
@@ -214,11 +215,11 @@ def _lanczos_radius(op, what: str) -> float:
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(size)
     try:
-        vals = eigsh(op, k=2, which="LM", v0=v0, tol=1e-10, rng=rng,
+        vals = eigsh(op, k=1, which="LM", v0=v0, tol=1e-10, rng=rng,
                      return_eigenvectors=False)
     except ArpackError as exc:
         raise NumericalError(f"Lanczos on {what} failed: {exc}") from exc
-    return float(np.max(np.abs(vals)))
+    return float(abs(vals[0]))
 
 
 def _symmetric_csr(size: int, rows: np.ndarray, cols: np.ndarray):

@@ -181,41 +181,42 @@ def combinatorial_expansion(
     The sampled mode draws each vertex with probability 1/2 (empty draws and
     full-vertex draws are rediscarded, oversized draws replaced by their
     complements) and returns the best ratio seen, which is only an upper
-    bound on h and is flagged as method="sampled".
+    bound on h and is flagged as method="sampled". The method, the cap and
+    the sampled parameters are checked before the dense lambda2 solve.
     """
+    if method not in ("exhaustive", "sampled"):
+        raise InvalidParameterError(f"unknown method {method!r}")
+    if method == "exhaustive" and g.n > H_EXHAUSTIVE_CAP:
+        raise SizeLimitError(
+            f"exhaustive expansion capped at n={H_EXHAUSTIVE_CAP}, got {g.n}"
+        )
+    if method == "sampled" and (not samples or samples < 1 or seed is None):
+        raise InvalidParameterError("sampled mode needs samples >= 1 and a seed")
     lam2, lower, upper = _spectral_context(g)
     if method == "exhaustive":
-        if g.n > H_EXHAUSTIVE_CAP:
-            raise SizeLimitError(
-                f"exhaustive expansion capped at n={H_EXHAUSTIVE_CAP}, got {g.n}"
-            )
         best, best_mask = _exhaustive_expansion(g)
         return ExpansionReport(
             best, _mask_to_subset(best_mask, g.n), "exhaustive", lam2, lower, upper
         )
-    if method == "sampled":
-        if not samples or samples < 1 or seed is None:
-            raise InvalidParameterError("sampled mode needs samples >= 1 and a seed")
-        rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-        eu, ev = edge_endpoints(g)
-        best = math.inf
-        best_subset: frozenset = frozenset()
-        done = 0
-        while done < samples:
-            bits = rng.integers(0, 2, size=g.n)
-            size = int(bits.sum())
-            if size == 0 or size == g.n:
-                continue
-            if 2 * size > g.n:
-                bits = 1 - bits
-                size = g.n - size
-            done += 1
-            ratio = int(np.count_nonzero(bits[eu] != bits[ev])) / size
-            if ratio < best:
-                best = ratio
-                best_subset = frozenset(np.flatnonzero(bits).tolist())
-        return ExpansionReport(best, best_subset, "sampled", lam2, lower, upper)
-    raise InvalidParameterError(f"unknown method {method!r}")
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    eu, ev = edge_endpoints(g)
+    best = math.inf
+    best_subset: frozenset = frozenset()
+    done = 0
+    while done < samples:
+        bits = rng.integers(0, 2, size=g.n)
+        size = int(bits.sum())
+        if size == 0 or size == g.n:
+            continue
+        if 2 * size > g.n:
+            bits = 1 - bits
+            size = g.n - size
+        done += 1
+        ratio = int(np.count_nonzero(bits[eu] != bits[ev])) / size
+        if ratio < best:
+            best = ratio
+            best_subset = frozenset(np.flatnonzero(bits).tolist())
+    return ExpansionReport(best, best_subset, "sampled", lam2, lower, upper)
 
 
 def cheeger_check(g: RegularGraph, slack: float = 1e-9) -> CheegerReport:

@@ -46,7 +46,7 @@ from .spectra import MAX_DENSE_DIM
 _M64 = (1 << 64) - 1
 CROSS_CHECK_TOL = 1e-6
 SIGNING_SEARCH_CAP = 24
-LEMMA3_CAP = 5000  # the lemma3 size table holds 8.8e6 pairs at n = 5000
+LEMMA3_CAP = 5000  # set when the lemma3 size table listed its O(n^2) pairs
 QUANTILE_LEVELS = ((0.0, "min"), (0.25, "q25"), (0.5, "median"), (0.75, "q75"),
                    (0.9, "q90"), (0.95, "q95"), (1.0, "max"))
 
@@ -355,15 +355,37 @@ class SpotCheckReport:
         return self.violations / self.trials if self.trials else 0.0
 
 
-def _lemma3_size_pairs(n: int, d: int, lam: float) -> list[tuple[int, int]]:
-    """Admissible (|S(u)|, |S(v)|): a <= b <= d*a, b > n/d^2, a*b < (n*lam/d)^2."""
+class _PairRanges:
+    """The pairs (a, b) with lo[i] <= a <= hi[i] and b = b[i], in the order of
+    i, then a: one range per b and a cumulative count, O(len(b)) memory.
+    Pair `index` is found by bisection on the counts."""
+
+    def __init__(self, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        self._b, self._lo = b, lo
+        self._ends = np.cumsum(hi - lo + 1)
+
+    def __len__(self) -> int:
+        return int(self._ends[-1]) if self._ends.size else 0
+
+    def __getitem__(self, index: int) -> tuple[int, int]:
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        i = int(np.searchsorted(self._ends, index, side="right"))
+        start = int(self._ends[i - 1]) if i else 0
+        return int(self._lo[i]) + int(index) - start, int(self._b[i])
+
+
+def _lemma3_size_pairs(n: int, d: int, lam: float) -> _PairRanges:
+    """Admissible (|S(u)|, |S(v)|): a <= b <= d*a, b > n/d^2, a*b < (n*lam/d)^2,
+    ordered by b, then a. For each b the admissible a are one range."""
     cap = (n * lam / d) ** 2
-    pairs = []
-    for b in range(int(n / d**2) + 1, n + 1):
-        for a in range(max(1, -(-b // d)), b + 1):
-            if a * b < cap and b <= d * a:
-                pairs.append((a, b))
-    return pairs
+    b = np.arange(int(n / d**2) + 1, n + 1, dtype=np.int64)
+    lo = -(-b // d)
+    hi = np.minimum(b, np.floor(cap / b)).astype(np.int64)
+    # a*b < cap is strict, and the float cap / b may round up to an integer
+    hi -= hi * b >= cap
+    keep = lo <= hi
+    return _PairRanges(b[keep], lo[keep], hi[keep])
 
 
 def _lemma4_sizes(n: int, d: int, lam: float) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -399,9 +421,8 @@ def lemma_inequality_spot_check(
     the admissible size combinations, then uniform supports and uniform +-1
     entries, and evaluates the inequality. Graphs where no admissible sizes
     exist are reported as not_applicable rather than silently passing. lam
-    defaults to lambda_nontrivial_sparse(g). The lemma3 size table lists
-    every admissible pair, O(n^2) of them, so lemma3 is capped at
-    n <= LEMMA3_CAP.
+    defaults to lambda_nontrivial_sparse(g). The lemma3 size table holds one
+    range of |S(u)| per |S(v)|; lemma3 stays capped at n <= LEMMA3_CAP.
     """
     if which not in ("lemma3", "lemma4"):
         raise InvalidParameterError("which must be 'lemma3' or 'lemma4'")

@@ -298,6 +298,18 @@ def dense_scored_growth(g0, levels: int, samples_per_level: int, k: int, seed: i
     return out
 
 
+def lemma3_size_pair_list(n: int, d: int, lam: float) -> list[tuple[int, int]]:
+    """Every admissible lemma3 (a, b) as one list, in (b, a) order: the O(n^2)
+    table that the per-b range table replaced."""
+    cap = (n * lam / d) ** 2
+    pairs = []
+    for b in range(int(n / d**2) + 1, n + 1):
+        for a in range(max(1, -(-b // d)), b + 1):
+            if a * b < cap and b <= d * a:
+                pairs.append((a, b))
+    return pairs
+
+
 # --------------------------------------------------------------------------
 # Per-edge loops replaced by the array-backed graphs, lifts and fileio
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import liftlab as ll
+from liftlab import expansion
 from liftlab.errors import InvalidParameterError, SizeLimitError
 
 from liftlab.expansion import _cut_sizes, _cut_tables, _lowest_extreme_masks
@@ -130,6 +131,19 @@ class TestCombinatorialExpansion:
     def test_sampled_needs_parameters(self, k4):
         with pytest.raises(InvalidParameterError):
             ll.combinatorial_expansion(k4, method="sampled")
+
+    def test_parameters_are_checked_before_the_dense_solve(self, k4, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lambda2 was solved before the parameters were checked")
+
+        monkeypatch.setattr(expansion, "eig_symmetric", refuse)
+        with pytest.raises(SizeLimitError):
+            ll.cheeger_check(ll.random_regular(3000, 3, 1))
+        with pytest.raises(InvalidParameterError):
+            ll.combinatorial_expansion(k4, method="spectral")
+        for samples, seed in ((None, 1), (0, 1), (10, None)):
+            with pytest.raises(InvalidParameterError):
+                ll.combinatorial_expansion(k4, "sampled", samples, seed)
 
 
 class TestCutKernel:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import liftlab as ll
-from liftlab import experiments, fileio
+from liftlab import characterization, experiments, fileio
 from liftlab.cli import dispatch
 from liftlab.errors import InvalidParameterError, SizeLimitError
 from liftlab.fileio import experiment_report_csv, experiment_report_text
@@ -17,6 +17,7 @@ from oracles import (
     dense_scored_growth,
     dense_split_lambda_new,
     k4_top_radius_rate,
+    lemma3_size_pair_list,
 )
 
 
@@ -233,6 +234,28 @@ class TestLoudFailures:
             f"{i},{ll.trial_seed(5, i)}," for i in range(4)
         ]
 
+    @pytest.mark.parametrize("mode,k", [("shift_lift", 3), ("two_lift", 2)])
+    def test_fiber_operator_without_projection_fails_every_trial(
+            self, mode, k, monkeypatch):
+        # without P the fiber-constant vectors stay in: the radius is d
+        real = characterization._mean_free_radius
+
+        def no_projection(a, blocks, what):
+            if what != "the fiber-sum-zero operator":
+                return real(a, blocks, what)
+            return characterization._lanczos_radius(a, what)
+
+        monkeypatch.setattr(characterization, "_mean_free_radius", no_projection)
+        cfg = ll.ExperimentConfig("random_regular 40 3 2", k, 4, 5, (3.0,), mode)
+        report = ll.run_lift_trials(cfg, threads=2)
+        assert report.failed == cfg.trials
+        text = experiment_report_text(report)
+        assert f"failed = {cfg.trials}" in text
+        for record in report.records:
+            assert record.lambda_new is None
+            assert "disagrees with the fiber-projected radius" in record.error
+            assert float(record.error.split()[-1]) == pytest.approx(3.0, abs=1e-9)
+
     def test_lanczos_non_convergence_is_a_failed_trial(self, monkeypatch):
         import scipy.sparse.linalg as sla
 
@@ -267,8 +290,22 @@ class TestSpotChecks:
         with pytest.raises(InvalidParameterError):
             ll.lemma_inequality_spot_check(k4, 10, 0, "lemma5")
 
+    @pytest.mark.parametrize("n,d,lam", [
+        (60, 4, 3.340125366733687), (60, 4, 4.0), (60, 4, 2.0), (12, 3, 2.6),
+        (400, 4, 3.5), (1000, 6, 4.410116265019274), (2, 1, 0.0), (100, 3, 0.1),
+    ])
+    def test_lemma3_size_ranges_match_the_pair_list(self, n, d, lam):
+        # lam = 4 and 2 at n = 60, d = 4 put (n*lam/d)^2 on an integer, so
+        # a*b < cap is decided on its boundary; the last two tables are empty
+        table = experiments._lemma3_size_pairs(n, d, lam)
+        pairs = lemma3_size_pair_list(n, d, lam)
+        assert len(table) == len(pairs)
+        assert [table[i] for i in range(len(table))] == pairs
+        with pytest.raises(IndexError):
+            table[len(table)]
+
     def test_lemma3_is_capped_before_any_work(self, monkeypatch, tmp_path):
-        # the admissible (a, b) table is O(n^2): 1.4e8 pairs at n = 20000
+        # nothing is computed past the cap, neither lambda nor the size table
         g = ll.random_regular(experiments.LEMMA3_CAP + 2, 3, 1)
         path = tmp_path / "big.graph"
         fileio.write_graph(g, str(path))

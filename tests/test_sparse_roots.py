@@ -20,7 +20,8 @@ import liftlab as ll
 from liftlab import characterization, cli, expansion, experiments, fileio, graphs, lifts, spectra
 from liftlab.cli import dispatch
 
-from oracles import dense_half_root_radii, dense_root_radii, dense_split_lambda_new
+from oracles import (bfs_components, dense_half_root_radii, dense_root_radii,
+                     dense_split_lambda_new)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -96,8 +97,8 @@ class TestRootRadiiOracle:
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("k", range(2, 9))
     def test_smallest_bases(self, m, k):
-        # K_2's real operators have order 2, below what ARPACK accepts, and
-        # take the dense branch; K_3's have order 3 (real) or 6 (embedded)
+        # K_2's real operators have order 2 and take the dense branch; K_3's
+        # have order 3 (real) or 6 (embedded)
         g = ll.complete_graph(m)
         sa = ll.random_shift_lift(g, k, 5 * m + k)
         _, radii = ll.lambda_new_from_roots(g, sa)
@@ -113,6 +114,81 @@ class TestRootRadiiOracle:
         sa = ll.random_shift_lift(g, k, 17)
         _, radii = ll.lambda_new_from_roots(g, sa)
         assert np.max(np.abs(np.subtract(radii, dense_half_root_radii(g, sa)))) <= 1e-12
+
+
+def _check_one_value_solves(g, sa):
+    """Roots, fibers and the dense oracles agree within 1e-12; returns lambda_new."""
+    lam, radii = ll.lambda_new_from_roots(g, sa)
+    assert np.max(np.abs(np.subtract(radii, dense_root_radii(g, sa)))) <= 1e-12
+    split = dense_split_lambda_new(g, sa)
+    assert abs(lam - split) <= 1e-12
+    assert abs(ll.lambda_new_from_fibers(g, sa) - split) <= 1e-12
+    return lam
+
+
+class TestOneValueSolve:
+    """The Lanczos radius asks for one largest-magnitude value; these are the
+    cases where one value is easiest to get wrong."""
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plus_minus_ties_of_bipartite_lifts(self, copies, k, seed):
+        # every lift of K_{3,3} is bipartite: each root spectrum is symmetric,
+        # so its top value is an exact +-lambda tie
+        g = ll.disjoint_copies(ll.complete_bipartite(3), copies)
+        sa = ll.random_shift_lift(g, k, 10 * seed + k)
+        for j in range(1, k):
+            vals = ll.eig_symmetric(ll.shift_matrix(g, sa, ll.RootOfUnity(k, j))).values
+            assert abs(vals[0] + vals[-1]) <= 1e-12
+        _check_one_value_solves(g, sa)
+
+    def test_disconnected_copy_lifts_reach_d(self):
+        # a 4-lift of K_4 falls apart when every cycle's shift sum lies in
+        # {0, 2}; the lift then has the new eigenvalue d = 3 (a connected
+        # lift can reach 3 too, through -3 when it is bipartite)
+        g = ll.disjoint_copies(ll.complete_graph(4), 5)
+        seen = set()
+        for seed in range(12):
+            sa = ll.random_shift_lift(g, 4, seed)
+            lifted = ll.build_shift_lift(g, sa).graph
+            split = len(bfs_components(lifted.n, lifted.edges)) > 5
+            lam = _check_one_value_solves(g, sa)
+            if split:
+                assert abs(lam - 3.0) <= 1e-12
+            seen.add(split)
+        assert seen == {False, True}
+
+
+def test_one_trial_asks_for_one_value(monkeypatch):
+    # one k = 4 trial: roots j = 1, 2 and the fiber check, 433 matvecs in
+    # all; asking for two values took 758
+    real = sla.eigsh
+    asked, matvecs = [], [0]
+
+    def counting(op, *args, **kwargs):
+        asked.append(kwargs.get("k"))
+        inner = sla.aslinearoperator(op)
+
+        def matvec(x):
+            matvecs[0] += 1
+            return inner.matvec(x)
+
+        return real(sla.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype),
+                    *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigsh", counting)
+    cfg = ll.ExperimentConfig("random_regular 500 6 2", 4, 1, 0, (1.0,), "shift_lift")
+    g = ll.resolve_base_graph(cfg)
+    record = experiments._run_one_trial(g, cfg, 0)
+    assert record.error is None and len(record.root_radii) == 3
+    assert asked == [1, 1, 1]
+    assert matvecs[0] <= 600, matvecs[0]
+    # the base lambda, plain and with -d dropped
+    ll.lambda_nontrivial_sparse(g)
+    ll.lambda_nontrivial_sparse(ll.disjoint_copies(ll.complete_bipartite(6), 2),
+                                bipartite=True)
+    assert asked == [1] * 5
 
 
 def _check_bipartite_lambda(g):
@@ -173,11 +249,6 @@ def test_sampled_checks_build_no_dense_matrix(argv, monkeypatch, tmp_path):
     g = ll.random_regular(n, 6, 7)
     path, out = tmp_path / "g.graph", tmp_path / "report"
     fileio.write_graph(g, str(path))
-    # lemma3's table of admissible size pairs is O(n^2) by design (about 30 MB
-    # here; capped at n = LEMMA3_CAP). It is built before tracing, so the peak
-    # measures what the check itself allocates.
-    pairs = experiments._lemma3_size_pairs(n, g.d, ll.lambda_nontrivial_sparse(g))
-    monkeypatch.setattr(experiments, "_lemma3_size_pairs", lambda *args: pairs)
     _refuse_dense(monkeypatch)
     for module in (graphs, characterization, experiments, expansion, cli):
         if hasattr(module, "adjacency_matrix"):
