@@ -2,17 +2,19 @@
 
 The exhaustive checks take exact shortcuts instead of full scans, with the
 same floats and witnesses as the full scans. The expansion scan uses
-cut(S) = cut(V\\S): it visits only the 2^(n-1) masks without vertex n-1 and
-counts cut edges through byte lookup tables. The mixing scan takes, for each
-S and size t, the t largest and t smallest entries of A 1_S (sorted prefix
-sums), which bound E(S, T) over all T of size t, so no subset pair is
-enumerated. The caps stay n <= 24 for the expansion constant and n <= 12
-for the mixing scan.
+cut(S) = cut(V\\S) to visit only the 2^(n-1) masks without vertex n-1, and
+cut(S) = d|S| - 1_S^T A 1_S to count their cuts in one int32 grid per value
+of the top mask byte, ranked by exact integer ratio keys. The mixing scan
+takes, for each S and size t, the t largest and t smallest entries of A 1_S
+(sorted prefix sums), which bound E(S, T) over all T of size t, so no subset
+pair is enumerated. The caps stay n <= 24 for the expansion constant and
+n <= 12 for the mixing scan.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -22,11 +24,6 @@ from .spectra import eig_symmetric
 
 H_EXHAUSTIVE_CAP = 24
 PAIR_EXHAUSTIVE_CAP = 12
-# 2^13 masks per chunk keep each temporary at 64 KB; with 2^16 the n = 24
-# scan took 3.4 times the minor page faults (31k against 9k) and about 1.5
-# times as long on a 2-vCPU Xeon host. It divides 2^16, so no chunk spans
-# two values of hi.
-_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -85,78 +82,80 @@ def _mask_to_subset(mask: int, n: int) -> frozenset:
     return frozenset(x for x in range(n) if (mask >> x) & 1)
 
 
-def _cut_tables(n: int, eu: np.ndarray, ev: np.ndarray) -> list[tuple[int, int, int, np.ndarray]]:
-    """Byte-pair lookup tables for E(S, V\\S), each edge counted in one table.
+def _cut_blocks(g: RegularGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fixed, cols, rows) with cut(S) = fixed[b1, b0] + cols[hi, b1] + rows[hi, b0]
+    for the mask (hi << 16) | (b1 << 8) | b0 of a set S without vertex n-1.
 
-    The subset mask is read as bytes, byte a holding vertices 8a..8a+7. An
-    entry (a, b, shift, t) counts cut edges at index (byte a << shift) | byte b,
-    where shift is the width of block b (0 when a == b, a single-block graph).
-    An edge is filed under the blocks of its ends; one inside block a is filed
-    under a and its next block (the previous one for the last block), so no
-    block needs a table of its own and each mask costs one lookup per table.
+    cut(S) = d|S| - 1_S^T A 1_S, with A the adjacency matrix without vertex
+    n-1, zero-padded to 24 vertices. With B the 256 x 8 bit matrix, the form
+    is the sum over byte pairs (a, b) of (B A_ab B^T)[x_a, x_b]: `fixed`
+    holds the terms of bytes 1 and 0, `cols` those of hi alone and with
+    byte 1, `rows` those of hi with byte 0, each byte cut to its used values.
     """
-    blocks = (n + 7) // 8
-    width = [min(8, n - 8 * a) for a in range(blocks)]
-    tables: dict[tuple[int, int, int], np.ndarray] = {}
-    for u, v in zip(eu.tolist(), ev.tolist()):
-        a, b = u // 8, v // 8
-        if a == b and blocks > 1:
-            a, b = (a, a + 1) if a + 1 < blocks else (a - 1, a)
-        shift = width[b] if a != b else 0
-        t = tables.get((a, b, shift))
-        if t is None:
-            t = tables[(a, b, shift)] = np.zeros(1 << (width[a] + shift), dtype=np.int64)
-        index = np.arange(t.size, dtype=np.int64)
-        pu, pv = (shift + w - 8 * a if w // 8 == a else w - 8 * b for w in (u, v))
-        t += ((index >> pu) ^ (index >> pv)) & 1
-    return [(*key, t) for key, t in sorted(tables.items())]
+    m = g.n - 1
+    width = [1 << min(max(0, m - 8 * x), 8) for x in range(3)]
+    a = np.zeros((24, 24))
+    a[:m, :m] = adjacency_matrix(g)[:m, :m]
+    bits = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(float)  # B^T
+
+    def form(x: int, y: int) -> np.ndarray:
+        return bits[:, :width[x]].T @ a[8 * x:8 * x + 8, 8 * y:8 * y + 8] @ bits[:, :width[y]]
+
+    own = [g.d * bits[:, :width[x]].sum(axis=0) - np.diagonal(form(x, x)) for x in range(3)]
+    fixed = own[1][:, None] + own[0] - 2 * form(1, 0)
+    cols = own[2][:, None] - 2 * form(2, 1)
+    rows = -2 * form(2, 0)
+    return fixed.astype(np.int32), cols.astype(np.int32), rows.astype(np.int32)
 
 
-def _cut_sizes(masks: np.ndarray, tables: list[tuple[int, int, int, np.ndarray]]) -> np.ndarray:
-    """Boundary edge count E(S, V\\S) for every subset bitmask in `masks`."""
-    cut = np.zeros(masks.shape, dtype=np.int64)
-    for a, b, shift, t in tables:
-        cut += t[(((masks >> (8 * a)) & 0xFF) << shift) | ((masks >> (8 * b)) & 0xFF)]
-    return cut
+def _cut_grid(blocks: tuple, hi: int, out: np.ndarray) -> np.ndarray:
+    """cut((hi << 16) | low) for every scanned low, as a (b1, b0) grid in `out`."""
+    fixed, cols, rows = blocks
+    np.add(fixed, cols[hi][:, None], out=out)
+    out += rows[hi]
+    return out
 
 
 def _exhaustive_expansion(g: RegularGraph) -> tuple[float, int]:
     """(h, witness mask) from the 2^(n-1) - 1 nonempty masks without vertex n-1.
 
     cut(S) = cut(V\\S), so each scanned mask stands for the one of S, V\\S with
-    at most n/2 vertices (its canonical mask) and has ratio cut/min(|S|, n-|S|).
-    The witness is the smallest canonical mask with the minimum ratio, which
-    is the first minimum of a scan over all 2^n - 1 masks.
-
-    A scanned mask is (hi << 16) | low. The tables that read only bytes 0 and
-    1 are summed once over every low; a table that reads byte 2 (= hi) adds,
-    for each hi, one 256-entry column indexed by a byte of low. A chunk of
-    _CHUNK masks never spans two values of hi.
+    at most n/2 vertices (its canonical mask), with ratio cut/k for
+    k = min(|S|, n-|S|). Each grid of `_cut_grid` is scaled in place to the
+    exact key cut * (L // k), L = lcm(1..n//2), below 276 * 27720 < 2^31 at
+    n = 24. The grids run by popcount of hi, so one int16 grid of L // k
+    serves each run. The witness is the smallest canonical mask with the
+    least key, the first minimum of a scan over all 2^n - 1 masks, and h is
+    computed once from it as cut / k.
     """
     n = g.n
-    tables = _cut_tables(n, *edge_endpoints(g))
-    full = (1 << n) - 1
-    low = np.arange(1 << min(n - 1, 16), dtype=np.int64)
-    fixed = _cut_sizes(low, [table for table in tables if table[1] < 2])
-    columns = [((low >> (8 * a)) & 0xFF, t.reshape(-1, 1 << shift))
-               for a, b, shift, t in tables if b == 2]
-    pop = np.bitwise_count(low).astype(np.int64)
-    best = math.inf
-    best_mask = 0
-    for lo in range(0, 1 << (n - 1), _CHUNK):
-        hi, sub = lo >> 16, lo & 0xFFFF
-        s = slice(sub + (lo == 0), sub + _CHUNK)  # mask 0 is the empty set
-        cut = fixed[s] + sum(t[:, hi][byte[s]] for byte, t in columns)
-        size = pop[s] + hi.bit_count()
-        ratios = cut / np.minimum(size, n - size)
-        low_ratio = float(ratios.min())
-        if low_ratio > best:
-            continue
-        tied = (hi << 16) | low[s][ratios == low_ratio]
-        canon = int(np.where(2 * np.bitwise_count(tied) <= n, tied, full ^ tied).min())
-        if low_ratio < best or canon < best_mask:
-            best, best_mask = low_ratio, canon
-    return best, best_mask
+    blocks = _cut_blocks(g)
+    lcm = math.lcm(*range(1, n // 2 + 1))
+    k = np.minimum(np.arange(n), n - np.arange(n))
+    size_mult = (lcm // np.maximum(k, 1)).astype(np.int16)
+    pop = np.bitwise_count(np.arange(256, dtype=np.uint8))
+    grid = np.empty(blocks[0].shape, dtype=np.int32)
+    low_pop = pop[:grid.shape[0], None] + pop[:grid.shape[1]]
+    best, best_mask = np.iinfo(np.int32).max, 0
+    his = sorted(range(len(blocks[1])), key=int.bit_count)
+    for hi_pop, run in groupby(his, key=int.bit_count):
+        mult = size_mult[low_pop + hi_pop]
+        for hi in run:
+            _cut_grid(blocks, hi, grid)
+            grid *= mult
+            if hi == 0:
+                grid[0, 0] = best  # the empty set; hi = 0 runs first
+            low = int(grid.min())
+            # a tie cannot lower a direct witness that lies below this grid
+            if low > best or (low == best and best_mask < hi << 16):
+                continue
+            tied = (hi << 16) | np.flatnonzero(grid == low)
+            canon = int(np.where(2 * np.bitwise_count(tied) <= n, tied,
+                                 ((1 << n) - 1) ^ tied).min())
+            if low < best or canon < best_mask:
+                best, best_mask = low, canon
+    size = best_mask.bit_count()
+    return best // (lcm // size) / size, best_mask
 
 
 def _spectral_context(g: RegularGraph) -> tuple[float, float, float]:

@@ -46,7 +46,6 @@ from .spectra import MAX_DENSE_DIM
 _M64 = (1 << 64) - 1
 CROSS_CHECK_TOL = 1e-6
 SIGNING_SEARCH_CAP = 24
-LEMMA3_CAP = 5000  # set when the lemma3 size table listed its O(n^2) pairs
 QUANTILE_LEVELS = ((0.0, "min"), (0.25, "q25"), (0.5, "median"), (0.75, "q75"),
                    (0.9, "q90"), (0.95, "q95"), (1.0, "max"))
 
@@ -422,12 +421,10 @@ def lemma_inequality_spot_check(
     entries, and evaluates the inequality. Graphs where no admissible sizes
     exist are reported as not_applicable rather than silently passing. lam
     defaults to lambda_nontrivial_sparse(g). The lemma3 size table holds one
-    range of |S(u)| per |S(v)|; lemma3 stays capped at n <= LEMMA3_CAP.
+    range of |S(u)| per |S(v)|.
     """
     if which not in ("lemma3", "lemma4"):
         raise InvalidParameterError("which must be 'lemma3' or 'lemma4'")
-    if which == "lemma3" and g.n > LEMMA3_CAP:
-        raise SizeLimitError(f"lemma3 spot check capped at n={LEMMA3_CAP}, got {g.n}")
     if lam is None:
         lam = lambda_nontrivial_sparse(g)
     n, d = g.n, g.d

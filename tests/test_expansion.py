@@ -9,10 +9,12 @@ import liftlab as ll
 from liftlab import expansion
 from liftlab.errors import InvalidParameterError, SizeLimitError
 
-from liftlab.expansion import _cut_sizes, _cut_tables, _lowest_extreme_masks
+from liftlab.expansion import _cut_blocks, _cut_grid, _lowest_extreme_masks
 from oracles import (
     brute_force_expansion,
     brute_force_mixing_ratio,
+    cut_sizes,
+    cut_tables,
     full_mask_expansion,
     pair_scan_mixing,
     per_edge_cut_sizes,
@@ -62,10 +64,19 @@ LARGE_CUTS = [
     ("C24", ll.cycle_graph(24)),
     ("8xK3", ll.disjoint_copies(ll.complete_graph(3), 8)),
     ("rr24_3", ll.random_regular(24, 3, 24)),
-    # the first chunk reaching h holds only masks whose complement is the
-    # witness; a later chunk holds a smaller canonical mask
+    ("rr23_4", ll.random_regular(23, 4, 23)),
+    ("rr24_5", ll.random_regular(24, 5, 24)),
+    ("K12,12", ll.complete_bipartite(12)),
+    ("K24", ll.complete_graph(24)),
+    # the first chunk of 2^13 masks reaching h holds only masks whose
+    # complement is the witness; a later chunk holds a smaller canonical mask
     ("rr18_4_1443098011", ll.random_regular(18, 4, 1443098011)),
     ("rr18_3_267479194", ll.random_regular(18, 3, 267479194)),
+    # the same at the granularity of the top mask byte hi, both in mask
+    # order and in the popcount order of the scan
+    ("rr24_3_1446883356", ll.random_regular(24, 3, 1446883356)),
+    ("rr20_3_818821112", ll.random_regular(20, 3, 818821112)),
+    ("rr19_4_929298480", ll.random_regular(19, 4, 929298480)),
 ]
 
 
@@ -148,6 +159,31 @@ class TestCombinatorialExpansion:
 
 class TestCutKernel:
     @pytest.mark.parametrize("g", [
+        ll.complete_graph(2),
+        ll.cycle_graph(3),
+        ll.random_regular(8, 3, 8),
+        ll.random_regular(9, 4, 9),
+        ll.random_regular(16, 3, 16),
+        ll.cycle_graph(17),
+        ll.random_regular(18, 4, 18),
+        ll.disjoint_copies(ll.complete_graph(3), 8),
+        ll.random_regular(24, 3, 24),
+        ll.complete_bipartite(12),
+        ll.complete_graph(24),
+    ], ids=["K2", "C3", "rr8_3", "rr9_4", "rr16_3", "C17", "rr18_4", "8xK3", "rr24_3",
+            "K12,12", "K24"])
+    def test_cut_grid_matches_per_edge_oracle(self, g):
+        # every mask the scan reads: one grid per value of the top byte hi
+        eu, ev = ll.edge_endpoints(g)
+        blocks = _cut_blocks(g)
+        grid = np.empty(blocks[0].shape, dtype=np.int32)
+        assert len(blocks[1]) * grid.size == 1 << (g.n - 1)
+        low = np.arange(grid.size, dtype=np.int32)
+        for hi in range(len(blocks[1])):
+            want = per_edge_cut_sizes((hi << 16) | low, eu, ev)
+            np.testing.assert_array_equal(_cut_grid(blocks, hi, grid).ravel(), want)
+
+    @pytest.mark.parametrize("g", [
         ll.complete_bipartite(3),
         ll.random_regular(6, 3, 2),
         ll.random_regular(9, 4, 3),
@@ -157,7 +193,7 @@ class TestCutKernel:
     def test_byte_tables_match_per_edge_oracle(self, g):
         eu, ev = ll.edge_endpoints(g)
         masks = np.arange(1 << g.n, dtype=np.int64)
-        got = _cut_sizes(masks, _cut_tables(g.n, eu, ev))
+        got = cut_sizes(masks, cut_tables(g.n, eu, ev))
         np.testing.assert_array_equal(got, per_edge_cut_sizes(masks, eu, ev))
 
     def test_three_blocks_match_per_edge_oracle(self):
@@ -165,7 +201,7 @@ class TestCutKernel:
         eu, ev = ll.edge_endpoints(g)
         rng = np.random.default_rng(7)
         masks = np.concatenate([rng.integers(0, 1 << 20, 4096), [(1 << 20) - 1]])
-        got = _cut_sizes(masks, _cut_tables(g.n, eu, ev))
+        got = cut_sizes(masks, cut_tables(g.n, eu, ev))
         np.testing.assert_array_equal(got, per_edge_cut_sizes(masks, eu, ev))
 
 
@@ -220,6 +256,17 @@ class TestExhaustiveOracles:
 
 
 class TestCheeger:
+    def test_scan_memory_stays_small(self):
+        # the byte-table scan peaked at about 4.5 MB at n = 24
+        g = ll.random_regular(24, 3, 3)
+        tracemalloc.start()
+        try:
+            ll.cheeger_check(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
     def test_k4_bounds(self, k4):
         report = ll.cheeger_check(k4)
         # lambda2(K_4) = -1: bounds are 2 <= 2 <= sqrt(12)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import time
 
@@ -304,23 +306,15 @@ class TestSpotChecks:
         with pytest.raises(IndexError):
             table[len(table)]
 
-    def test_lemma3_is_capped_before_any_work(self, monkeypatch, tmp_path):
-        # nothing is computed past the cap, neither lambda nor the size table
-        g = ll.random_regular(experiments.LEMMA3_CAP + 2, 3, 1)
-        path = tmp_path / "big.graph"
+    def test_lemma3_runs_past_5000_vertices(self, tmp_path):
+        # both size tables are O(n) or O(n log n), so neither lemma has a cap
+        g = ll.random_regular(5002, 3, 1)
+        path, out = tmp_path / "big.graph", tmp_path / "report"
         fileio.write_graph(g, str(path))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("lemma3 computed lambda or its table past the cap")
-
-        with monkeypatch.context() as patch:
-            for name in ("lambda_nontrivial_sparse", "_lemma3_size_pairs"):
-                patch.setattr(experiments, name, refuse)
-            with pytest.raises(SizeLimitError):
-                ll.lemma_inequality_spot_check(g, 10, 0, "lemma3")
+        with contextlib.redirect_stdout(io.StringIO()):
             assert dispatch(["lemma-check", "--graph", str(path), "--which", "lemma3",
-                             "--trials", "10"]) == 2
-        # lemma4's table is O(n log n) and stays uncapped
+                             "--trials", "10", "--out", str(out)]) == 0
+        assert "not_applicable = false" in out.read_text().splitlines()
         assert not ll.lemma_inequality_spot_check(g, 2, 0, "lemma4").not_applicable
 
     def test_sign_sum_mean_zero(self):

@@ -149,9 +149,15 @@ def test_shift_file_replay_bytes(tmp_path):
 # when the Lanczos radius went from two largest-magnitude values to one:
 # lambda 3.3401253667336954 -> 3.340125366733687 (max_ratio unchanged) and
 # lemma3 max_ratio 0.032695123119472105 -> 0.03269512311947215.
+#
+# The RR24 and RR18 `cheeger` digests were recorded from the byte-table cut
+# scan, before the per-hi cut grid replaced it. Both scans read vertices past
+# 16, the top mask byte (h = 5/11 and 8/9).
 SMALL = "random_regular --n 12 --d 3 --seed 6"
 MID = "random_regular --n 60 --d 4 --seed 15"
 K33 = "complete_bipartite --m 3"
+RR24 = "random_regular --n 24 --d 3 --seed 5"
+RR18 = "random_regular --n 18 --d 4 --seed 7"
 
 # (base, command arguments) -> (exit code, digest of the --out report)
 REPORT_CASES = {
@@ -175,6 +181,10 @@ REPORT_CASES = {
         (0, "c7fd0ef4040ad0c0634c409e05cb330ede337771209536624fdaa528f2c27fce"),
     (SMALL, "verify-shift --k 3 --shifts 0,1,2,0,1,2,2,1,0,0,0,1,1,2,2,0,2,1"):
         (0, "8f074f415b53ac2798f0c00857811b57a36f14c46b0819fbc8bef9d5691a8dde"),
+    (RR24, "cheeger"):
+        (0, "c155e40afd64724df262ceb7b151a78a92ceaee8be552fe383d22be447ba8a11"),
+    (RR18, "cheeger"):
+        (0, "928ff2f433070b795ec92a3523b22dacbe0d8c98f6ab71334b5afdb311867ef6"),
     (MID, "eml --method sampled --samples 300 --seed 2"):
         (0, "8827fb4de9defde39b0f4673b1acba78b5fd56a15f5f9e800acd57c5d0e47b7a"),
     (MID, "lemma-check --which lemma3 --trials 300 --seed 1"):
