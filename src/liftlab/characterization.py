@@ -5,7 +5,8 @@ Hermitian matrix whose (u, v) entry is t**Shift(u, v) on edges; pooling the
 spectra over all k roots reproduces the lift spectrum exactly, eigenvectors
 transport to the lift coordinate-wise, and lifted eigenvectors coming from
 distinct roots are orthogonal. verify_characterization checks all three
-statements numerically and treats any failure as an implementation bug.
+statements numerically and treats any failure as an implementation bug; it
+solves all k root matrices as one (k, n, n) stack in one eigensolver call.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import CharacterizationError, InvalidParameterError, NumericalError
 from .graphs import RegularGraph, adjacency_matrix, edge_endpoints
 from .lifts import ShiftAssignment, build_shift_lift
-from .spectra import Spectrum, eig_symmetric, max_multiset_mismatch, spectral_radius
+from .spectra import Spectrum, eig_stack, eig_symmetric, max_multiset_mismatch, spectral_radius
 
 
 def _root_value(k: int, m: int) -> complex:
@@ -30,6 +31,12 @@ def _root_value(k: int, m: int) -> complex:
         if abs(im - target) < 1e-15:
             im = target
     return complex(re, im)
+
+
+def _power_table(k: int) -> np.ndarray:
+    """k x k array with [j, s] = t_j**s, the value RootOfUnity(k, j).power(s)."""
+    values = np.array([_root_value(k, m) for m in range(k)])
+    return values[np.arange(k)[:, None] * np.arange(k) % k]
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,7 @@ def shift_matrix(g: RegularGraph, sa: ShiftAssignment, t: RootOfUnity) -> np.nda
     _check_shift_count(g, sa)
     if t.k != sa.k:
         raise InvalidParameterError("root order and assignment degree disagree")
-    w = np.array([t.power(s) for s in range(sa.k)])[sa.shift_array]
+    w = _power_table(sa.k)[t.j, sa.shift_array]
     u, v = edge_endpoints(g)
     m = np.zeros((g.n, g.n), dtype=complex)
     m[u, v] = w
@@ -96,8 +103,7 @@ def lift_eigenvector(v: np.ndarray, t: RootOfUnity, k: int) -> np.ndarray:
         raise InvalidParameterError("root order and lift degree disagree")
     if not np.any(v):
         raise InvalidParameterError("zero vector is not an eigenvector")
-    powers = np.array([t.power(i) for i in range(k)])
-    return (v[:, None] * powers[None, :]).reshape(-1)
+    return (v[:, None] * _power_table(k)[t.j][None, :]).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,40 +141,35 @@ def verify_characterization(
     Raises CharacterizationError naming the worst offender if any check
     fails; a failure indicates a bug, never a counterexample.
     """
+    _check_shift_count(g, sa)
     lifted = build_shift_lift(g, sa)
     a_h = adjacency_matrix(lifted.graph)
     lift_spec = eig_symmetric(a_h)
     fro = float(np.linalg.norm(a_h))
     k, n = sa.k, g.n
 
-    per_root = []
-    pooled_parts = []
-    normalized_lifted = []
-    max_resid = 0.0
-    for j in range(k):
-        t = RootOfUnity(k, j)
-        spec, vecs = eig_symmetric(shift_matrix(g, sa, t), return_vectors=True)
-        per_root.append(spec)
-        pooled_parts.append(spec.values)
-        powers = np.array([t.power(i) for i in range(k)])
-        # columns: lifted eigenvectors, component (x, i) at row x*k + i
-        transported = (vecs[:, None, :] * powers[None, :, None]).reshape(k * n, n)
-        resid = a_h @ transported - transported * spec.values[None, :]
-        max_resid = max(max_resid, float(np.max(np.linalg.norm(resid, axis=0))))
-        normalized_lifted.append(transported / math.sqrt(k))
+    powers = _power_table(k)
+    u, v = edge_endpoints(g)
+    stack = np.zeros((k, n, n), dtype=complex)
+    stack[:, u, v] = powers[:, sa.shift_array]
+    stack[:, v, u] = stack[:, u, v].conj()
+    values, vecs = eig_stack(stack)
+    # transported[j][x*k + i, c] = t_j**i * vecs[j][x, c]
+    transported = (vecs[:, :, None, :] * powers[:, None, :, None]).reshape(k, k * n, n)
+    resid = a_h @ transported - transported * values[:, None, :]
+    max_resid = float(np.max(np.linalg.norm(resid, axis=1)))
 
-    pooled = np.sort(np.concatenate(pooled_parts))[::-1]
+    pooled = np.sort(values.ravel())[::-1]
     mismatch = max_multiset_mismatch(pooled, lift_spec.values)
 
-    stacked = np.concatenate(normalized_lifted, axis=1)
-    gram = np.abs(stacked.conj().T @ stacked)
-    for j in range(k):
-        gram[j * n : (j + 1) * n, j * n : (j + 1) * n] = 0.0
-    max_inner = float(np.max(gram)) if gram.size else 0.0
+    stacked = (transported / math.sqrt(k)).transpose(1, 0, 2).reshape(k * n, k * n)
+    gram = np.abs(stacked.conj().T @ stacked).reshape(k, n, k, n)
+    gram[np.arange(k), :, np.arange(k), :] = 0.0
+    max_inner = float(np.max(gram))
 
     report = CharacterizationReport(
         k=k,
-        per_root_spectra=tuple(per_root),
+        per_root_spectra=tuple(map(Spectrum, values)),
         pooled=pooled,
         lift_spectrum=lift_spec,
         lift_frobenius_norm=fro,
@@ -305,9 +306,7 @@ def lambda_new_from_roots(g: RegularGraph, sa: ShiftAssignment) -> tuple[float, 
     order = np.argsort(rows * n + cols)
     indptr = np.arange(0, rows.size + 1, g.d)
     half = []
-    for j in range(1, k // 2 + 1):
-        t = RootOfUnity(k, j)
-        w = np.array([t.power(s) for s in range(k)])[sa.shift_array]
+    for j, w in enumerate(_power_table(k)[1 : k // 2 + 1, sa.shift_array], start=1):
         data = np.concatenate([w, w.conj()])[order]
         m = csr_matrix((data, cols[order], indptr), shape=(n, n))
         if 2 * j == k:

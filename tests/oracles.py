@@ -268,6 +268,45 @@ def doubled_real_embedding_spectrum(h: np.ndarray) -> np.ndarray:
     return w[::2]
 
 
+def per_root_characterization(g, sa) -> ll.CharacterizationReport:
+    """The report of verify_characterization, with no bound checked, from
+    one root at a time: each root matrix is built edge by edge from scalar
+    t.power values, solved on its own, and its eigenvectors are transported
+    with their own k powers."""
+    lifted = ll.build_shift_lift(g, sa)
+    a_h = ll.adjacency_matrix(lifted.graph)
+    lift_spec = ll.eig_symmetric(a_h)
+    k, n = sa.k, g.n
+    per_root = []
+    normalized_lifted = []
+    max_resid = 0.0
+    for j in range(k):
+        t = ll.RootOfUnity(k, j)
+        m = loop_shift_matrix(n, g.edges, sa.shifts, t)
+        spec, vecs = ll.eig_symmetric(m, return_vectors=True)
+        per_root.append(spec)
+        powers = np.array([t.power(i) for i in range(k)])
+        transported = (vecs[:, None, :] * powers[None, :, None]).reshape(k * n, n)
+        resid = a_h @ transported - transported * spec.values[None, :]
+        max_resid = max(max_resid, float(np.max(np.linalg.norm(resid, axis=0))))
+        normalized_lifted.append(transported / math.sqrt(k))
+    pooled = np.sort(np.concatenate([s.values for s in per_root]))[::-1]
+    stacked = np.concatenate(normalized_lifted, axis=1)
+    gram = np.abs(stacked.conj().T @ stacked)
+    for j in range(k):
+        gram[j * n : (j + 1) * n, j * n : (j + 1) * n] = 0.0
+    return ll.CharacterizationReport(
+        k=k,
+        per_root_spectra=tuple(per_root),
+        pooled=pooled,
+        lift_spectrum=lift_spec,
+        lift_frobenius_norm=float(np.linalg.norm(a_h)),
+        max_multiset_mismatch=ll.max_multiset_mismatch(pooled, lift_spec.values),
+        max_eigenvector_residual=max_resid,
+        max_cross_root_inner=float(np.max(gram)),
+    )
+
+
 def dense_root_radii(g, sa) -> list[float]:
     """Radius of every root matrix j = 1..k-1, each solved densely as a
     complex Hermitian matrix."""

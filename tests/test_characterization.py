@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import liftlab as ll
+from liftlab import characterization, fileio
 from liftlab.errors import CharacterizationError, InvalidParameterError
 
 from conftest import random_base
-from oracles import circulant_cycle_spectrum
+from oracles import circulant_cycle_spectrum, per_root_characterization
 
 
 class TestRootOfUnity:
@@ -28,6 +29,13 @@ class TestRootOfUnity:
     def test_bad_exponent(self):
         with pytest.raises(InvalidParameterError):
             ll.RootOfUnity(3, 3)
+
+    def test_power_table_is_scalar_power_bit_for_bit(self):
+        for k in range(1, 13):
+            table = characterization._power_table(k)
+            want = np.array([[ll.RootOfUnity(k, j).power(s) for s in range(k)]
+                             for j in range(k)])
+            assert np.array_equal(table.view(np.int64), want.view(np.int64))
 
 
 class TestShiftMatrix:
@@ -80,6 +88,15 @@ class TestLiftEigenvector:
         out = ll.lift_eigenvector(v, ll.RootOfUnity(3, 1), 3)
         assert np.vdot(out, out).real == pytest.approx(3 * np.dot(v, v), abs=1e-9)
 
+    def test_matches_scalar_powers_bit_for_bit(self, rng):
+        v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        for j in range(6):
+            t = ll.RootOfUnity(6, j)
+            powers = np.array([t.power(i) for i in range(6)])
+            want = (v[:, None] * powers[None, :]).reshape(-1)
+            got = ll.lift_eigenvector(v, t, 6)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidParameterError):
             ll.lift_eigenvector(np.zeros(4), ll.RootOfUnity(2, 1), 2)
@@ -131,6 +148,66 @@ class TestVerifyCharacterization:
         sa = ll.random_shift_lift(g, 3, 123)
         with pytest.raises(CharacterizationError, match="residual"):
             ll.verify_characterization(g, sa, tol=0.0)
+
+    def test_zero_window_raises_with_offender(self, rng):
+        g = random_base(rng)
+        sa = ll.random_shift_lift(g, 5, 7)
+        report = ll.verify_characterization(g, sa)
+        assert report.max_multiset_mismatch > 0.0
+        with pytest.raises(CharacterizationError,
+                           match=f"mismatch lift spectrum by {report.max_multiset_mismatch:.3e}"):
+            ll.verify_characterization(g, sa, window=0.0)
+
+    def test_zero_ortho_tol_raises_with_offender(self, rng):
+        g = random_base(rng)
+        sa = ll.random_shift_lift(g, 4, 11)
+        report = ll.verify_characterization(g, sa)
+        assert report.max_cross_root_inner > 0.0
+        with pytest.raises(CharacterizationError,
+                           match=f"cross-root inner product {report.max_cross_root_inner:.3e}"):
+            ll.verify_characterization(g, sa, ortho_tol=0.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda g, sa: ll.verify_characterization(g, sa),
+        lambda g, sa: ll.shift_matrix(g, sa, ll.RootOfUnity(sa.k, 1)),
+        lambda g, sa: ll.lambda_new_from_roots(g, sa),
+        lambda g, sa: ll.lambda_new_from_fibers(g, sa),
+    ])
+    def test_shift_count_mismatch_is_named(self, k4, call):
+        with pytest.raises(InvalidParameterError, match="^assignment has 3 shifts for 6 edges$"):
+            call(k4, ll.ShiftAssignment(3, (0, 1, 2)))
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_one_eigh_call_per_check(self, rng, monkeypatch, k):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        g = random_base(rng)
+        ll.verify_characterization(g, ll.random_shift_lift(g, k, 3))
+        assert calls == [(k, g.n, g.n)]
+
+    def test_report_bytes_match_per_root_oracle(self, rng):
+        """The stacked solve writes the per-root loop's report byte for byte."""
+        cases = []
+        for _ in range(200):
+            g = random_base(rng, n_range=(4, 13))
+            k = int(rng.integers(2, 9))
+            cases.append((g, ll.random_shift_lift(g, k, int(rng.integers(0, 2**63)))))
+        k4x3 = ll.disjoint_copies(ll.complete_graph(4), 3)
+        cases += [
+            (ll.cycle_graph(3), ll.ShiftAssignment(3, (1, 0, 0))),
+            (ll.complete_bipartite(3), ll.ShiftAssignment(4, (0, 1, 2, 3, 0, 1, 2, 3, 1))),
+            (k4x3, ll.random_shift_lift(k4x3, 3, 5)),
+            (ll.complete_graph(4), ll.ShiftAssignment(2, (1, 0, 1, 1, 0, 1))),
+        ]
+        for g, sa in cases:
+            assert (fileio.characterization_report_text(ll.verify_characterization(g, sa))
+                    == fileio.characterization_report_text(per_root_characterization(g, sa)))
 
     def test_report_per_root_ordering(self, rng):
         g = random_base(rng)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import liftlab as ll
-from liftlab.errors import InvalidParameterError, MatchingError
+from liftlab.errors import InvalidParameterError, MatchingError, NumericalError
 
 from conftest import random_base
 from oracles import (
@@ -115,6 +115,34 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidParameterError):
             ll.eig_symmetric(np.array([[0.0, 1j], [1j, 0.0]]))
+
+
+class TestEigStack:
+    def test_each_matrix_solved_as_on_its_own(self, rng):
+        """Row i of a stacked solve is bit for bit the single solve of M_i."""
+        ms = rng.standard_normal((5, 7, 7)) + 1j * rng.standard_normal((5, 7, 7))
+        ms = ms + ms.conj().swapaxes(1, 2)
+        values, vecs = ll.spectra.eig_stack(ms)
+        for m, w, v in zip(ms, values, vecs):
+            spec, single = ll.eig_symmetric(m, return_vectors=True)
+            assert np.array_equal(w, spec.values)
+            assert np.array_equal(v, single)
+
+    def test_rejects_any_non_hermitian_member(self):
+        ms = np.zeros((3, 2, 2), dtype=complex)
+        ms[2, 0, 1] = 1j
+        with pytest.raises(InvalidParameterError, match="asymmetry"):
+            ll.spectra.eig_stack(ms)
+
+    def test_rejects_a_single_matrix(self):
+        with pytest.raises(InvalidParameterError, match="square"):
+            ll.spectra.eig_stack(np.zeros((4, 4)))
+
+    def test_residual_contract_names_the_matrix(self, rng):
+        m = rng.standard_normal((3, 3))
+        ms = np.stack([np.eye(3), m + m.T])
+        with pytest.raises(NumericalError, match="of matrix 1 "):
+            ll.spectra.eig_stack(ms, tol=0.0)
 
 
 class TestSpectralRadius:
