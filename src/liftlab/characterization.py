@@ -7,6 +7,8 @@ transport to the lift coordinate-wise, and lifted eigenvectors coming from
 distinct roots are orthogonal. verify_characterization checks all three
 statements numerically and treats any failure as an implementation bug; it
 solves all k root matrices as one (k, n, n) stack in one eigensolver call.
+Every matrix here is one graphs.edge_matrix or graphs.symmetric_csr call, the
+lift's on the edges of lifts.lift_endpoints; no lift graph is built.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharacterizationError, InvalidParameterError, NumericalError
-from .graphs import RegularGraph, adjacency_matrix, edge_endpoints
-from .lifts import ShiftAssignment, build_shift_lift
+from .graphs import RegularGraph, edge_endpoints, edge_matrix, symmetric_csr
+from .lifts import ShiftAssignment, lift_endpoints, shift_to_assignment
 from .spectra import Spectrum, eig_stack, eig_symmetric, max_multiset_mismatch, spectral_radius
 
 
@@ -82,12 +84,7 @@ def shift_matrix(g: RegularGraph, sa: ShiftAssignment, t: RootOfUnity) -> np.nda
     _check_shift_count(g, sa)
     if t.k != sa.k:
         raise InvalidParameterError("root order and assignment degree disagree")
-    w = _power_table(sa.k)[t.j, sa.shift_array]
-    u, v = edge_endpoints(g)
-    m = np.zeros((g.n, g.n), dtype=complex)
-    m[u, v] = w
-    m[v, u] = w.conj()
-    return m
+    return edge_matrix(g.n, *edge_endpoints(g), _power_table(sa.k)[t.j, sa.shift_array])
 
 
 def lift_eigenvector(v: np.ndarray, t: RootOfUnity, k: int) -> np.ndarray:
@@ -142,18 +139,13 @@ def verify_characterization(
     fails; a failure indicates a bug, never a counterexample.
     """
     _check_shift_count(g, sa)
-    lifted = build_shift_lift(g, sa)
-    a_h = adjacency_matrix(lifted.graph)
+    k, n = sa.k, g.n
+    a_h = edge_matrix(k * n, *lift_endpoints(g, shift_to_assignment(sa).perm_array))
     lift_spec = eig_symmetric(a_h)
     fro = float(np.linalg.norm(a_h))
-    k, n = sa.k, g.n
 
     powers = _power_table(k)
-    u, v = edge_endpoints(g)
-    stack = np.zeros((k, n, n), dtype=complex)
-    stack[:, u, v] = powers[:, sa.shift_array]
-    stack[:, v, u] = stack[:, u, v].conj()
-    values, vecs = eig_stack(stack)
+    values, vecs = eig_stack(edge_matrix(n, *edge_endpoints(g), powers[:, sa.shift_array]))
     # transported[j][x*k + i, c] = t_j**i * vecs[j][x, c]
     transported = (vecs[:, :, None, :] * powers[:, None, :, None]).reshape(k, k * n, n)
     resid = a_h @ transported - transported * values[:, None, :]
@@ -223,14 +215,6 @@ def _lanczos_radius(op, what: str) -> float:
     return float(abs(vals[0]))
 
 
-def _symmetric_csr(size: int, rows: np.ndarray, cols: np.ndarray):
-    """0/1 CSR matrix with ones at (rows, cols) and (cols, rows)."""
-    from scipy.sparse import csr_matrix
-
-    ends = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
-    return csr_matrix((np.ones(ends[0].size), ends), shape=(size, size))
-
-
 def _mean_free_radius(a, blocks: int, what: str) -> float:
     """Spectral radius of the sparse symmetric `a` on the vectors that sum to
     zero over each of `blocks` equal consecutive index blocks.
@@ -266,11 +250,11 @@ def lambda_nontrivial_sparse(g: RegularGraph, bipartite: bool = False) -> float:
     """
     eu, ev = edge_endpoints(g)
     if not bipartite:
-        return _mean_free_radius(_symmetric_csr(g.n, eu, ev), 1, "the base graph")
+        return _mean_free_radius(symmetric_csr(g.n, eu, ev), 1, "the base graph")
     from scipy.sparse.csgraph import connected_components
 
     n = g.n
-    cover = _symmetric_csr(2 * n, np.concatenate([eu, eu + n]), np.concatenate([ev + n, ev]))
+    cover = symmetric_csr(2 * n, np.concatenate([eu, eu + n]), np.concatenate([ev + n, ev]))
     label = connected_components(cover, directed=False)[1]
     if np.any(label[:n] == label[n:]):
         raise InvalidParameterError("bipartite flag set but the graph is not bipartite")
@@ -279,7 +263,7 @@ def lambda_nontrivial_sparse(g: RegularGraph, bipartite: bool = False) -> float:
     # side 1 of each component is the copy-0 vertices whose label is larger
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(label[:n] > label[n:], kind="stable")] = np.arange(n)
-    return _mean_free_radius(_symmetric_csr(n, rank[eu], rank[ev]), 2,
+    return _mean_free_radius(symmetric_csr(n, rank[eu], rank[ev]), 2,
                              "the bipartite graph")
 
 
@@ -287,32 +271,27 @@ def lambda_new_from_roots(g: RegularGraph, sa: ShiftAssignment) -> tuple[float, 
     """Largest new eigenvalue of a shift lift via the per-root radii.
 
     Only roots j <= k/2 are solved: M_{k-j} is the entrywise conjugate of
-    M_j and has the same spectrum, and M_{k/2} is a real signing. Each M_j is
-    assembled as a sparse n x n matrix with the entries of shift_matrix. A
-    complex M_j is solved through its real symmetric embedding
-    [[Re, -Im], [Im, Re]] of order 2n, which has the spectrum of M_j with
+    M_j and has the same spectrum, and M_{k/2} is a real signing, assembled
+    as one n x n symmetric_csr with the entries of shift_matrix. A complex
+    M_j is solved through its real symmetric embedding [[Re, -Im], [Im, Re]]
+    of order 2n, also one symmetric_csr, which has the spectrum of M_j with
     every multiplicity doubled: ARPACK's complex (Arnoldi) path gives values
     whose last digits depend on the BLAS thread count, the symmetric Lanczos
     path does not. Returns (max radius over roots j >= 1, all k-1 radii
     ordered by j).
     """
-    from scipy.sparse import bmat, csr_matrix
-
     _check_shift_count(g, sa)
     k, n = sa.k, g.n
     eu, ev = edge_endpoints(g)
-    # d entries per row: the CSR structure is shared by every root
-    rows, cols = np.concatenate([eu, ev]), np.concatenate([ev, eu])
-    order = np.argsort(rows * n + cols)
-    indptr = np.arange(0, rows.size + 1, g.d)
+    # w = a + ib on (u, v): a at (u, v) and (n+u, n+v), -b at (u, n+v), b at (v, n+u)
+    rows = np.concatenate([eu, eu + n, eu, ev])
+    cols = np.concatenate([ev, ev + n, ev + n, eu + n])
     half = []
     for j, w in enumerate(_power_table(k)[1 : k // 2 + 1, sa.shift_array], start=1):
-        data = np.concatenate([w, w.conj()])[order]
-        m = csr_matrix((data, cols[order], indptr), shape=(n, n))
         if 2 * j == k:
-            m = m.real
+            m = symmetric_csr(n, eu, ev, w.real)
         else:
-            m = bmat([[m.real, -m.imag], [m.imag, m.real]], format="csr")
+            m = symmetric_csr(2 * n, rows, cols, np.concatenate([w.real, w.real, -w.imag, w.imag]))
         half.append(_lanczos_radius(m, f"root {j}"))
     radii = tuple(half[min(j, k - j) - 1] for j in range(1, k))
     return max(radii), radii
@@ -332,9 +311,6 @@ def lambda_new_from_fibers(g: RegularGraph, sa: ShiftAssignment) -> float:
     """
     k, n = sa.k, g.n
     _check_shift_count(g, sa)
-    eu, ev = edge_endpoints(g)
-    copy = np.arange(k)
-    rows = (eu[:, None] * k + copy).ravel()
-    cols = (ev[:, None] * k + (copy + sa.shift_array[:, None]) % k).ravel()
-    return _mean_free_radius(_symmetric_csr(k * n, rows, cols), n,
+    ends = lift_endpoints(g, shift_to_assignment(sa).perm_array)
+    return _mean_free_radius(symmetric_csr(k * n, *ends), n,
                              "the fiber-sum-zero operator")

@@ -20,7 +20,6 @@ from .errors import (
 from .expansion import cheeger_check, eml_check
 from .experiments import (
     FAMILIES,
-    default_threads,
     exhaustive_signing_search,
     greedy_lift_growth,
     lemma_inequality_spot_check,
@@ -42,6 +41,13 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants", help="comma-separated bound constants")
     p.add_argument("--out")
     p.add_argument("--csv")
-    p.add_argument("--threads", type=int,
+    p.add_argument("--threads", type=_positive_int,
                    help="worker processes (default: LIFTLAB_THREADS, else 1)")
 
     p = sub.add_parser("search-signing", help="exhaustive minimum signing radius")
@@ -187,7 +193,10 @@ def _verify_shift(args) -> int:
     else:
         if args.shifts is None or args.k is None:
             raise InvalidParameterError("need --shifts and --k (or --assignment)")
-        shifts = tuple(int(tok) for tok in args.shifts.split(","))
+        try:
+            shifts = tuple(int(tok) for tok in args.shifts.split(","))
+        except ValueError as exc:  # int() names the token: "... base 10: 'x'"
+            raise InvalidParameterError(f"--shifts: {exc}") from None
         sa = ShiftAssignment(args.k, shifts)
     try:
         report = verify_characterization(g, sa, tol=args.tol)
@@ -234,9 +243,8 @@ def _mc(args) -> int:
                  "seed": args.seed, "k": args.k, "mode": args.mode,
                  "constants": args.constants}
     cfg = fileio.read_config(args.config, overrides)
-    threads = args.threads if args.threads else default_threads()
     started = time.perf_counter()
-    report = run_lift_trials(cfg, threads=threads)
+    report = run_lift_trials(cfg, threads=args.threads)
     wall = time.perf_counter() - started
     if args.out:
         fileio.write_text(fileio.experiment_report_text(report), args.out)

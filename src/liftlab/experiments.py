@@ -31,6 +31,7 @@ from .graphs import (
     cycle_graph,
     disjoint_copies,
     edge_endpoints,
+    edge_matrix,
     random_regular,
 )
 from .lifts import (
@@ -583,10 +584,7 @@ def exhaustive_signing_search(g: RegularGraph) -> SigningSearchResult:
         codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         signs = np.ones((codes.size, m))
         signs[:, free] = 1.0 - 2.0 * ((codes[:, None] >> np.arange(free.size)[None, :]) & 1)
-        mats = np.zeros((codes.size, g.n, g.n))
-        mats[:, eu, ev] = signs
-        mats[:, ev, eu] = signs
-        vals = np.linalg.eigvalsh(mats)
+        vals = np.linalg.eigvalsh(edge_matrix(g.n, eu, ev, signs))
         radii = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
         idx = int(np.argmin(radii))
         if radii[idx] < best_radius:

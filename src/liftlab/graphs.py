@@ -1,4 +1,5 @@
-"""Simple undirected d-regular graphs: container, generators, edge counting.
+"""Simple undirected d-regular graphs: container, generators, edge counting,
+and the dense and sparse assemblers that build every matrix of the library.
 
 Vertices are 0-indexed integers. Edges are stored as an (m, 2) int64 array of
 pairs (u, v) with u < v, sorted lexicographically, so equal graphs serialize
@@ -241,13 +242,30 @@ def _incidences(u: np.ndarray, v: np.ndarray, in_s: np.ndarray, in_t: np.ndarray
     return int(np.count_nonzero(in_s[u] & in_t[v]) + np.count_nonzero(in_s[v] & in_t[u]))
 
 
+def edge_matrix(size: int, rows: np.ndarray, cols: np.ndarray, weights=1.0) -> np.ndarray:
+    """Dense size x size matrix with weights[..., e] at (rows[e], cols[e]) and
+    its conjugate at (cols[e], rows[e]), zero elsewhere. A (..., m) weight stack
+    gives a (..., size, size) stack; the dtype is result_type(weights, float64)."""
+    w = np.asarray(weights)
+    m = np.zeros(w.shape[:-1] + (size, size), dtype=np.result_type(w, np.float64))
+    m[..., rows, cols] = w
+    m[..., cols, rows] = w.conj()
+    return m
+
+
+def symmetric_csr(size: int, rows: np.ndarray, cols: np.ndarray, weights=1.0):
+    """edge_matrix as a scipy CSR matrix with sorted indices, for 1-d or
+    scalar weights."""
+    from scipy.sparse import csr_matrix
+
+    w = np.broadcast_to(weights, np.shape(rows))
+    ends = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+    return csr_matrix((np.concatenate([w, w.conj()]), ends), shape=(size, size))
+
+
 def adjacency_matrix(g: RegularGraph) -> np.ndarray:
     """Dense symmetric 0/1 adjacency matrix with zero diagonal."""
-    a = np.zeros((g.n, g.n))
-    u, v = edge_endpoints(g)
-    a[u, v] = 1.0
-    a[v, u] = 1.0
-    return a
+    return edge_matrix(g.n, *edge_endpoints(g))
 
 
 def edge_endpoints(g: RegularGraph) -> tuple[np.ndarray, np.ndarray]:

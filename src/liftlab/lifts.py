@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameterError
-from .graphs import RegularGraph, _as_seed, _int_array, edge_endpoints
+from .graphs import RegularGraph, _as_seed, _int_array, edge_endpoints, edge_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +208,14 @@ def shift_to_signing(sa: ShiftAssignment) -> Signing:
     return Signing(np.where(sa.shift_array == 0, 1, -1))
 
 
+def lift_endpoints(g: RegularGraph, perm_array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lift edges (u*k + i, v*k + perm(i)) of an (m, k) permutation array as
+    two parallel index arrays; entry e*k + i is copy i of base edge e."""
+    k = perm_array.shape[1]
+    return ((g.edge_array[:, :1] * k + np.arange(k)).ravel(),
+            (g.edge_array[:, 1:] * k + perm_array).ravel())
+
+
 def build_lift(g: RegularGraph, a: LiftAssignment) -> LiftedGraph:
     """Assemble the lifted graph for a permutation assignment.
 
@@ -220,13 +228,12 @@ def build_lift(g: RegularGraph, a: LiftAssignment) -> LiftedGraph:
         raise InvalidParameterError(
             f"assignment has {a.perm_array.shape[0]} permutations for {m} edges"
         )
-    k, size = a.k, a.k * g.n
-    x = (g.edge_array[:, :1] * k + np.arange(k)).ravel()
-    y = (g.edge_array[:, 1:] * k + a.perm_array).ravel()
+    size = a.k * g.n
+    x, y = lift_endpoints(g, a.perm_array)
     lo, hi = np.minimum(x, y), np.maximum(x, y)
     order = np.argsort(lo * size + hi, kind="stable")
     edges = np.stack([lo[order], hi[order]], axis=1)
-    return LiftedGraph(g, k, RegularGraph(size, g.d, edges))
+    return LiftedGraph(g, a.k, RegularGraph(size, g.d, edges))
 
 
 def build_shift_lift(g: RegularGraph, sa: ShiftAssignment) -> LiftedGraph:
@@ -240,11 +247,7 @@ def signed_adjacency(g: RegularGraph, s: Signing) -> np.ndarray:
         raise InvalidParameterError(
             f"signing has {s.sign_array.shape[0]} signs for {g.num_edges} edges"
         )
-    m = np.zeros((g.n, g.n))
-    u, v = edge_endpoints(g)
-    m[u, v] = s.sign_array
-    m[v, u] = s.sign_array
-    return m
+    return edge_matrix(g.n, *edge_endpoints(g), s.sign_array)
 
 
 def two_lift_block_matrix(a: np.ndarray, a_s: np.ndarray) -> np.ndarray:

@@ -95,19 +95,15 @@ def eig_stack(ms, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def eig_symmetric(m, tol: float = DEFAULT_TOL, return_vectors: bool = False):
+def eig_symmetric(m) -> Spectrum:
     """Full spectrum of a real symmetric or complex Hermitian matrix, descending.
 
     Accepts an array equal to its conjugate transpose within 1e-12
     entrywise. Real input is solved by LAPACK's real symmetric routine,
     complex input by its complex Hermitian one, which returns each
     eigenvalue exactly once (the test suite cross-checks it against the
-    doubled real-symmetric embedding). With return_vectors=True it is
-    eig_stack on a one-matrix stack: (spectrum, aligned eigenvector columns).
+    doubled real-symmetric embedding). Eigenvectors come from eig_stack.
     """
-    if return_vectors:
-        w, v = eig_stack(np.asarray(m)[None], tol)
-        return Spectrum(w[0]), v[0]
     m = _hermitian(m, 2)
     try:
         w = np.linalg.eigvalsh(m)

@@ -283,11 +283,11 @@ def per_root_characterization(g, sa) -> ll.CharacterizationReport:
     for j in range(k):
         t = ll.RootOfUnity(k, j)
         m = loop_shift_matrix(n, g.edges, sa.shifts, t)
-        spec, vecs = ll.eig_symmetric(m, return_vectors=True)
-        per_root.append(spec)
+        (values,), (vecs,) = ll.spectra.eig_stack(m[None])
+        per_root.append(ll.Spectrum(values))
         powers = np.array([t.power(i) for i in range(k)])
         transported = (vecs[:, None, :] * powers[None, :, None]).reshape(k * n, n)
-        resid = a_h @ transported - transported * spec.values[None, :]
+        resid = a_h @ transported - transported * values[None, :]
         max_resid = max(max_resid, float(np.max(np.linalg.norm(resid, axis=0))))
         normalized_lifted.append(transported / math.sqrt(k))
     pooled = np.sort(np.concatenate([s.values for s in per_root]))[::-1]
@@ -477,6 +477,31 @@ def loop_build_lift(edges, k: int, perms) -> tuple:
             x, y = u * k + i, v * k + perm[i]
             out.append((x, y) if x < y else (y, x))
     return tuple(sorted(out))
+
+
+def bmat_root_operators(g, sa) -> list:
+    """The sparse operators lambda_new_from_roots solves, roots j = 1..k/2,
+    built the older way: one sorted CSR structure (d entries per row) shared
+    by every root and filled with the complex entries t**s and conj(t**s)
+    from scalar t.power; its real part for the signing at 2j = k, else
+    [[Re, -Im], [Im, Re]] stacked by scipy.sparse.bmat."""
+    from scipy.sparse import bmat, csr_matrix
+
+    k, n = sa.k, g.n
+    eu, ev = ll.edge_endpoints(g)
+    rows, cols = np.concatenate([eu, ev]), np.concatenate([ev, eu])
+    order = np.argsort(rows * n + cols)
+    indptr = np.arange(0, rows.size + 1, g.d)
+    ops = []
+    for j in range(1, k // 2 + 1):
+        w = np.array([ll.RootOfUnity(k, j).power(s) for s in sa.shifts], dtype=complex)
+        m = csr_matrix((np.concatenate([w, w.conj()])[order], cols[order], indptr),
+                       shape=(n, n))
+        if 2 * j == k:
+            ops.append(m.real)
+        else:
+            ops.append(bmat([[m.real, -m.imag], [m.imag, m.real]], format="csr"))
+    return ops
 
 
 def loop_adjacency(n: int, edges, weights=None) -> np.ndarray:

@@ -228,6 +228,38 @@ class TestCli:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_mc_threads_below_one_are_usage_errors(self, tmp_path, monkeypatch, capsys):
+        import liftlab.cli as cli_module
+
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("base = random_regular 14 3 8\ntrials = 2\nseed = 5\n")
+        requested = []
+        real = cli_module.run_lift_trials
+
+        def spy(cfg, threads):
+            requested.append(threads)
+            return real(cfg, threads=threads)
+
+        monkeypatch.setattr(cli_module, "run_lift_trials", spy)
+        for bad in ("-3", "0"):
+            assert dispatch(["mc", "--config", str(cfg_path), "--threads", bad]) == 2
+            assert f"must be >= 1, got {bad}" in capsys.readouterr().err
+        assert requested == []
+        # absent --threads reaches run_lift_trials as None, which alone
+        # resolves LIFTLAB_THREADS
+        assert dispatch(["mc", "--config", str(cfg_path)]) == 0
+        assert dispatch(["mc", "--config", str(cfg_path), "--threads", "2"]) == 0
+        assert requested == [None, 2]
+
+    def test_verify_shift_bad_shift_tokens_are_usage_errors(self, tmp_path, capsys):
+        g_path = tmp_path / "k4.graph"
+        dispatch(["gen", "--family", "complete", "--m", "4", "--out", str(g_path)])
+        for shifts, token in (("1,x,0,0,0,0", "'x'"), ("", "''")):
+            assert dispatch(["verify-shift", "--graph", str(g_path), "--shifts", shifts,
+                             "--k", "3"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --shifts: ") and err.rstrip().endswith(token), err
+
     def test_search_signing_command(self, tmp_path, capsys):
         path = tmp_path / "k4.graph"
         dispatch(["gen", "--family", "complete", "--m", "4", "--out", str(path)])

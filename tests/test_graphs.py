@@ -3,8 +3,11 @@ import pytest
 
 import liftlab as ll
 from liftlab.errors import InvalidParameterError
+from liftlab.graphs import edge_matrix, symmetric_csr
 
-from oracles import bfs_components, circulant_cycle_spectrum, indicator_edge_count
+from conftest import random_base
+from oracles import (bfs_components, circulant_cycle_spectrum, indicator_edge_count,
+                     loop_adjacency, loop_shift_matrix)
 
 
 def spectrum_of(g):
@@ -145,6 +148,48 @@ class TestAdjacencyMatrix:
         assert np.array_equal(a, a.T)
         assert (a.sum(axis=1) == g.d).all()
         assert np.trace(a) == 0
+
+
+class TestEdgeMatrix:
+    def test_weight_stack_equals_single_calls(self, rng):
+        g = random_base(rng)
+        eu, ev = ll.edge_endpoints(g)
+        weights = rng.standard_normal((4, g.num_edges)) + 1j * rng.standard_normal((4, g.num_edges))
+        stack = edge_matrix(g.n, eu, ev, weights)
+        assert stack.shape == (4, g.n, g.n)
+        for w, m in zip(weights, stack):
+            assert np.array_equal(m, edge_matrix(g.n, eu, ev, w))
+
+    def test_default_weight_is_the_adjacency_matrix(self, rng):
+        g = random_base(rng)
+        a = edge_matrix(g.n, *ll.edge_endpoints(g))
+        assert a.dtype == np.float64
+        assert np.array_equal(a, loop_adjacency(g.n, g.edges))
+
+    def test_int_signs_give_float64(self, rng):
+        g = random_base(rng)
+        signs = ll.random_signing(g, 3).sign_array
+        m = edge_matrix(g.n, *ll.edge_endpoints(g), signs)
+        assert m.dtype == np.float64
+        assert np.array_equal(m, loop_adjacency(g.n, g.edges, signs))
+
+    def test_root_weights_give_a_hermitian_complex_matrix(self, rng):
+        g = random_base(rng)
+        sa = ll.random_shift_lift(g, 5, 2)
+        t = ll.RootOfUnity(5, 2)
+        m = edge_matrix(g.n, *ll.edge_endpoints(g), [t.power(s) for s in sa.shifts])
+        assert m.dtype == np.complex128
+        assert np.array_equal(m, m.conj().T)
+        assert np.array_equal(m, loop_shift_matrix(g.n, g.edges, sa.shifts, t))
+
+    def test_sparse_assembler_is_the_dense_one(self, rng):
+        g = random_base(rng)
+        eu, ev = ll.edge_endpoints(g)
+        w = rng.standard_normal(g.num_edges)
+        for weights in (1.0, w):
+            sparse = symmetric_csr(g.n, eu, ev, weights)
+            assert sparse.has_sorted_indices and sparse.dtype == np.float64
+            assert np.array_equal(sparse.toarray(), edge_matrix(g.n, eu, ev, weights))
 
 
 class TestValidation:

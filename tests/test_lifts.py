@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import liftlab as ll
+from liftlab import lifts
 from liftlab.errors import InvalidParameterError
 
 from conftest import random_base
@@ -135,6 +136,15 @@ class TestBuildLift:
     def test_length_mismatch_rejected(self, k4):
         with pytest.raises(InvalidParameterError):
             ll.build_lift(k4, ll.LiftAssignment(2, ((0, 1),) * 5))
+
+    def test_lift_endpoints_give_the_built_edge_set(self, rng):
+        for _ in range(10):
+            g = random_base(rng)
+            a = ll.random_k_lift(g, int(rng.integers(2, 7)), int(rng.integers(0, 2**63)))
+            x, y = lifts.lift_endpoints(g, a.perm_array)
+            assert x.shape == y.shape == (a.k * g.num_edges,)
+            ends = {(min(p, q), max(p, q)) for p, q in zip(x.tolist(), y.tolist())}
+            assert ends == set(ll.build_lift(g, a).graph.edges)
 
     def test_lift_shape_invariants(self, rng):
         for _ in range(10):

@@ -20,8 +20,8 @@ import liftlab as ll
 from liftlab import characterization, cli, expansion, experiments, fileio, graphs, lifts, spectra
 from liftlab.cli import dispatch
 
-from oracles import (bfs_components, dense_half_root_radii, dense_root_radii,
-                     dense_split_lambda_new)
+from oracles import (bfs_components, bmat_root_operators, dense_half_root_radii,
+                     dense_root_radii, dense_split_lambda_new)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -114,6 +114,63 @@ class TestRootRadiiOracle:
         sa = ll.random_shift_lift(g, k, 17)
         _, radii = ll.lambda_new_from_roots(g, sa)
         assert np.max(np.abs(np.subtract(radii, dense_half_root_radii(g, sa)))) <= 1e-12
+
+
+def _operator_bases():
+    fixed = [ll.disjoint_copies(ll.complete_graph(2), 3), ll.complete_bipartite(3),
+             ll.cycle_graph(8), ll.disjoint_copies(ll.complete_graph(4), 5)]
+    rng = np.random.default_rng(1326)
+    drawn = []
+    while len(drawn) < 10:
+        n, d = int(rng.integers(10, 601)), int(rng.integers(3, 8))
+        if n * d % 2 == 0:
+            drawn.append(ll.random_regular(n, d, int(rng.integers(0, 2**63))))
+    return fixed + drawn
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8])
+def test_root_operators_match_the_bmat_oracle_byte_for_byte(k, monkeypatch):
+    # ARPACK sees the same matvecs only if the operator bytes are the same;
+    # the conjugate embedding (b and -b swapped) has the same spectrum, so
+    # no radius test can tell it apart
+    seen = []
+
+    def spy(op, what):
+        seen.append(op)
+        return 0.0
+
+    monkeypatch.setattr(characterization, "_lanczos_radius", spy)
+    for i, g in enumerate(_operator_bases()):
+        sa = ll.random_shift_lift(g, k, 100 * k + i)
+        seen.clear()
+        ll.lambda_new_from_roots(g, sa)
+        want = bmat_root_operators(g, sa)
+        assert len(seen) == len(want) == k // 2
+        for got, ref in zip(seen, want):
+            assert got.shape == ref.shape
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(got, attr), getattr(ref, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (g.n, k, attr)
+
+
+def test_exact_checks_import_no_scipy():
+    # scipy in the small exact path raised the exact_small peak RSS from 48
+    # to 73 MB; the dense assemblers must not pull it in
+    script = (
+        "import sys\n"
+        "import liftlab as ll\n"
+        "g = ll.complete_bipartite(3)\n"
+        "ll.verify_characterization(g, ll.random_shift_lift(g, 4, 1))\n"
+        "ll.exhaustive_signing_search(ll.complete_graph(4))\n"
+        "ll.cheeger_check(g)\n"
+        "lam = ll.lambda_nontrivial(ll.eig_symmetric(ll.adjacency_matrix(g)), g.d)\n"
+        "ll.eml_check(g, lam, method='exhaustive')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _check_one_value_solves(g, sa):
