@@ -113,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--csv")
     p.add_argument("--threads", type=_positive_int,
-                   help="worker processes (default: LIFTLAB_THREADS, else 1)")
+                   help="processes that run trials, this one included "
+                        "(default: LIFTLAB_THREADS, else 1)")
 
     p = sub.add_parser("search-signing", help="exhaustive minimum signing radius")
     p.add_argument("--graph", required=True)

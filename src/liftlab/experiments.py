@@ -65,18 +65,18 @@ def trial_seed(base_seed: int, index: int) -> int:
 
 
 def default_threads() -> int:
-    """Requested campaign worker processes: LIFTLAB_THREADS if set and
-    positive, else 1 (trials run in the calling process)."""
-    raw = os.environ.get("LIFTLAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """Requested campaign processes, the calling one included: LIFTLAB_THREADS,
+    or 1 (every trial in the calling process) if it is unset or empty. A value
+    that is not an integer >= 1 raises InvalidParameterError."""
+    raw = os.environ.get("LIFTLAB_THREADS", "").strip() or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise InvalidParameterError(f"LIFTLAB_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def pool_size(requested: int, trials: int) -> int:
-    """Worker processes a campaign starts: never more than its trials or the
-    CPUs this process may run on, so no setting can start a flood of them."""
+    """Processes that run a campaign's trials, the calling one included: at most
+    its trials and the CPUs this process may run on, so no setting forks a flood."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -224,41 +224,54 @@ def _run_one_trial(g: RegularGraph, cfg: ExperimentConfig, index: int) -> TrialR
     return TrialRecord(index, seed, lam_new, radii)
 
 
-# (graph, config) of the campaign a forked pool worker serves. The pool's
-# initializer sets it in each worker process; the parent never does.
-_worker_campaign: tuple[RegularGraph, ExperimentConfig] | None = None
-
-
-def _init_worker(g: RegularGraph, cfg: ExperimentConfig) -> None:
-    global _worker_campaign
-    _worker_campaign = (g, cfg)
-
-
-def _run_chunk(start: int, stop: int) -> list[TrialRecord]:
-    g, cfg = _worker_campaign
-    return [_run_one_trial(g, cfg, i) for i in range(start, stop)]
-
-
 def _run_in_pool(g: RegularGraph, cfg: ExperimentConfig, chunk: int) -> list[TrialRecord]:
-    """Trials in forked worker processes, one contiguous chunk of `chunk`
-    indices per worker, records returned in trial order. Fork lets the
-    workers inherit the graph and config without pickling them; only the
-    records travel back."""
-    # imported here, not at the top: these modules add about 20 ms to every
-    # `import liftlab`
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    """Trials in contiguous chunks of `chunk` indices, records in trial order:
+    one forked child runs each chunk but the last, and this process runs the
+    last. Children inherit the graph and config through the fork and send back
+    only their pickled records, or the exception that stopped them."""
+    # imported here, not at the top: `signal` is not loaded by `import liftlab`
+    import pickle
+    import signal
 
     starts = range(0, cfg.trials, chunk)
-    stops = [min(s + chunk, cfg.trials) for s in starts]
+    children = {}  # pid -> read end of its pipe, until the child is reaped
     try:
-        with ProcessPoolExecutor(len(starts), multiprocessing.get_context("fork"),
-                                 _init_worker, (g, cfg)) as pool:
-            chunks = list(pool.map(_run_chunk, starts, stops))
-    except BrokenProcessPool as exc:
-        raise NumericalError(f"campaign worker process died: {exc}") from exc
-    return [r for part in chunks for r in part]
+        for start in starts[:-1]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # child: run one chunk, send its outcome, never return
+                try:
+                    try:
+                        out = [_run_one_trial(g, cfg, i) for i in range(start, start + chunk)]
+                    except Exception as exc:
+                        out = exc
+                    with open(write_fd, "wb") as fh:
+                        pickle.dump(out, fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)  # before the next fork: EOF once this child exits
+            children[pid] = read_fd
+        own = [_run_one_trial(g, cfg, i) for i in range(starts[-1], cfg.trials)]
+        records = []
+        for pid, read_fd in list(children.items()):
+            with open(read_fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if code:
+                how = f"exit code {code}" if code > 0 else signal.Signals(-code).name
+                raise NumericalError(f"campaign worker process died: {how}")
+            out = pickle.loads(data)
+            if isinstance(out, Exception):
+                raise out
+            records.extend(out)
+        return records + own
+    finally:
+        for pid, read_fd in children.items():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_lift_trials(
@@ -278,18 +291,19 @@ def run_lift_trials(
     lambda_nontrivial_sparse, so no step builds a dense matrix. Fractions are
     over successful trials only.
 
-    `threads` (default: default_threads()) is the number of worker
-    processes, capped by pool_size. With more than one, trials run in a fork
-    process pool; with one, or where os.fork is unavailable, in this
-    process. A worker process that dies raises NumericalError.
+    `threads` (default: default_threads()) counts the processes that run
+    trials, this one included, capped by pool_size; without os.fork it is 1.
+    This process runs the last contiguous chunk of trials and one forked
+    child runs each other chunk. A child that dies raises NumericalError.
     """
+    requested = default_threads() if threads is None else threads
     g = resolve_base_graph(cfg) if graph is None else graph
     try:
         lam, base_error = lambda_nontrivial_sparse(g), None
     except LiftLabError as exc:
         # no trial can be scored without lambda, so each fails with the reason
         lam, base_error = math.nan, f"base lambda: {exc}"
-    workers = pool_size(default_threads() if threads is None else threads, cfg.trials)
+    workers = pool_size(requested, cfg.trials)
     if base_error is not None or not hasattr(os, "fork"):
         workers = 1
     chunk = -(-cfg.trials // workers)

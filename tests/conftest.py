@@ -1,7 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 
 import liftlab as ll
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped
+    (a campaign forks children and must reap every one on every path)."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind ({pid or 'still running'})")
 
 
 @pytest.fixture

@@ -1,18 +1,18 @@
-"""Campaign trials in forked worker processes: clamped pool size, identical
-bytes under any worker count, separate processes, loud worker deaths, and no
-worker left running after the campaign."""
-import multiprocessing
+"""Campaign trials in forked child processes: clamped pool size, identical
+bytes under any worker count, separate processes, loud child deaths and
+errors, and no child left running after the campaign (the autouse fixture
+in conftest.py checks that after every test)."""
 import os
+import signal
 import subprocess
 import sys
-import time
 
 import pytest
 
 import liftlab as ll
 from liftlab import experiments
 from liftlab.cli import dispatch
-from liftlab.errors import NumericalError
+from liftlab.errors import InvalidParameterError, NumericalError
 from liftlab.fileio import experiment_report_csv, experiment_report_text
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -45,7 +45,6 @@ def test_trials_run_in_two_worker_processes(monkeypatch, tmp_path):
 
     def record_pid(g, cfg, index):
         (tmp_path / f"{index}.pid").write_text(str(os.getpid()))
-        time.sleep(0.1)  # keep the first worker busy while the second starts
         return real(g, cfg, index)
 
     monkeypatch.setattr(experiments, "_run_one_trial", record_pid)
@@ -54,10 +53,9 @@ def test_trials_run_in_two_worker_processes(monkeypatch, tmp_path):
     report = ll.run_lift_trials(cfg, threads=2)
     assert report.failed == 0 and report.workers == 2
     pids = [int((tmp_path / f"{i}.pid").read_text()) for i in range(4)]
-    # contiguous chunks: trials 0-1 in one worker, 2-3 in the other
+    # contiguous chunks: trials 0-1 in one forked child, 2-3 in the caller
     assert pids[0] == pids[1] != pids[2] == pids[3]
-    assert os.getpid() not in pids
-    assert multiprocessing.active_children() == []
+    assert pids[2] == os.getpid() != pids[0]
 
 
 @pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
@@ -74,7 +72,6 @@ def test_dead_worker_raises(monkeypatch):
                               "shift_lift")
     with pytest.raises(NumericalError, match="campaign worker process died"):
         ll.run_lift_trials(cfg, threads=2)
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
@@ -111,3 +108,87 @@ def test_mc_summary_shows_workers_and_throughput(tmp_path, capsys):
     workers = min(2, CPUS)
     assert f", {workers} worker{'s' if workers > 1 else ''}, " in line
     assert line.endswith(" trials/s")
+
+
+@pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
+def test_error_in_a_child_chunk_reaches_the_caller(monkeypatch):
+    real = experiments._run_one_trial
+
+    def fail_on_zero(g, cfg, index):
+        if index == 0:
+            raise ValueError("trial zero broke")
+        return real(g, cfg, index)
+
+    monkeypatch.setattr(experiments, "_run_one_trial", fail_on_zero)
+    cfg = ll.ExperimentConfig("random_regular 16 3 2", 3, 4, 42, (3.0,),
+                              "shift_lift")
+    with pytest.raises(ValueError, match="trial zero broke"):
+        ll.run_lift_trials(cfg, threads=2)
+
+
+@pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
+def test_error_in_the_callers_chunk_propagates_and_children_are_reaped(monkeypatch):
+    real_run, real_fork = experiments._run_one_trial, os.fork
+    forked = []
+
+    def fail_on_three(g, cfg, index):
+        if index == 3:
+            raise ValueError("trial three broke")
+        return real_run(g, cfg, index)
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(experiments, "_run_one_trial", fail_on_three)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    cfg = ll.ExperimentConfig("random_regular 16 3 2", 3, 4, 42, (3.0,),
+                              "shift_lift")
+    with pytest.raises(ValueError, match="trial three broke"):
+        ll.run_lift_trials(cfg, threads=2)
+    assert len(forked) == 1
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
+def test_child_killed_by_a_signal_raises_naming_it(monkeypatch):
+    real = experiments._run_one_trial
+
+    def kill_on_one(g, cfg, index):
+        if index == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(g, cfg, index)
+
+    monkeypatch.setattr(experiments, "_run_one_trial", kill_on_one)
+    cfg = ll.ExperimentConfig("random_regular 16 3 2", 3, 4, 42, (3.0,),
+                              "shift_lift")
+    with pytest.raises(NumericalError,
+                       match="campaign worker process died: SIGKILL"):
+        ll.run_lift_trials(cfg, threads=2)
+
+
+@pytest.mark.parametrize("raw", ["", None])
+def test_unset_or_empty_liftlab_threads_is_one(monkeypatch, raw):
+    if raw is None:
+        monkeypatch.delenv("LIFTLAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("LIFTLAB_THREADS", raw)
+    assert experiments.default_threads() == 1
+
+
+@pytest.mark.parametrize("raw", ["-3", "0", "abc"])
+def test_invalid_liftlab_threads_is_a_usage_error(monkeypatch, tmp_path, capsys, raw):
+    monkeypatch.setenv("LIFTLAB_THREADS", raw)
+    with pytest.raises(InvalidParameterError, match="LIFTLAB_THREADS"):
+        experiments.default_threads()
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("base = random_regular 16 3 2\nk = 3\nmode = shift_lift\n"
+                        "trials = 4\nseed = 42\n")
+    assert dispatch(["mc", "--config", str(cfg_path)]) == 2
+    assert f"LIFTLAB_THREADS must be an integer >= 1, got {raw!r}" in capsys.readouterr().err
+    # an explicit count does not read the variable
+    assert dispatch(["mc", "--config", str(cfg_path), "--threads", "1"]) == 0

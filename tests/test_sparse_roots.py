@@ -370,6 +370,17 @@ def test_restart_vectors_are_seeded():
     assert len({ll.lambda_new_from_roots(g, sa) for _ in range(8)}) == 1
 
 
+def _cli_env(blas):
+    """The environment for a CLI subprocess with OPENBLAS_NUM_THREADS=blas,
+    or unset if blas is None."""
+    env = {key: val for key, val in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    return env
+
+
 def test_report_bytes_do_not_depend_on_threads_or_blas(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("base = random_regular 300 5 4\nmode = shift_lift\n"
@@ -379,11 +390,7 @@ def test_report_bytes_do_not_depend_on_threads_or_blas(tmp_path):
     outputs = set()
     for threads in (1, 2):
         for blas in ("1", None):
-            env = {key: val for key, val in os.environ.items()
-                   if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-            if blas is not None:
-                env["OPENBLAS_NUM_THREADS"] = blas
+            env = _cli_env(blas)
             tag = f"{threads}_{blas}"
             files = out, csv, grown, mixing, lemma = tuple(
                 tmp_path / f"{name}{tag}" for name in ("r", "t", "g", "e", "l"))
@@ -401,6 +408,31 @@ def test_report_bytes_do_not_depend_on_threads_or_blas(tmp_path):
     assert len(outputs) == 1
     report = outputs.pop()[0].decode()
     assert "failed = 0" in report
+
+
+def test_dense_report_bytes_do_not_depend_on_blas_below_the_documented_size(tmp_path):
+    # spec (graph order) and verify-shift (lift order) solve densely; on a
+    # 2-vCPU host their bytes agreed at every order up to 200 and differed
+    # above it (README), so this runs below that size. At order 240 it fails.
+    order, k = 160, 4
+    base = ll.random_regular(order, 4, 1)
+    small = ll.random_regular(order // k, 3, 1)
+    shifts = ",".join(map(str, ll.random_shift_lift(small, k, 1).shift_array.tolist()))
+    fileio.write_graph(base, str(tmp_path / "base.graph"))
+    fileio.write_graph(small, str(tmp_path / "small.graph"))
+    outputs = set()
+    for blas in ("1", None):
+        env = _cli_env(blas)
+        run = []
+        for argv in (["spec", "--graph", str(tmp_path / "base.graph")],
+                     ["verify-shift", "--graph", str(tmp_path / "small.graph"),
+                      "--shifts", shifts, "--k", str(k)]):
+            out = tmp_path / f"{argv[0]}_{blas}"
+            proc = subprocess.run([sys.executable, "-m", "liftlab.cli", *argv, "--out", str(out)],
+                                  env=env, check=True, capture_output=True)
+            run.append(proc.stdout + out.read_bytes())
+        outputs.add(tuple(run))
+    assert len(outputs) == 1
 
 
 def test_base_lambda_failure_fails_every_trial(monkeypatch, tmp_path):
