@@ -7,6 +7,7 @@ writes its full report to --out.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -50,7 +51,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="liftlab",
         description="graph lifts, their spectra, and lift experiments",

@@ -213,10 +213,10 @@ def assignment_to_text(a: ShiftAssignment | LiftAssignment) -> str:
 
 def _keyword_rows(lines, keyword: str, width: int) -> np.ndarray:
     """The (rows, width) values of lines 'keyword v_1 .. v_width'."""
-    table = _table(lines, np.dtype([("word", "U8"), ("values", np.int64, (width,))]))
+    table = _table(lines, np.dtype([("word", "S8"), ("values", np.int64, (width,))]))
     if table is None:
         return np.empty((0, width), dtype=np.int64)
-    if not np.all(table["word"] == keyword):
+    if not np.all(table["word"] == keyword.encode()):
         raise ValueError(f"a line does not start with {keyword!r}")
     return table["values"]
 
@@ -379,6 +379,8 @@ def _fmt(x) -> str:
         return "none"
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
+    if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64:
+        return ",".join(map(repr, x.tolist()))
     if isinstance(x, (list, tuple, np.ndarray)):
         return ",".join(_fmt(v) for v in x)
     return str(x)

@@ -143,17 +143,21 @@ def _contains(sorted_keys: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Membership of each entry of `key` in the sorted array `sorted_keys`."""
     if sorted_keys.size == 0:
         return np.zeros(key.shape, dtype=bool)
-    pos = np.searchsorted(sorted_keys, key).clip(max=sorted_keys.size - 1)
+    pos = np.minimum(np.searchsorted(sorted_keys, key), sorted_keys.size - 1)
     return sorted_keys[pos] == key
 
 
-def _first_occurrences(a: np.ndarray) -> np.ndarray:
-    """Index of the first occurrence of each distinct value of `a`."""
-    order = np.argsort(a, kind="stable")
+def _first_occurrences(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of `a` in increasing order, and the index of the
+    first occurrence of each: the least index of each run of equal values
+    after one (non-stable) argsort."""
+    order = np.argsort(a)
     ranked = a[order]
-    first = np.ones(a.size, dtype=bool)
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
     first[1:] = ranked[1:] != ranked[:-1]
-    return order[first]
+    starts = first.nonzero()[0]
+    return ranked[starts], np.minimum.reduceat(order, starts)
 
 
 def _pair_stubs(rng: np.random.Generator, n: int, d: int) -> np.ndarray | None:
@@ -163,9 +167,12 @@ def _pair_stubs(rng: np.random.Generator, n: int, d: int) -> np.ndarray | None:
     becomes an edge unless it is a self-loop, an edge of an earlier round or
     a repeat of an earlier pair of the same round; the stubs of every other
     pair return to the pool, grouped by vertex in order of first appearance,
-    for the next round. Returns the sorted (m, 2) edge array, or None when
-    the leftover vertices are pairwise adjacent, so that no legal pair is
-    left (the attempt is stuck and the caller restarts from scratch).
+    for the next round. The round's keys u*n + v are sorted once, giving its
+    new edges in order and the first pair of each; a stable sort of the two
+    sorted runs (numpy's timsort) merges them into the edges so far.
+    Returns the sorted (m, 2) edge array, or None when the leftover vertices
+    are pairwise adjacent, so that no legal pair is left (the attempt is
+    stuck and the caller restarts from scratch).
     """
     keys = np.empty(0, dtype=np.int64)  # sorted u*n + v of the edges so far
     stubs = np.repeat(np.arange(n), d)
@@ -174,18 +181,19 @@ def _pair_stubs(rng: np.random.Generator, n: int, d: int) -> np.ndarray | None:
         lo = np.minimum(stubs[0::2], stubs[1::2])
         hi = np.maximum(stubs[0::2], stubs[1::2])
         key = lo * n + hi
-        cand = np.flatnonzero((lo != hi) & ~_contains(keys, key))
+        cand = ((lo != hi) & ~_contains(keys, key)).nonzero()[0]
+        new, first = _first_occurrences(key[cand])
         taken = np.zeros(key.size, dtype=bool)
-        taken[cand[_first_occurrences(key[cand])]] = True
-        keys = np.sort(np.concatenate([keys, key[taken]]), kind="stable")
+        taken[cand[first]] = True
+        keys = np.sort(np.concatenate([keys, new]), kind="stable")
         if taken.all():
-            return _pairs(keys // n, keys % n)
+            return _pairs(*np.divmod(keys, n))
         rest = _pairs(lo[~taken], hi[~taken]).ravel()
-        verts = rest[np.sort(_first_occurrences(rest))]
+        verts = rest[np.sort(_first_occurrences(rest)[1])]
         member = np.zeros(n, dtype=bool)
         member[verts] = True
-        inside = member[keys // n] & member[keys % n]
-        if np.count_nonzero(inside) == verts.size * (verts.size - 1) // 2:
+        u, v = np.divmod(keys, n)
+        if np.count_nonzero(member[u] & member[v]) == verts.size * (verts.size - 1) // 2:
             return None
         stubs = np.repeat(verts, np.bincount(rest)[verts])
 

@@ -219,9 +219,10 @@ def lift_endpoints(g: RegularGraph, perm_array: np.ndarray) -> tuple[np.ndarray,
 def build_lift(g: RegularGraph, a: LiftAssignment) -> LiftedGraph:
     """Assemble the lifted graph for a permutation assignment.
 
-    Lift edge set: {(u,i)-(v, perm(i))} over base edges (u, v) and i in [0,k),
-    each stored as (min, max) of the two lift indices and sorted by one
-    argsort of the key lo*kn + hi.
+    Lift edge set: {(u,i)-(v, perm(i))} over base edges (u, v) and i in [0,k).
+    Since u < v, x = u*k + i is below y = v*k + perm(i), so each edge is
+    already (min, max), and the sorted edge array is the divmod by kn of
+    one sort of the keys x*kn + y.
     """
     m = g.num_edges
     if a.perm_array.shape[0] != m:
@@ -230,9 +231,7 @@ def build_lift(g: RegularGraph, a: LiftAssignment) -> LiftedGraph:
         )
     size = a.k * g.n
     x, y = lift_endpoints(g, a.perm_array)
-    lo, hi = np.minimum(x, y), np.maximum(x, y)
-    order = np.argsort(lo * size + hi, kind="stable")
-    edges = np.stack([lo[order], hi[order]], axis=1)
+    edges = np.stack(np.divmod(np.sort(x * size + y), size), axis=1)
     return LiftedGraph(g, a.k, RegularGraph(size, g.d, edges))
 
 

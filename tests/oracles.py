@@ -479,6 +479,28 @@ def loop_build_lift(edges, k: int, perms) -> tuple:
     return tuple(sorted(out))
 
 
+def argsort_build_lift_edges(g, a) -> np.ndarray:
+    """build_lift's (m*k, 2) edge array by the former construction: the
+    (min, max) of each lift edge's two indices, ordered by a stable argsort
+    of min*kn + max."""
+    k = a.k
+    x = (g.edge_array[:, :1] * k + np.arange(k)).ravel()
+    y = (g.edge_array[:, 1:] * k + a.perm_array).ravel()
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    order = np.argsort(lo * (k * g.n) + hi, kind="stable")
+    return np.stack([lo[order], hi[order]], axis=1)
+
+
+def first_occurrences(values) -> tuple[list, list]:
+    """The distinct values in increasing order and the index of the first
+    occurrence of each, from a dict filled in one pass."""
+    first: dict = {}
+    for i, x in enumerate(values):
+        first.setdefault(x, i)
+    ordered = sorted(first)
+    return ordered, [first[x] for x in ordered]
+
+
 def bmat_root_operators(g, sa) -> list:
     """The sparse operators lambda_new_from_roots solves, roots j = 1..k/2,
     built the older way: one sorted CSR structure (d entries per row) shared

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import liftlab as ll
 from liftlab import fileio
 from liftlab.cli import dispatch
+from liftlab.graphs import _first_occurrences
 
 import oracles
 
@@ -51,10 +52,34 @@ def _outcome(fn, *args):
 
 @pytest.mark.parametrize("n, d, seed", [
     (6, 3, 4), (8, 5, 14), (10, 7, 2),  # 4, 9 and 18 restarts
-    (12, 3, 6), (7, 4, 1), (500, 6, 1), (2000, 5, 9),
+    (12, 3, 6), (7, 4, 1), (500, 6, 1), (2000, 5, 9), (20000, 6, 1), (20000, 6, 2),
 ])
 def test_random_regular_matches_pair_by_pair_sampler(n, d, seed):
     assert ll.random_regular(n, d, seed).edges == oracles.loop_random_regular_edges(n, d, seed)
+
+
+def test_a_pair_drawn_twice_in_one_round_becomes_one_edge():
+    # the first round of this seed pairs the same two vertices more than
+    # once; the first such pair is the edge, the others return to the pool
+    n, d, seed = 12, 5, 0
+    stubs = np.repeat(np.arange(n), d)
+    np.random.default_rng(seed).shuffle(stubs)
+    lo = np.minimum(stubs[0::2], stubs[1::2])
+    hi = np.maximum(stubs[0::2], stubs[1::2])
+    _, counts = np.unique((lo * n + hi)[lo != hi], return_counts=True)
+    assert counts.max() > 1
+    assert ll.random_regular(n, d, seed).edges == oracles.loop_random_regular_edges(n, d, seed)
+
+
+def test_first_occurrences_of_keys_near_2_62():
+    # keys this large leave no room to pack an index beside them in int64
+    rng = np.random.default_rng(5)
+    keys = np.concatenate([2**62 - 20 + rng.integers(0, 40, size=3000),
+                           2**63 - 1 - rng.integers(0, 3, size=50)])
+    rng.shuffle(keys)
+    values, first = _first_occurrences(keys)
+    want_values, want_first = oracles.first_occurrences(keys.tolist())
+    assert values.tolist() == want_values and first.tolist() == want_first
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,6 +123,14 @@ def test_build_lift_matches_edge_loop(data, g):
     want = oracles.loop_build_lift(g.edges, a.k, perms)
     assert lifted.graph.edges == want
     assert oracles.check_regular_edges(a.k * g.n, g.d, want) == want
+
+
+def test_build_lift_at_240k_edges_matches_the_argsort_construction():
+    g = ll.random_regular(20000, 6, 3)
+    for a in (ll.shift_to_assignment(ll.random_shift_lift(g, 4, 5)), ll.random_k_lift(g, 4, 6)):
+        edges = ll.build_lift(g, a).graph.edge_array
+        assert edges.shape == (240000, 2)
+        assert np.array_equal(edges, oracles.argsort_build_lift_edges(g, a))
 
 
 # --------------------------------------------------------------------------
@@ -292,6 +325,12 @@ def test_malformed_assignment_text_matches_line_parser(data, g):
     "3 2\nshift 1\npermx 0 1 2\n",
     "3 2\nperm 0 2 1\nswap 1\n",
     "3 2\nshift 1\r2\n",
+    # keywords that are too long, outside Latin-1, or Latin-1 but not ASCII
+    "2 2\nperm 0 1\npermutation 0 1\n",
+    "2 2\nperm 1 0\np\u20acrm 0 1\n",
+    "2 2\nshift 1\nsh\u00e9ft 0\n",
+    "2 4\nshift 1\nperm 1 0\npermutation 0 1\nshift\u20ac 0\n",
+    "2 3\nperm 1 0\nshift 1\nshift\u20ac 0\n",
 ])
 def test_mixed_and_odd_assignment_lines_match_line_parser(text):
     assert _outcome(_assignment_value, text) == _outcome(oracles.line_assignment_from_text, text)

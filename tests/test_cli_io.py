@@ -3,7 +3,7 @@ import pytest
 
 import liftlab as ll
 from liftlab import fileio
-from liftlab.cli import dispatch
+from liftlab.cli import _build_parser, dispatch
 from liftlab.errors import FormatError, InvalidParameterError
 
 
@@ -289,6 +289,15 @@ class TestCli:
                          str(tmp_path / "x")]) == 2  # missing --m
         assert dispatch(["spec", "--graph", str(tmp_path / "missing.graph")]) == 2
         assert dispatch(["nonsense"]) == 2
+
+    def test_one_parser_serves_calls_around_a_usage_error(self, tmp_path, capsys):
+        g_path, spec_path = tmp_path / "k4.graph", tmp_path / "k4.spec"
+        assert dispatch(["gen", "--family", "complete", "--m", "4", "--out", str(g_path)]) == 0
+        assert dispatch(["spec", "--graph", str(g_path), "--bogus"]) == 2
+        assert dispatch(["spec", "--graph", str(g_path), "--out", str(spec_path)]) == 0
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert fileio.read_spectrum(str(spec_path)).values[0] == pytest.approx(3.0)
+        assert _build_parser() is _build_parser()
 
     def test_numerical_failures_exit_three(self, tmp_path, monkeypatch):
         path = tmp_path / "k4.graph"
