@@ -8,7 +8,10 @@ distinct roots are orthogonal. verify_characterization checks all three
 statements numerically and treats any failure as an implementation bug; it
 solves all k root matrices as one (k, n, n) stack in one eigensolver call.
 Every matrix here is one graphs.edge_matrix or graphs.symmetric_csr call, the
-lift's on the edges of lifts.lift_endpoints; no lift graph is built.
+lift's on the edges of lifts.lift_endpoints; no lift graph is built. Root
+weights are read from the k values exp(2*pi*i*m/k), t_j**s being value (j*s)
+mod k: O(m) memory per root at any k. Only verify_characterization, whose
+k*n is dense-capped, holds a k x k array of powers.
 """
 from __future__ import annotations
 
@@ -35,10 +38,9 @@ def _root_value(k: int, m: int) -> complex:
     return complex(re, im)
 
 
-def _power_table(k: int) -> np.ndarray:
-    """k x k array with [j, s] = t_j**s, the value RootOfUnity(k, j).power(s)."""
-    values = np.array([_root_value(k, m) for m in range(k)])
-    return values[np.arange(k)[:, None] * np.arange(k) % k]
+def _root_values(k: int) -> np.ndarray:
+    """The k values _root_value(k, m); t_j**s is entry (j*s) mod k, as in RootOfUnity.power."""
+    return np.array([_root_value(k, m) for m in range(k)])
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ def shift_matrix(g: RegularGraph, sa: ShiftAssignment, t: RootOfUnity) -> np.nda
     _check_shift_count(g, sa)
     if t.k != sa.k:
         raise InvalidParameterError("root order and assignment degree disagree")
-    return edge_matrix(g.n, *edge_endpoints(g), _power_table(sa.k)[t.j, sa.shift_array])
+    return edge_matrix(g.n, *edge_endpoints(g), _root_values(sa.k)[t.j * sa.shift_array % sa.k])
 
 
 def lift_eigenvector(v: np.ndarray, t: RootOfUnity, k: int) -> np.ndarray:
@@ -100,7 +102,7 @@ def lift_eigenvector(v: np.ndarray, t: RootOfUnity, k: int) -> np.ndarray:
         raise InvalidParameterError("root order and lift degree disagree")
     if not np.any(v):
         raise InvalidParameterError("zero vector is not an eigenvector")
-    return (v[:, None] * _power_table(k)[t.j][None, :]).reshape(-1)
+    return (v[:, None] * _root_values(k)[t.j * np.arange(k) % k][None, :]).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,9 +146,10 @@ def verify_characterization(
     lift_spec = eig_symmetric(a_h)
     fro = float(np.linalg.norm(a_h))
 
-    powers = _power_table(k)
-    values, vecs = eig_stack(edge_matrix(n, *edge_endpoints(g), powers[:, sa.shift_array]))
-    # transported[j][x*k + i, c] = t_j**i * vecs[j][x, c]
+    roots, js = _root_values(k), np.arange(k)[:, None]
+    values, vecs = eig_stack(edge_matrix(n, *edge_endpoints(g), roots[js * sa.shift_array % k]))
+    # transported[j][x*k + i, c] = t_j**i * vecs[j][x, c], with powers[j, i] = t_j**i
+    powers = roots[js * np.arange(k) % k]
     transported = (vecs[:, :, None, :] * powers[:, None, :, None]).reshape(k, k * n, n)
     resid = a_h @ transported - transported * values[:, None, :]
     max_resid = float(np.max(np.linalg.norm(resid, axis=1)))
@@ -286,8 +289,9 @@ def lambda_new_from_roots(g: RegularGraph, sa: ShiftAssignment) -> tuple[float, 
     # w = a + ib on (u, v): a at (u, v) and (n+u, n+v), -b at (u, n+v), b at (v, n+u)
     rows = np.concatenate([eu, eu + n, eu, ev])
     cols = np.concatenate([ev, ev + n, ev + n, eu + n])
-    half = []
-    for j, w in enumerate(_power_table(k)[1 : k // 2 + 1, sa.shift_array], start=1):
+    roots, half = _root_values(k), []
+    for j in range(1, k // 2 + 1):
+        w = roots[j * sa.shift_array % k]
         if 2 * j == k:
             m = symmetric_csr(n, eu, ev, w.real)
         else:

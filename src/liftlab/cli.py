@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="vertex count for cycle/random_regular")
     p.add_argument("--d", type=int, help="degree for random_regular")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--copies", type=int, default=1)
+    p.add_argument("--copies", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("lift", help="build a lift of a graph")
@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemma-check", help="sign-sum inequality spot check")
     p.add_argument("--graph", required=True)
     p.add_argument("--which", choices=["lemma3", "lemma4"], required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 

@@ -312,8 +312,6 @@ def run_lift_trials(
     if base_error is not None:
         records = [TrialRecord(i, trial_seed(cfg.base_seed, i), None, None, error=base_error)
                    for i in range(cfg.trials)]
-    elif workers == 1:
-        records = [_run_one_trial(g, cfg, i) for i in range(cfg.trials)]
     else:
         records = _run_in_pool(g, cfg, chunk)
 
@@ -440,6 +438,8 @@ def lemma_inequality_spot_check(
     """
     if which not in ("lemma3", "lemma4"):
         raise InvalidParameterError("which must be 'lemma3' or 'lemma4'")
+    if trials < 1:
+        raise InvalidParameterError("trials must be >= 1")
     if lam is None:
         lam = lambda_nontrivial_sparse(g)
     n, d = g.n, g.d

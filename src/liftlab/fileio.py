@@ -225,6 +225,8 @@ def _assignment_rows(body: str, k: int) -> tuple[np.ndarray, bool]:
     """The body's values and whether any line is a perm line: the (m,)
     shifts of an all-shift body, else the (m, k) perms, with each shift
     line s read as the permutation i -> (i + s) mod k."""
+    if "\0" in body:  # the "S8" keyword field would drop a keyword's NUL padding
+        raise ValueError("a line holds a NUL byte")
     if "perm" not in body:
         return _keyword_rows(body, "shift", 1)[:, 0], False
     if "shift" not in body:

@@ -125,6 +125,24 @@ def _check_round_inputs(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.nd
     return x, m
 
 
+def _round_until(x, seed: int, max_tries: int, draw, score, failure: str):
+    """The first of up to max_tries roundings draw(x, rng), all from one
+    seeded generator, whose score reaches score(x) - 1e-12. Else SearchError:
+    `failure` formatted with the target, the tries and the best score, and
+    carrying the best-scoring rounding (None if max_tries is 0)."""
+    target = score(x)
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    best_val, best = -math.inf, None
+    for _ in range(max_tries):
+        y = draw(x, rng)
+        val = score(y)
+        if val >= target - 1e-12:
+            return y
+        if val > best_val:
+            best_val, best = val, y
+    raise SearchError(failure.format(target=target, tries=max_tries, best=best_val), best=best)
+
+
 def discretize(
     x: np.ndarray, m: np.ndarray, seed: int, max_tries: int = 10000
 ) -> np.ndarray:
@@ -138,22 +156,9 @@ def discretize(
     best candidate when max_tries is exhausted.
     """
     x, m = _check_round_inputs(x, m)
-    target = abs(float(x @ m @ x))
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-    best_val = -math.inf
-    best = None
-    for _ in range(max_tries):
-        y = dyadic_round(x, rng)
-        val = abs(float(y @ m @ y))
-        if val >= target - 1e-12:
-            return y
-        if val > best_val:
-            best_val = val
-            best = y
-    raise SearchError(
-        f"no rounding reached |x^T M x| = {target:.6e} in {max_tries} tries "
-        f"(best {best_val:.6e})",
-        best=best,
+    return _round_until(
+        x, seed, max_tries, dyadic_round, lambda y: abs(float(y @ m @ y)),
+        "no rounding reached |x^T M x| = {target:.6e} in {tries} tries (best {best:.6e})",
     )
 
 
@@ -171,22 +176,11 @@ def discretize_pair(
     """
     x1, m = _check_round_inputs(x1, m)
     x2, _ = _check_round_inputs(x2, m)
-    target = abs(float(x1 @ m @ x2))
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-    best_val = -math.inf
-    best = None
-    for _ in range(max_tries):
-        y1 = dyadic_round(x1, rng)
-        y2 = dyadic_round(x2, rng)
-        val = abs(float(y1 @ m @ y2))
-        if val >= target - 1e-12:
-            return y1, y2
-        if val > best_val:
-            best_val = val
-            best = (y1, y2)
-    raise SearchError(
-        f"no joint rounding reached |x1^T M x2| = {target:.6e} in {max_tries} tries",
-        best=best,
+    return _round_until(
+        (x1, x2), seed, max_tries,
+        lambda xs, rng: (dyadic_round(xs[0], rng), dyadic_round(xs[1], rng)),
+        lambda ys: abs(float(ys[0] @ m @ ys[1])),
+        "no joint rounding reached |x1^T M x2| = {target:.6e} in {tries} tries",
     )
 
 

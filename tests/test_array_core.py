@@ -331,6 +331,9 @@ def test_malformed_assignment_text_matches_line_parser(data, g):
     "2 2\nshift 1\nsh\u00e9ft 0\n",
     "2 4\nshift 1\nperm 1 0\npermutation 0 1\nshift\u20ac 0\n",
     "2 3\nperm 1 0\nshift 1\nshift\u20ac 0\n",
+    # keywords padded with NUL bytes
+    "2 2\nshift 1\nshift\0\0\0 0\n",
+    "2 2\nperm 0 1\nperm\0\0\0\0xyz 1 0\n",
 ])
 def test_mixed_and_odd_assignment_lines_match_line_parser(text):
     assert _outcome(_assignment_value, text) == _outcome(oracles.line_assignment_from_text, text)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,11 +33,14 @@ class TestRootOfUnity:
             ll.RootOfUnity(3, 3)
 
     def test_power_table_is_scalar_power_bit_for_bit(self):
-        for k in range(1, 13):
-            table = characterization._power_table(k)
-            want = np.array([[ll.RootOfUnity(k, j).power(s) for s in range(k)]
-                             for j in range(k)])
-            assert np.array_equal(table.view(np.int64), want.view(np.int64))
+        # the root path reads t_j**s as entry (j*s) mod k of the k root
+        # values: every j at small k, a spread of j at odd and prime k
+        for k in [*range(1, 13), 97, 1024, 4097, 4099]:
+            roots, s = characterization._root_values(k), np.arange(k)
+            for j in range(k) if k <= 12 else {1, 2, 3 * k // 7, k // 2, k - 1}:
+                t = ll.RootOfUnity(k, j)
+                want = np.array([t.power(int(i)) for i in s])
+                assert np.array_equal(roots[j * s % k].view(np.int64), want.view(np.int64))
 
 
 class TestShiftMatrix:
@@ -66,6 +71,17 @@ class TestShiftMatrix:
             ll.shift_matrix(k4, ll.ShiftAssignment(3, (0, 1)), ll.RootOfUnity(3, 1))
         with pytest.raises(InvalidParameterError):
             ll.shift_matrix(k4, ll.ShiftAssignment(3, (0,) * 6), ll.RootOfUnity(4, 1))
+
+    @pytest.mark.parametrize("k", [4096, 4099])
+    def test_entries_are_scalar_powers_at_large_k(self, k):
+        g = ll.random_regular(20, 3, 1)
+        sa = ll.random_shift_lift(g, k, 7)
+        eu, ev = ll.edge_endpoints(g)
+        for j in (1, k // 3, k - 1):
+            t = ll.RootOfUnity(k, j)
+            h = ll.shift_matrix(g, sa, t)
+            want = np.array([t.power(int(s)) for s in sa.shift_array])
+            assert np.array_equal(h[eu, ev].view(np.int64), want.view(np.int64))
 
 
 class TestLiftEigenvector:
@@ -100,6 +116,43 @@ class TestLiftEigenvector:
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidParameterError):
             ll.lift_eigenvector(np.zeros(4), ll.RootOfUnity(2, 1), 2)
+
+
+class TestRootPathMemory:
+    """Each root's weights are read from the k root values, so no call
+    below holds a k x k table of powers (384 MB at k = 4096)."""
+
+    K = 4096
+    LIMIT = 8 * 2**20
+
+    @pytest.fixture
+    def lift(self):
+        g = ll.random_regular(20, 3, 1)
+        return g, ll.random_shift_lift(g, self.K, 7)
+
+    @staticmethod
+    def _peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_roots(self, lift, monkeypatch):
+        monkeypatch.setattr(characterization, "_lanczos_radius", lambda op, what: 0.0)
+        g = lift[0]
+        ll.lambda_new_from_roots(g, ll.random_shift_lift(g, 4, 0))  # scipy imports, untraced
+        assert self._peak(lambda: ll.lambda_new_from_roots(*lift)) <= self.LIMIT
+
+    def test_shift_matrix(self, lift):
+        t = ll.RootOfUnity(self.K, 5)
+        assert self._peak(lambda: ll.shift_matrix(*lift, t)) <= self.LIMIT
+
+    def test_lift_eigenvector(self):
+        t = ll.RootOfUnity(self.K, 5)
+        v = np.linspace(1.0, 2.0, 20)
+        assert self._peak(lambda: ll.lift_eigenvector(v, t, self.K)) <= self.LIMIT
 
 
 class TestVerifyCharacterization:

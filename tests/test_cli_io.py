@@ -251,6 +251,24 @@ class TestCli:
         assert dispatch(["mc", "--config", str(cfg_path), "--threads", "2"]) == 0
         assert requested == [None, 2]
 
+    def test_gen_copies_below_one_are_usage_errors(self, tmp_path, capsys):
+        out = tmp_path / "k4.graph"
+        for bad in ("0", "-3"):
+            assert dispatch(["gen", "--family", "complete", "--m", "4", "--copies", bad,
+                             "--out", str(out)]) == 2
+            assert f"must be >= 1, got {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lemma_check_trials_below_one_are_usage_errors(self, tmp_path, capsys):
+        g_path = tmp_path / "g.graph"
+        fileio.write_graph(ll.random_regular(60, 4, 15), str(g_path))
+        for bad in ("0", "-3"):
+            assert dispatch(["lemma-check", "--graph", str(g_path), "--which", "lemma4",
+                             "--trials", bad]) == 2
+            assert f"must be >= 1, got {bad}" in capsys.readouterr().err
+        assert dispatch(["lemma-check", "--graph", str(g_path), "--which", "lemma4",
+                         "--trials", "1"]) == 0
+
     def test_verify_shift_bad_shift_tokens_are_usage_errors(self, tmp_path, capsys):
         g_path = tmp_path / "k4.graph"
         dispatch(["gen", "--family", "complete", "--m", "4", "--out", str(g_path)])

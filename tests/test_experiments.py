@@ -292,6 +292,12 @@ class TestSpotChecks:
         with pytest.raises(InvalidParameterError):
             ll.lemma_inequality_spot_check(k4, 10, 0, "lemma5")
 
+    def test_trials_below_one_rejected(self, k4):
+        # a check over no trials would report 0/0 violations, like a pass
+        for trials in (0, -3):
+            with pytest.raises(InvalidParameterError, match="trials must be >= 1"):
+                ll.lemma_inequality_spot_check(k4, trials, 0, "lemma4")
+
     @pytest.mark.parametrize("n,d,lam", [
         (60, 4, 3.340125366733687), (60, 4, 4.0), (60, 4, 2.0), (12, 3, 2.6),
         (400, 4, 3.5), (1000, 6, 4.410116265019274), (2, 1, 0.0), (100, 3, 0.1),

@@ -148,6 +148,19 @@ class TestDiscretize:
         assert info.value.best is not None
         assert abs(info.value.best @ m @ info.value.best) < abs(x @ m @ x)
 
+    def test_pair_search_failure_reports_best_pair(self):
+        # as above, with target 2*(0.2501)^2 just above the (down, down)
+        # value 0.125 and up-probability 0.0004 per coordinate
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
+        x1 = x2 = np.array([0.2501, 0.2501])
+        with pytest.raises(SearchError, match="^no joint rounding reached .* in 1 tries$") as info:
+            ll.discretize_pair(x1, x2, m, seed=0, max_tries=1)
+        rng = np.random.default_rng(0)
+        want = (ll.dyadic_round(x1, rng), ll.dyadic_round(x2, rng))
+        y1, y2 = info.value.best
+        assert np.array_equal(y1, want[0]) and np.array_equal(y2, want[1])
+        assert abs(y1 @ m @ y2) < abs(x1 @ m @ x2)
+
     def test_pair_rounding(self, rng):
         g = ll.random_regular(14, 3, 2)
         m = ll.signed_adjacency(g, ll.random_signing(g, 4))
