@@ -23,7 +23,8 @@ import numpy as np
 from .errors import CharacterizationError, InvalidParameterError, NumericalError
 from .graphs import RegularGraph, edge_endpoints, edge_matrix, symmetric_csr
 from .lifts import ShiftAssignment, lift_endpoints, shift_to_assignment
-from .spectra import Spectrum, eig_stack, eig_symmetric, max_multiset_mismatch, spectral_radius
+from .spectra import (Spectrum, _check_dense_dim, eig_stack, eig_symmetric,
+                      max_multiset_mismatch, spectral_radius)
 
 
 def _root_value(k: int, m: int) -> complex:
@@ -142,6 +143,7 @@ def verify_characterization(
     """
     _check_shift_count(g, sa)
     k, n = sa.k, g.n
+    _check_dense_dim(k * n)  # before the (kn)^2 lift matrix is allocated
     a_h = edge_matrix(k * n, *lift_endpoints(g, shift_to_assignment(sa).perm_array))
     lift_spec = eig_symmetric(a_h)
     fro = float(np.linalg.norm(a_h))

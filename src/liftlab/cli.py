@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="build a lift of a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--assignment", help="existing assignment file")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, help="default: the assignment's k, else 2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["two_lift", "shift_lift", "k_lift"],
                    default="shift_lift")
@@ -157,16 +157,19 @@ def _gen(args) -> int:
 
 def _lift(args) -> int:
     g = fileio.read_graph(args.graph)
+    k = 2 if args.k is None else args.k
     if args.assignment:
         a = fileio.read_assignment(args.assignment)
+        if args.k not in (None, a.k):
+            raise InvalidParameterError(f"--k {args.k} conflicts with the assignment's k={a.k}")
         if isinstance(a, ShiftAssignment):
             a = shift_to_assignment(a)
     elif args.mode == "two_lift":
         a = signing_to_assignment(random_signing(g, args.seed))
     elif args.mode == "shift_lift":
-        a = shift_to_assignment(random_shift_lift(g, args.k, args.seed))
+        a = shift_to_assignment(random_shift_lift(g, k, args.seed))
     else:
-        a = random_k_lift(g, args.k, args.seed)
+        a = random_k_lift(g, k, args.seed)
     lifted = build_lift(g, a)
     fileio.write_graph(lifted.graph, args.out)
     if args.save_assignment:

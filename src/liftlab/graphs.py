@@ -83,6 +83,15 @@ class RegularGraph:
                 f"vertex {x} has degree {int(deg[x])}, expected {self.d}"
             )
 
+    @classmethod
+    def _trusted(cls, n: int, d: int, edge_array: np.ndarray) -> RegularGraph:
+        """Take a fresh (m, 2) int64 edge array that is valid by construction,
+        such as build_lift's, with no copy and no check; it is made read-only."""
+        edge_array.flags.writeable = False
+        obj = object.__new__(cls)
+        obj.__dict__.update(n=n, d=d, edge_array=edge_array)
+        return obj
+
     def __eq__(self, other):
         if not isinstance(other, RegularGraph):
             return NotImplemented
@@ -167,32 +176,34 @@ def _pair_stubs(rng: np.random.Generator, n: int, d: int) -> np.ndarray | None:
     becomes an edge unless it is a self-loop, an edge of an earlier round or
     a repeat of an earlier pair of the same round; the stubs of every other
     pair return to the pool, grouped by vertex in order of first appearance,
-    for the next round. The round's keys u*n + v are sorted once, giving its
-    new edges in order and the first pair of each; a stable sort of the two
-    sorted runs (numpy's timsort) merges them into the edges so far.
+    for the next round. The round's keys (u << b) | v, b the bit length of
+    n - 1, are sorted once, giving its new edges in order and the first pair
+    of each; a stable sort of the two sorted runs (numpy's timsort) merges
+    them into the edges so far.
     Returns the sorted (m, 2) edge array, or None when the leftover vertices
     are pairwise adjacent, so that no legal pair is left (the attempt is
     stuck and the caller restarts from scratch).
     """
-    keys = np.empty(0, dtype=np.int64)  # sorted u*n + v of the edges so far
+    keys = np.empty(0, dtype=np.int64)  # sorted (u << b) | v of the edges so far
+    b = (n - 1).bit_length()
     stubs = np.repeat(np.arange(n), d)
     while True:
         rng.shuffle(stubs)
         lo = np.minimum(stubs[0::2], stubs[1::2])
         hi = np.maximum(stubs[0::2], stubs[1::2])
-        key = lo * n + hi
+        key = (lo << b) | hi
         cand = ((lo != hi) & ~_contains(keys, key)).nonzero()[0]
         new, first = _first_occurrences(key[cand])
         taken = np.zeros(key.size, dtype=bool)
         taken[cand[first]] = True
         keys = np.sort(np.concatenate([keys, new]), kind="stable")
+        u, v = keys >> b, keys & ((1 << b) - 1)
         if taken.all():
-            return _pairs(*np.divmod(keys, n))
+            return _pairs(u, v)
         rest = _pairs(lo[~taken], hi[~taken]).ravel()
         verts = rest[np.sort(_first_occurrences(rest)[1])]
         member = np.zeros(n, dtype=bool)
         member[verts] = True
-        u, v = np.divmod(keys, n)
         if np.count_nonzero(member[u] & member[v]) == verts.size * (verts.size - 1) // 2:
             return None
         stubs = np.repeat(verts, np.bincount(rest)[verts])

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SizeLimitError
 from .graphs import RegularGraph, _as_seed, _int_array, edge_endpoints, edge_matrix
 
 
@@ -89,7 +89,7 @@ class LiftAssignment:
 
     `perm_array` is the (m, k) int64 storage, row e holding the images of
     0..k-1 under edge e's permutation; `perms` is a tuple view built on first
-    access.
+    access. One range pass and one bincount of e*k + value check all rows.
     """
 
     k: int
@@ -102,7 +102,7 @@ class LiftAssignment:
             arr = _int_array(self.perm_array, "perms")
         except InvalidParameterError:
             arr = None  # ragged rows
-        if arr is not None and arr.size == 0:
+        if arr is not None and arr.shape == (0,):
             arr = arr.reshape(0, self.k)
         if arr is None or arr.shape[1:] != (self.k,):
             # some row has the wrong length: name the first row that is not
@@ -111,21 +111,24 @@ class LiftAssignment:
             idx = next(i for i, p in enumerate(self.perm_array) if sorted(p) != full)
         else:
             object.__setattr__(self, "perm_array", arr)
-            bad = np.flatnonzero(np.any(np.sort(arr, axis=1) != np.arange(self.k), axis=1))
-            if not bad.size:
+            # row e counts value v in slot e*k + v, a value outside [0, k) (a
+            # negative wraps above k as uint64) in a spare slot at the end
+            slots = arr + np.arange(0, arr.size, self.k)[:, None]
+            np.copyto(slots, arr.size, where=arr.view(np.uint64) >= self.k)
+            counts = np.bincount(slots.ravel(), minlength=arr.size + 1)
+            if counts[-1] == 0 and counts.max() <= 1:
                 return
-            idx = int(bad[0])
+            idx = int(np.flatnonzero(np.any(counts[:-1].reshape(arr.shape) != 1, axis=1))[0])
         raise InvalidParameterError(f"perm {idx} is not a bijection on [0,{self.k})")
 
     @classmethod
     def _trusted(cls, k: int, perm_array: np.ndarray) -> LiftAssignment:
         """Take a fresh (m, k) int64 array whose rows are permutations by
-        construction, skipping the row-sort validation; it is made read-only."""
+        construction, skipping the bijection check; it is made read-only."""
         arr = np.asarray(perm_array, dtype=np.int64)
         arr.flags.writeable = False
         obj = object.__new__(cls)
-        object.__setattr__(obj, "k", k)
-        object.__setattr__(obj, "perm_array", arr)
+        obj.__dict__.update(k=k, perm_array=arr)
         return obj
 
     def __eq__(self, other):
@@ -160,7 +163,7 @@ def random_k_lift(g: RegularGraph, k: int, seed: int) -> LiftAssignment:
         raise InvalidParameterError("lift degree k must be >= 2")
     rng = np.random.default_rng(_as_seed(seed))
     rows = np.broadcast_to(np.arange(k), (g.num_edges, k))
-    return LiftAssignment(k, rng.permuted(rows, axis=1))
+    return LiftAssignment._trusted(k, rng.permuted(rows, axis=1))
 
 
 def random_shift_lift(g: RegularGraph, k: int, seed: int) -> ShiftAssignment:
@@ -196,9 +199,11 @@ def assignment_to_signing(a: LiftAssignment) -> Signing:
 
 
 def shift_to_assignment(sa: ShiftAssignment) -> LiftAssignment:
-    """Each shift s becomes the permutation i -> (i + s) mod k."""
-    return LiftAssignment._trusted(
-        sa.k, (sa.shift_array[:, None] + np.arange(sa.k)) % sa.k)
+    """Each shift s becomes the permutation i -> (i + s) mod k, that is i + s
+    less k where it reaches k, since both lie in [0, k)."""
+    images = sa.shift_array[:, None] + np.arange(sa.k)
+    np.subtract(images, sa.k, out=images, where=images >= sa.k)
+    return LiftAssignment._trusted(sa.k, images)
 
 
 def shift_to_signing(sa: ShiftAssignment) -> Signing:
@@ -220,19 +225,29 @@ def build_lift(g: RegularGraph, a: LiftAssignment) -> LiftedGraph:
     """Assemble the lifted graph for a permutation assignment.
 
     Lift edge set: {(u,i)-(v, perm(i))} over base edges (u, v) and i in [0,k).
-    Since u < v, x = u*k + i is below y = v*k + perm(i), so each edge is
-    already (min, max), and the sorted edge array is the divmod by kn of
-    one sort of the keys x*kn + y.
+    Since u < v, x = u*k + i is below y = v*k + perm(i), so the edge array is
+    the high and low b bits of one sort of the keys (x << b) | y, with b the
+    bit length of kn - 1 (SizeLimitError above kn = 2**31). It is not
+    validated again: each base edge lifts to a perfect matching between two
+    fibers, so a valid base and bijective rows give a simple d-regular lift.
     """
     m = g.num_edges
     if a.perm_array.shape[0] != m:
         raise InvalidParameterError(
             f"assignment has {a.perm_array.shape[0]} permutations for {m} edges"
         )
-    size = a.k * g.n
-    x, y = lift_endpoints(g, a.perm_array)
-    edges = np.stack(np.divmod(np.sort(x * size + y), size), axis=1)
-    return LiftedGraph(g, a.k, RegularGraph(size, g.d, edges))
+    k, size = a.k, a.k * g.n
+    if size > 2**31:
+        raise SizeLimitError(f"lift order k*n = {size} exceeds 2**31")
+    b = (size - 1).bit_length()
+    # (x << b) | y = ((u*k + i) << b) + v*k + perm(i), as y < 2**b
+    keys = ((g.edge_array @ [k << b, k])[:, None] + (np.arange(k) << b)).ravel()
+    keys += a.perm_array.ravel()
+    keys.sort()
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.right_shift(keys, b, out=edges[:, 0])
+    np.bitwise_and(keys, (1 << b) - 1, out=edges[:, 1])
+    return LiftedGraph(g, k, RegularGraph._trusted(size, g.d, edges))
 
 
 def build_shift_lift(g: RegularGraph, sa: ShiftAssignment) -> LiftedGraph:

@@ -50,16 +50,19 @@ class OldNewSplit:
     window: float
 
 
+def _check_dense_dim(size: int) -> None:
+    """SizeLimitError if a dense solve of order `size` exceeds the cap."""
+    if size > MAX_DENSE_DIM:
+        raise SizeLimitError(f"dense solver capped at n={MAX_DENSE_DIM}, got {size}")
+
+
 def _hermitian(m, ndim: int) -> np.ndarray:
     """(M + M^H) / 2 of a float or complex `ndim`-d array whose last two
     axes are square; M - M^H above 1e-12 anywhere is rejected."""
     m = np.asarray(m)
     if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         raise InvalidParameterError("matrix must be square")
-    if m.shape[-1] > MAX_DENSE_DIM:
-        raise SizeLimitError(
-            f"dense solver capped at n={MAX_DENSE_DIM}, got {m.shape[-1]}"
-        )
+    _check_dense_dim(m.shape[-1])
     m = np.asarray(m, dtype=np.result_type(m.dtype, np.float64))
     mh = m.conj().swapaxes(-1, -2)
     asym = float(np.max(np.abs(m - mh))) if m.size else 0.0

@@ -399,6 +399,19 @@ def check_signs(signs) -> tuple:
     return signs
 
 
+def check_perms(k: int, perms) -> tuple:
+    """The LiftAssignment validator as a per-row loop; returns the rows as a
+    tuple of int tuples or raises InvalidParameterError naming the first row
+    that is not a permutation of [0, k)."""
+    if k < 2:
+        raise InvalidParameterError("lift degree k must be >= 2")
+    perms = tuple(tuple(int(x) for x in p) for p in perms)
+    for idx, p in enumerate(perms):
+        if tuple(sorted(p)) != tuple(range(k)):
+            raise InvalidParameterError(f"perm {idx} is not a bijection on [0,{k})")
+    return perms
+
+
 def check_regular_edges(n: int, d: int, edges) -> tuple:
     """The RegularGraph validator as an edge-by-edge loop; returns the edges
     as a tuple of int pairs or raises InvalidParameterError."""
@@ -620,10 +633,7 @@ def line_assignment_from_text(text: str) -> tuple:
     if k < 2:
         raise InvalidParameterError("lift degree k must be >= 2")
     if saw_perm:
-        for idx, p in enumerate(perms):
-            if tuple(sorted(p)) != tuple(range(k)):
-                raise InvalidParameterError(f"perm {idx} is not a bijection on [0,{k})")
-        return "perm", k, tuple(perms)
+        return "perm", k, check_perms(k, perms)
     if any(not 0 <= s < k for s in shifts):
         raise InvalidParameterError(f"shifts must lie in [0,{k})")
     return "shift", k, tuple(shifts)

@@ -31,7 +31,7 @@ def assignments(draw, g):
     seed = draw(st.integers(0, 2**32))
     if kind == "sign":
         return ll.signing_to_assignment(ll.random_signing(g, seed))
-    k = draw(st.integers(2, 6))
+    k = draw(st.integers(2, 7))
     if kind == "shift":
         return ll.random_shift_lift(g, k, seed)
     return ll.random_k_lift(g, k, seed)
@@ -123,6 +123,11 @@ def test_build_lift_matches_edge_loop(data, g):
     want = oracles.loop_build_lift(g.edges, a.k, perms)
     assert lifted.graph.edges == want
     assert oracles.check_regular_edges(a.k * g.n, g.d, want) == want
+    # build_lift skips validation; the full validator must accept what it built
+    assert ll.RegularGraph(a.k * g.n, g.d, lifted.graph.edge_array) == lifted.graph
+    assert (lifted.graph.n, lifted.graph.d) == (a.k * g.n, g.d)
+    assert lifted.graph.edge_array.dtype == np.int64
+    assert not lifted.graph.edge_array.flags.writeable
 
 
 def test_build_lift_at_240k_edges_matches_the_argsort_construction():
@@ -131,6 +136,16 @@ def test_build_lift_at_240k_edges_matches_the_argsort_construction():
         edges = ll.build_lift(g, a).graph.edge_array
         assert edges.shape == (240000, 2)
         assert np.array_equal(edges, oracles.argsort_build_lift_edges(g, a))
+
+
+def test_build_lift_refuses_a_lift_order_over_2_31():
+    # keys (x << b) | y need 2b <= 62 bits; the check comes before any
+    # per-edge array, so a zero-stride stand-in for the perms suffices
+    g = ll.complete_graph(4)
+    k = 2**29 + 1
+    a = ll.LiftAssignment._trusted(k, np.broadcast_to(np.int64(0), (g.num_edges, k)))
+    with pytest.raises(ll.SizeLimitError, match=r"^lift order k\*n = 2147483652 exceeds 2\*\*31$"):
+        ll.build_lift(g, a)
 
 
 # --------------------------------------------------------------------------
@@ -170,6 +185,52 @@ def test_invalid_edge_arrays_raise_the_oracle_message(data, g, faults):
             assert got == want
 
 
+_PERM_FAULTS = ["negative", "too_big", "extreme", "duplicate", "short", "long"]
+
+
+@st.composite
+def faulty_perms(draw):
+    """(k, rows): up to m = 6 permutations of [0, k), with up to three
+    faults, each in a drawn row: a value below 0, at or above k, at the
+    int64 extremes, a repeat within the row, or a row one short or long."""
+    k = draw(st.integers(2, 7))
+    rows = [list(draw(st.permutations(range(k)))) for _ in range(draw(st.integers(0, 6)))]
+    for fault in draw(st.lists(st.sampled_from(_PERM_FAULTS), max_size=3)) if rows else ():
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if not row:
+            continue
+        j = draw(st.integers(0, len(row) - 1))
+        if fault == "negative":
+            row[j] = draw(st.integers(-k, -1))
+        elif fault == "too_big":
+            row[j] = draw(st.integers(k, 2 * k))
+        elif fault == "extreme":
+            row[j] = draw(st.sampled_from([-2**63, 2**63 - 1]))
+        elif fault == "duplicate":
+            row[j] = row[(j + 1) % len(row)]
+        elif fault == "short":
+            del row[j]
+        else:
+            row.insert(j, draw(st.integers(0, k - 1)))
+    return k, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=faulty_perms())
+# a repeat in row 1 comes before the out-of-range values of rows 2 and 3
+@example(case=(3, [[0, 1, 2], [1, 1, 0], [0, 5, 1], [-1, 0, 1]]))
+@example(case=(2, [[0, 1], [1, 1], [-1, 0], [0, 1, 1]]))
+@example(case=(2, [[]]))  # one empty row, not zero rows
+def test_lift_assignment_validates_like_the_loop(case):
+    k, rows = case
+    want = _outcome(oracles.check_perms, k, rows)
+    inputs = [rows]
+    if len({len(row) for row in rows}) == 1:
+        inputs.append(np.array(rows, dtype=np.int64))
+    for given_rows in inputs:
+        assert _outcome(lambda *args: ll.LiftAssignment(*args).perms, k, given_rows) == want
+
+
 def test_assignment_arrays_validate_like_the_loops():
     with pytest.raises(ll.InvalidParameterError, match=r"^perm 2 is not a bijection on \[0,3\)$"):
         ll.LiftAssignment(3, np.array([[0, 1, 2], [2, 1, 0], [0, 0, 1], [0, 1, 1]]))
@@ -207,10 +268,11 @@ def test_signing_conversions_match_the_sign_tuples(g, seed):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_unvalidated_conversions_equal_validated_construction(k):
-    # shift_to_assignment and signing_to_assignment skip the row-sort check;
-    # what they build must be what the validating constructor would store
+    # shift_to_assignment, signing_to_assignment and random_k_lift skip the
+    # bijection check; what they build must be what the validating
+    # constructor would store
     g = ll.random_regular(40, 5, k)
-    built = [ll.shift_to_assignment(ll.random_shift_lift(g, k, 7))]
+    built = [ll.shift_to_assignment(ll.random_shift_lift(g, k, 7)), ll.random_k_lift(g, k, 7)]
     if k == 2:
         built.append(ll.signing_to_assignment(ll.random_signing(g, 7)))
     for a in built:
@@ -422,10 +484,14 @@ def test_huge_shift_file_writer_memory_follows_the_value_count(tmp_path):
 
 
 def test_lift_pipeline_at_240k_edges_builds_no_tuple_view(tmp_path, monkeypatch):
-    touched = []
+    # nor does it validate a lift: build_lift trusts its own construction
+    touched, orders = [], []
     for cls, name in ((ll.RegularGraph, "edges"), (ll.LiftAssignment, "perms"),
                       (ll.ShiftAssignment, "shifts")):
         monkeypatch.setattr(cls, name, property(lambda self, name=name: touched.append(name)))
+    post_init = ll.RegularGraph.__post_init__
+    monkeypatch.setattr(ll.RegularGraph, "__post_init__",
+                        lambda self: orders.append(self.n) or post_init(self))
     base, assign, lift, replay = (str(tmp_path / f) for f in ("base", "assign", "lift", "replay"))
     argvs = [
         ["gen", "--family", "random_regular", "--n", "20000", "--d", "6", "--seed", "3",
@@ -436,9 +502,11 @@ def test_lift_pipeline_at_240k_edges_builds_no_tuple_view(tmp_path, monkeypatch)
     ]
     with contextlib.redirect_stdout(io.StringIO()):
         assert [dispatch(argv) for argv in argvs] == [0, 0, 0]
+    assert orders == [20000, 20000, 20000]  # gen, and the base read by each lift
     g = fileio.read_graph(base)
     lifted = ll.build_shift_lift(g, ll.random_shift_lift(g, 4, 5))
     assert lifted.graph.num_edges == 240000
-    assert fileio.read_graph(lift) == lifted.graph
+    assert fileio.read_graph(lift) == lifted.graph  # the full validator on the bytes
+    assert fileio.read_graph(replay) == lifted.graph
     assert touched == []
     assert "edges" not in vars(lifted.graph) and "edges" not in vars(g)

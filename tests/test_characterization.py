@@ -154,6 +154,17 @@ class TestRootPathMemory:
         v = np.linspace(1.0, 2.0, 20)
         assert self._peak(lambda: ll.lift_eigenvector(v, t, self.K)) <= self.LIMIT
 
+    def test_verify_refuses_a_lift_over_the_dense_cap_before_building_it(self):
+        # k*n = 5200: the (kn)^2 lift matrix alone would be 216 MB
+        g = ll.random_regular(20, 3, 1)
+        sa = ll.random_shift_lift(g, 260, 7)
+
+        def verify():
+            with pytest.raises(ll.SizeLimitError, match=r"^dense solver capped at n=5000, got 5200$"):
+                ll.verify_characterization(g, sa)
+
+        assert self._peak(verify) < 5 * 2**20
+
 
 class TestVerifyCharacterization:
     def test_all_zero_shifts(self, rng):

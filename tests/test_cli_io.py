@@ -137,6 +137,27 @@ class TestCli:
                              "--d", "3", "--seed", "5", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_lift_k_conflicting_with_the_assignment_is_a_usage_error(self, tmp_path, capsys):
+        g_path, a_path, lift, replay, default = (
+            str(tmp_path / f) for f in ("c5.graph", "a", "lift", "replay", "default"))
+        dispatch(["gen", "--family", "cycle", "--n", "5", "--out", g_path])
+        assert dispatch(["lift", "--graph", g_path, "--mode", "k_lift", "--k", "4",
+                         "--seed", "1", "--out", lift, "--save-assignment", a_path]) == 0
+        capsys.readouterr()
+        assert dispatch(["lift", "--graph", g_path, "--assignment", a_path, "--k", "3",
+                         "--out", replay]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --k 3 conflicts with the assignment's k=4\n", err
+        assert not (tmp_path / "replay").exists()
+        # an absent --k, or one equal to the file's, means the file's k
+        for k_option in ([], ["--k", "4"]):
+            assert dispatch(["lift", "--graph", g_path, "--assignment", a_path, *k_option,
+                             "--out", replay]) == 0
+            assert (tmp_path / "replay").read_bytes() == (tmp_path / "lift").read_bytes()
+        # without --assignment, --k still defaults to 2
+        assert dispatch(["lift", "--graph", g_path, "--out", default]) == 0
+        assert fileio.read_graph(default).n == 10
+
     def test_lift_and_assignment_round_trip(self, tmp_path):
         g_path = tmp_path / "c5.graph"
         dispatch(["gen", "--family", "cycle", "--n", "5", "--out", str(g_path)])
