@@ -40,8 +40,16 @@ def _root_value(k: int, m: int) -> complex:
 
 
 def _root_values(k: int) -> np.ndarray:
-    """The k values _root_value(k, m); t_j**s is entry (j*s) mod k, as in RootOfUnity.power."""
-    return np.array([_root_value(k, m) for m in range(k)])
+    """The k values _root_value(k, m), bit for bit: the same angle expression
+    and snapping, on arrays; t_j**s is entry (j*s) mod k, as in RootOfUnity.power."""
+    ang = 2.0 * math.pi * np.arange(k) / k
+    values = np.empty(k, dtype=complex)
+    np.cos(ang, out=values.real)
+    np.sin(ang, out=values.imag)
+    for target in (0.0, 1.0, -1.0):
+        for part in (values.real, values.imag):
+            part[np.abs(part - target) < 1e-15] = target
+    return values
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .graphs import adjacency_matrix, disjoint_copies
 from .lifts import (
     ShiftAssignment,
     build_lift,
+    check_lift_order,
     random_k_lift,
     random_shift_lift,
     shift_to_assignment,
@@ -162,14 +163,17 @@ def _lift(args) -> int:
         a = fileio.read_assignment(args.assignment)
         if args.k not in (None, a.k):
             raise InvalidParameterError(f"--k {args.k} conflicts with the assignment's k={a.k}")
+        check_lift_order(g.n, a.k)  # before a shift file's (m, k) permutations
         if isinstance(a, ShiftAssignment):
             a = shift_to_assignment(a)
     elif args.mode == "two_lift":
         a = signing_to_assignment(random_signing(g, args.seed))
-    elif args.mode == "shift_lift":
-        a = shift_to_assignment(random_shift_lift(g, k, args.seed))
     else:
-        a = random_k_lift(g, k, args.seed)
+        check_lift_order(g.n, k)  # before any (m, k) array
+        if args.mode == "shift_lift":
+            a = shift_to_assignment(random_shift_lift(g, k, args.seed))
+        else:
+            a = random_k_lift(g, k, args.seed)
     lifted = build_lift(g, a)
     fileio.write_graph(lifted.graph, args.out)
     if args.save_assignment:
@@ -194,9 +198,13 @@ def _spec(args) -> int:
 def _verify_shift(args) -> int:
     g = fileio.read_graph(args.graph)
     if args.assignment:
+        if args.shifts is not None:
+            raise InvalidParameterError("--shifts conflicts with --assignment")
         sa = fileio.read_assignment(args.assignment)
         if not isinstance(sa, ShiftAssignment):
             raise InvalidParameterError("verify-shift needs a shift assignment")
+        if args.k not in (None, sa.k):
+            raise InvalidParameterError(f"--k {args.k} conflicts with the assignment's k={sa.k}")
     else:
         if args.shifts is None or args.k is None:
             raise InvalidParameterError("need --shifts and --k (or --assignment)")
@@ -342,6 +350,9 @@ def dispatch(argv: list[str]) -> int:
         return EXIT_CHECK_FAILED
     except LiftLabError as exc:
         print(f"failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

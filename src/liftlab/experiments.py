@@ -544,15 +544,16 @@ class SigningSearchResult:
     num_classes: int
 
 
-def _switching_free_edges(g: RegularGraph) -> list[int]:
-    """Ascending indices of the edges outside a descending-index spanning forest.
+def _switching_free_edges(g: RegularGraph) -> np.ndarray:
+    """Ascending int64 indices of the edges outside a descending-index forest.
 
     Kruskal over edges from the highest index down keeps each edge that joins
-    two components. Every switching class holds exactly one signing that is
-    +1 on a spanning forest, so fixing the kept edges to +1 leaves one
-    signing per class. That signing is the smallest code in its class:
-    scanning bits from the top, edge e can be 0 whenever it closes no cycle
-    with the higher edges, and those are the forest edges.
+    two components. Switching by t (t_u - t_v added to the shift of each edge
+    (u, v); at k = 2 it flips signs) leaves every switching class exactly one
+    assignment with shift 0 on a spanning forest. That is the smallest code
+    in its class (shift of edge e as base-k digit e): from the top digit
+    down, edge e can be 0 whenever it closes no cycle with the higher edges,
+    and those are the forest edges.
     """
     parent = list(range(g.n))
 
@@ -569,7 +570,15 @@ def _switching_free_edges(g: RegularGraph) -> list[int]:
             free.append(e)
         else:
             parent[ru] = rv
-    return free[::-1]
+    return np.array(free[::-1], dtype=np.int64)
+
+
+def _class_shifts(free: np.ndarray, m: int, k: int, codes: np.ndarray) -> np.ndarray:
+    """The (len(codes), m) shifts of switching-class codes: the base-k digits of
+    each code, lowest first, on the free edges, and shift 0 on the forest."""
+    shifts = np.zeros((codes.size, m), dtype=np.int64)
+    shifts[:, free] = codes[:, None] // k ** np.arange(free.size) % k
+    return shifts
 
 
 def exhaustive_signing_search(g: RegularGraph) -> SigningSearchResult:
@@ -578,7 +587,7 @@ def exhaustive_signing_search(g: RegularGraph) -> SigningSearchResult:
     Switching at a vertex (flipping all its edge signs) is a diagonal +-1
     similarity, so only one signing per switching class is solved: the one
     with +1 on a spanning forest (see _switching_free_edges). Classes are
-    enumerated as binary codes over the free edges (bit i set means the i-th
+    enumerated as the k = 2 codes of _class_shifts (bit i set means the i-th
     free edge gets -1), so rerunning is deterministic, and ties resolve to the
     first class in code order, whose representative is also the smallest full
     code (bit e set means edge e gets -1) among the tied classes.
@@ -589,27 +598,24 @@ def exhaustive_signing_search(g: RegularGraph) -> SigningSearchResult:
             f"exhaustive signing search capped at |E|={SIGNING_SEARCH_CAP}, got {m}"
         )
     eu, ev = edge_endpoints(g)
-    free = np.array(_switching_free_edges(g), dtype=np.int64)
+    free = _switching_free_edges(g)
     total = 1 << free.size
     best_code = 0
     best_radius = math.inf
     chunk = 4096
     for lo in range(0, total, chunk):
         codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        signs = np.ones((codes.size, m))
-        signs[:, free] = 1.0 - 2.0 * ((codes[:, None] >> np.arange(free.size)[None, :]) & 1)
+        signs = 1.0 - 2.0 * _class_shifts(free, m, 2, codes)
         vals = np.linalg.eigvalsh(edge_matrix(g.n, eu, ev, signs))
         radii = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
         idx = int(np.argmin(radii))
         if radii[idx] < best_radius:
             best_radius = float(radii[idx])
             best_code = int(codes[idx])
-    best_signs = [1] * m
-    for i, e in enumerate(free.tolist()):
-        best_signs[e] = 1 - 2 * ((best_code >> i) & 1)
+    best_signs = 1 - 2 * _class_shifts(free, m, 2, np.array([best_code]))[0]
     bound = 2.0 * math.sqrt(g.d - 1)
     return SigningSearchResult(
-        Signing(tuple(best_signs)), best_radius, bound, best_radius <= bound + 1e-9,
+        Signing(best_signs), best_radius, bound, best_radius <= bound + 1e-9,
         1 << m, total,
     )
 
@@ -642,10 +648,15 @@ def greedy_lift_growth(
 
     At each level, `samples_per_level` candidate shift assignments of the
     current graph are scored by the lambda_new of their lift and the best one
-    is kept (when k^|E| <= samples_per_level the candidates are enumerated
-    exhaustively instead of sampled). A candidate is scored as a campaign
-    trial is, by _scored_lambda_new, so no candidate lift is built or solved;
-    only the kept one is built, once per level. It replaces the best so far
+    is kept. When k^|E| <= samples_per_level the level is exhaustive: as
+    switching changes no spectrum, it scores one assignment per switching
+    class, the k^(|E|-n+c) codes of _class_shifts in order (c components),
+    and keeps what a scan of all k^|E| codes would, since each is the
+    smallest code of its class and its class-mates tie with it. The trigger
+    stays k^|E|: moving it would change which levels are sampled, and so
+    reports. A candidate is scored as a campaign trial is, by
+    _scored_lambda_new, so no candidate lift is built or solved; only the
+    kept one is built, once per level. It replaces the best so far
     only when it is lower by more than CROSS_CHECK_TOL, so ties go to the
     earliest candidate, not to rounding noise. The level-0 lambda is
     lambda_nontrivial_sparse of the base; the lift spectrum is the base
@@ -667,16 +678,15 @@ def greedy_lift_growth(
             truncated = True
             break
         m = current.num_edges
-        exhaustive = k**m <= samples_per_level
+        if k**m <= samples_per_level:
+            free = _switching_free_edges(current)
+            shifts = _class_shifts(free, m, k, np.arange(k**free.size))
+            candidates = (ShiftAssignment(k, row) for row in shifts)
+        else:
+            candidates = (random_shift_lift(current, k, trial_seed(seed, (level << 32) | s))
+                          for s in range(samples_per_level))
         best = None
-        for s in range(k**m if exhaustive else samples_per_level):
-            if exhaustive:
-                # candidate s has shift (s // k^e) mod k on edge e
-                sa = ShiftAssignment(k, s // k ** np.arange(m) % k)
-            else:
-                sa = random_shift_lift(
-                    current, k, trial_seed(seed, (level << 32) | s)
-                )
+        for sa in candidates:
             lam_new = _scored_lambda_new(current, sa)[0]
             if best is None or lam_new < best[0] - CROSS_CHECK_TOL:
                 best = (lam_new, sa)

@@ -221,13 +221,20 @@ def lift_endpoints(g: RegularGraph, perm_array: np.ndarray) -> tuple[np.ndarray,
             (g.edge_array[:, 1:] * k + perm_array).ravel())
 
 
+def check_lift_order(n: int, k: int) -> None:
+    """SizeLimitError if a k-lift of an n-vertex graph has more than 2**31
+    vertices, the most whose packed edge keys build_lift can hold in int64."""
+    if k * n > 2**31:
+        raise SizeLimitError(f"lift order k*n = {k * n} exceeds 2**31")
+
+
 def build_lift(g: RegularGraph, a: LiftAssignment) -> LiftedGraph:
     """Assemble the lifted graph for a permutation assignment.
 
     Lift edge set: {(u,i)-(v, perm(i))} over base edges (u, v) and i in [0,k).
     Since u < v, x = u*k + i is below y = v*k + perm(i), so the edge array is
     the high and low b bits of one sort of the keys (x << b) | y, with b the
-    bit length of kn - 1 (SizeLimitError above kn = 2**31). It is not
+    bit length of kn - 1 (check_lift_order: at most kn = 2**31). It is not
     validated again: each base edge lifts to a perfect matching between two
     fibers, so a valid base and bijective rows give a simple d-regular lift.
     """
@@ -236,9 +243,8 @@ def build_lift(g: RegularGraph, a: LiftAssignment) -> LiftedGraph:
         raise InvalidParameterError(
             f"assignment has {a.perm_array.shape[0]} permutations for {m} edges"
         )
+    check_lift_order(g.n, a.k)
     k, size = a.k, a.k * g.n
-    if size > 2**31:
-        raise SizeLimitError(f"lift order k*n = {size} exceeds 2**31")
     b = (size - 1).bit_length()
     # (x << b) | y = ((u*k + i) << b) + v*k + perm(i), as y < 2**b
     keys = ((g.edge_array @ [k << b, k])[:, None] + (np.arange(k) << b)).ravel()

@@ -34,8 +34,9 @@ class TestRootOfUnity:
 
     def test_power_table_is_scalar_power_bit_for_bit(self):
         # the root path reads t_j**s as entry (j*s) mod k of the k root
-        # values: every j at small k, a spread of j at odd and prime k
-        for k in [*range(1, 13), 97, 1024, 4097, 4099]:
+        # values, built by numpy cos/sin: every j at small k, a spread of j
+        # at odd, prime and large k; float bits, so -0.0 cannot pass as 0.0
+        for k in [*range(1, 65), 97, 1024, 4096, 4097, 4099, 65536, 65537]:
             roots, s = characterization._root_values(k), np.arange(k)
             for j in range(k) if k <= 12 else {1, 2, 3 * k // 7, k // 2, k - 1}:
                 t = ll.RootOfUnity(k, j)

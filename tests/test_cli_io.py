@@ -299,6 +299,74 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: --shifts: ") and err.rstrip().endswith(token), err
 
+    def test_verify_shift_options_conflicting_with_the_assignment_are_usage_errors(
+            self, tmp_path, capsys):
+        g_path, a_path, out = (str(tmp_path / f) for f in ("k4.graph", "s3.assign", "out"))
+        dispatch(["gen", "--family", "complete", "--m", "4", "--out", g_path])
+        fileio.write_assignment(ll.ShiftAssignment(3, [1, 1, 1, 1, 1, 2]), a_path)
+        capsys.readouterr()
+        for options, message in (
+            (["--k", "5"], "--k 5 conflicts with the assignment's k=3"),
+            (["--shifts", "1,1,1,1,1,1", "--k", "2"], "--shifts conflicts with --assignment"),
+            (["--shifts", "1,1,1,1,1,2"], "--shifts conflicts with --assignment"),
+        ):
+            assert dispatch(["verify-shift", "--graph", g_path, "--assignment", a_path,
+                             *options, "--out", out]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "out").exists()
+        # a --k equal to the file's k checks the file's lift
+        assert dispatch(["verify-shift", "--graph", g_path, "--assignment", a_path,
+                         "--k", "3", "--out", out]) == 0
+        assert "characterization holds" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["shift_lift", "k_lift", "header 3000000000",
+                                        "header 100000000000000000000"])
+    def test_lift_over_the_order_cap_fails_before_any_k_wide_array(self, tmp_path, capsys,
+                                                                  monkeypatch, source):
+        import liftlab.cli as cli_module
+
+        g_path, a_path = str(tmp_path / "k4.graph"), str(tmp_path / "big.assign")
+        dispatch(["gen", "--family", "complete", "--m", "4", "--out", g_path])
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an (m, k) array was built")
+
+        for name in ("shift_to_assignment", "random_k_lift", "build_lift"):
+            monkeypatch.setattr(cli_module, name, refuse)
+        if source.startswith("header"):
+            k = int(source.split()[1])
+            (tmp_path / "big.assign").write_text(f"{k} 6\n" + "shift 1\n" * 6)
+            options = ["--assignment", a_path]
+        else:
+            k = 3000000000
+            options = ["--mode", source, "--k", str(k)]
+        assert dispatch(["lift", "--graph", g_path, *options,
+                         "--out", str(tmp_path / "lift")]) == 2
+        assert capsys.readouterr().err == f"error: lift order k*n = {4 * k} exceeds 2**31\n"
+        assert not (tmp_path / "lift").exists()
+
+    @pytest.mark.parametrize("error,message", [
+        (MemoryError("Unable to allocate 22.4 GiB for an array"),
+         "Unable to allocate 22.4 GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_out_of_memory_is_a_one_line_failure(self, tmp_path, capsys, monkeypatch,
+                                                 error, message):
+        import liftlab.cli as cli_module
+
+        g_path = str(tmp_path / "k4.graph")
+        dispatch(["gen", "--family", "complete", "--m", "4", "--out", g_path])
+        capsys.readouterr()
+
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli_module, "shift_to_assignment", exhausted)
+        assert dispatch(["lift", "--graph", g_path, "--k", "3",
+                         "--out", str(tmp_path / "lift")]) == 3
+        assert capsys.readouterr().err == f"failure: {message}\n"
+
     def test_search_signing_command(self, tmp_path, capsys):
         path = tmp_path / "k4.graph"
         dispatch(["gen", "--family", "complete", "--m", "4", "--out", str(path)])

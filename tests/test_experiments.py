@@ -440,8 +440,10 @@ class TestGreedyGrowth:
         assert len(traj.records) == 1
 
 
-# (base, levels, samples per level, k, seed); K_{3,3} with 512 samples
-# enumerates its 2^9 level-1 candidates and samples level 2
+# (base, levels, samples per level, k, seed); a base "<spec> xN" is N disjoint
+# copies. K_{3,3} with 512 samples, K_4 with 729 at k = 3 and 2 x K_4 with
+# 4096 run an exhaustive level 1 (one candidate per switching class), and
+# the dense oracle scans all k^|E| candidates there; K_{3,3} samples level 2
 GROWTH_CONFIGS = [
     ("complete 4", 5, 50, 2, 3),
     ("complete 4", 3, 12, 3, 5),
@@ -450,13 +452,21 @@ GROWTH_CONFIGS = [
     ("complete_bipartite 3", 4, 20, 2, 0),
     ("random_regular 12 4 5", 3, 20, 2, 7),
     ("cycle 7", 3, 25, 3, 2),
+    ("complete 4", 1, 729, 3, 0),
+    ("complete 4 x2", 1, 4096, 2, 0),
 ]
+
+
+def _growth_base(base: str) -> ll.RegularGraph:
+    spec, _, copies = base.partition(" x")
+    return ll.resolve_base_graph(
+        ll.ExperimentConfig(spec, 2, 1, 0, (), "two_lift", copies=int(copies or 1)))
 
 
 @pytest.mark.parametrize("base,levels,samples,k,seed", GROWTH_CONFIGS)
 def test_root_scored_growth_keeps_the_dense_oracle_lift(base, levels, samples, k, seed,
                                                         monkeypatch):
-    g = ll.resolve_base_graph(ll.ExperimentConfig(base, 2, 1, 0, (), "two_lift"))
+    g = _growth_base(base)
     kept = []
     build = experiments.build_shift_lift
 
@@ -487,3 +497,30 @@ class TestMoreGrowthAndChecks:
         a = ll.lemma_inequality_spot_check(g, 100, 8, "lemma4")
         b = ll.lemma_inequality_spot_check(g, 100, 8, "lemma4")
         assert a == b
+
+
+@pytest.mark.parametrize("base,k,classes", [
+    ("complete 4", 2, 8), ("complete 4", 3, 27), ("complete 4 x2", 2, 64),
+])
+def test_exhaustive_level_scores_one_candidate_per_switching_class(base, k, classes,
+                                                                    monkeypatch):
+    g = _growth_base(base)
+    m, n, c = g.num_edges, g.n, len(bfs_components(g.n, g.edges))
+    assert classes == k ** (m - n + c)
+    scored = []
+    score = experiments._scored_lambda_new
+
+    def counting_score(graph, sa):
+        scored.append(sa)
+        return score(graph, sa)
+
+    monkeypatch.setattr(experiments, "_scored_lambda_new", counting_score)
+    ll.greedy_lift_growth(g, 1, k**m, k, 0)
+    assert len(scored) == classes
+    # shift 0 on the forest, every code of the free edges once, in code order
+    free = experiments._switching_free_edges(g)
+    forest = np.setdiff1d(np.arange(m), free)
+    shifts = np.array([sa.shift_array for sa in scored])
+    assert not shifts[:, forest].any()
+    codes = shifts[:, free] @ k ** np.arange(free.size)
+    assert codes.tolist() == list(range(classes))
