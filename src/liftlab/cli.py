@@ -148,6 +148,9 @@ def _gen(args) -> int:
     missing = [f"--{p}" for p, value in zip(params, values) if value is None]
     if missing:
         raise InvalidParameterError(f"{args.family} needs {' and '.join(missing)}")
+    extra = [f"--{p}" for p in ("m", "n", "d") if p not in params and getattr(args, p) is not None]
+    if extra:
+        raise InvalidParameterError(f"{args.family} does not take {', '.join(extra)}")
     g = make(*values)
     if args.copies > 1:
         g = disjoint_copies(g, args.copies)
@@ -167,6 +170,8 @@ def _lift(args) -> int:
         if isinstance(a, ShiftAssignment):
             a = shift_to_assignment(a)
     elif args.mode == "two_lift":
+        if k != 2:
+            raise InvalidParameterError(f"--k {k} conflicts with --mode two_lift (k=2)")
         a = signing_to_assignment(random_signing(g, args.seed))
     else:
         check_lift_order(g.n, k)  # before any (m, k) array

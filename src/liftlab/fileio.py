@@ -4,9 +4,9 @@ Everything is line-oriented ASCII. Writers always emit LF; readers accept
 CRLF. Floats in reports use repr (shortest round-trip), so identical runs
 produce byte-identical artifacts; spectrum files use 15 significant digits.
 
-Edge lists and assignments are written by `_int_lines`, which builds the
-bytes of all their integer lines with numpy lookups in a digit table rather
-than formatting each value in Python; the bytes are those of `%d`. They are
+Edge lists and assignments are streamed by `_write_int_lines` in blocks of
+at most 2**17 words, each built with numpy lookups in a digit table rather
+than by formatting values in Python; the bytes are those of `%d`. They are
 read back by one `numpy.loadtxt` call, and only a file that call rejects is
 scanned line by line for the first malformed line.
 """
@@ -64,7 +64,7 @@ def _table(lines, dtype: np.dtype) -> np.ndarray:
     if isinstance(lines, str):
         if not lines.strip():
             return None
-        lines = io.StringIO(lines.replace("\r", " "))
+        lines = io.StringIO(lines.replace("\r", " ") if "\r" in lines else lines)
     elif not len(lines):
         return None
     return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1 if dtype.names else 2)
@@ -90,60 +90,70 @@ def _raise_first_bad_line(text: str, check) -> None:
 # --------------------------------------------------------------------------
 
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_BLOCK = 2**17  # words per written block of integer lines
 
 
 def _digit_words(width: int, lead: bool) -> np.ndarray:
     """The 10**width uint64 words whose bytes 7 - width .. 6 hold the ASCII
     digits of the word's index, padded on the left with '0', or, if `lead`,
-    with NUL bytes (and 0 then has no digit at all). Byte 7 is NUL."""
+    with NUL bytes (0 then keeps one '0'). Byte 7 is NUL."""
     table = np.zeros((10,) * width + (8,), dtype=np.uint8)
     for p in range(width):
         table[..., 7 - width + p] = _DIGITS.reshape([-1 if i == p else 1 for i in range(width)])
     table = table.reshape(-1, 8)
     if lead:
-        for i in range(width):  # indices with i digits
-            table[10**i // 10:10**i, 7 - width:7 - i] = 0
+        for i in range(1, width):  # indices below 10**i have no digit before their last i
+            table[:10**i, 7 - width:7 - i] = 0
     return table.view(np.uint64).ravel()
 
 
-def _int_lines(prefix: str, values: np.ndarray) -> bytes:
-    """The lines `prefix v_1 .. v_c`, one per row of the (r, c) array of
-    nonnegative ints `values`, space-separated and LF-terminated, as %d
-    writes them.
+def _write_int_lines(fh, header: str, prefix: str, values: np.ndarray) -> None:
+    """Write `header`, then the lines `prefix v_1 .. v_c`, one per row of the
+    (r, c) array of nonnegative ints `values`, space-separated and
+    LF-terminated, as %d writes them.
 
-    A value is cut into groups of `width` digits, and each group is one
-    lookup in a table of 8-byte words: the digits right-aligned before a
-    free last byte, padded with NUL bytes. Each row of a word block holds
-    the prefix and then, per value, its groups from the highest. The
-    separator goes into the free byte of a value's lowest group, and
-    deleting every NUL byte drops the padding. The table has 10**width
-    words with 10**width <= max(10**4, values.size), so its size follows
-    the value count, not the largest value.
+    A value is cut into groups of `width` digits, each one lookup in a table
+    of 8-byte words: the digits right-aligned before a free last byte,
+    padded with NUL bytes. One buffer takes blocks of at most _BLOCK words,
+    a row being the prefix and then each value's groups from the highest;
+    the separator goes into the free byte of a value's lowest group, and
+    deleting every NUL byte drops the padding. The tables, built per call,
+    have 10**width <= max(10**4, min(values.size, _BLOCK)) words.
     """
+    fh.write(header.encode())
     rows, cols = values.shape
-    if values.size == 0:
-        return b""
-    digits = len(str(int(values.max())))
-    width = min(digits, max(4, len(str(values.size)) - 1), 7)
+    digits = len(str(int(values.max(initial=0))))
+    width = min(digits, max(4, len(str(min(values.size, _BLOCK))) - 1), 7)
     chunks = -(-digits // width)
-    lead = _digit_words(width, lead=True)
     head = np.frombuffer(prefix.encode().ljust(-(-len(prefix) // 8) * 8, b"\0"), np.uint64)
-    words = np.empty((rows, head.size + cols * chunks), dtype=np.uint64)
+    step = max(1, min(rows, _BLOCK // (head.size + cols * chunks)))
+    buf = bytearray(step * (head.size + cols * chunks) * 8)
+    words = np.frombuffer(buf, np.uint64).reshape(step, -1)
     words[:, :head.size] = head
-    groups = words[:, head.size:].reshape(rows, cols, chunks)
-    rest = values
-    if chunks > 1:
-        zero = _digit_words(width, lead=False)
+    groups = words[:, head.size:].reshape(step, cols, chunks)
+    text = words.view(np.uint8).reshape(step, -1, 8)
+    lead = _digit_words(width, lead=True)
+    zero = _digit_words(width, lead=False) if chunks > 1 else None
+    digit_0 = lead[0]
+    for start in range(0, rows, step):
+        rest = values[start:start + step]
+        n = len(rest)
+        words[n:] = 0  # a short last block leaves only NUL bytes behind its rows
+        lead[0] = digit_0  # a 0 in a value's lowest group is the digit '0'
         for j in range(chunks - 1, 0, -1):
             rest, low = np.divmod(rest, 10**width)
-            groups[:, :, j] = np.where(rest > 0, zero[low], lead[low])
-    groups[:, :, 0] = lead[rest]
-    # 0 has no digit in `lead`, so its lowest group is set to a single '0'
-    groups[:, :, -1][values == 0] = _digit_words(1, lead=False)[0]
-    text = words.view(np.uint8).reshape(rows, -1, 8)
-    text[:, head.size + chunks - 1::chunks, 7] = ord(" ")
-    text[:, -1, 7] = ord("\n")
-    return text.tobytes().translate(None, b"\0")
+            groups[:n, :, j] = np.where(rest > 0, zero[low], lead[low])
+            lead[0] = 0  # in a higher group with nothing above it, no digit
+        groups[:n, :, 0] = lead[rest]
+        text[:n, head.size + chunks - 1::chunks, 7] = ord(" ")
+        text[:n, -1, 7] = ord("\n")
+        fh.write(buf.translate(None, b"\0"))
+
+
+def _int_text(header: str, prefix: str, values: np.ndarray) -> str:
+    out = io.BytesIO()
+    _write_int_lines(out, header, prefix, values)
+    return out.getvalue().decode("ascii")
 
 
 # --------------------------------------------------------------------------
@@ -151,12 +161,12 @@ def _int_lines(prefix: str, values: np.ndarray) -> bytes:
 # --------------------------------------------------------------------------
 
 
-def _graph_bytes(g: RegularGraph) -> bytes:
-    return f"{g.n} {g.d}\n".encode() + _int_lines("", g.edge_array)
+def _graph_lines(g: RegularGraph) -> tuple[str, str, np.ndarray]:
+    return f"{g.n} {g.d}\n", "", g.edge_array
 
 
 def graph_to_text(g: RegularGraph) -> str:
-    return _graph_bytes(g).decode("ascii")
+    return _int_text(*_graph_lines(g))
 
 
 def _check_edge_line(parts: list[str], ln: str, no: int) -> None:
@@ -184,7 +194,7 @@ def graph_from_text(text: str) -> RegularGraph:
 
 def write_graph(g: RegularGraph, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(_graph_bytes(g))
+        _write_int_lines(fh, *_graph_lines(g))
 
 
 def read_graph(path: str) -> RegularGraph:
@@ -197,18 +207,18 @@ def read_graph(path: str) -> RegularGraph:
 # --------------------------------------------------------------------------
 
 
-def _assignment_bytes(a: ShiftAssignment | LiftAssignment) -> bytes:
+def _assignment_lines(a: ShiftAssignment | LiftAssignment) -> tuple[str, str, np.ndarray]:
     if isinstance(a, ShiftAssignment):
         prefix, values = "shift ", a.shift_array[:, None]
     elif isinstance(a, LiftAssignment):
         prefix, values = "perm ", a.perm_array
     else:
         raise InvalidParameterError(f"not an assignment: {type(a).__name__}")
-    return f"{a.k} {values.shape[0]}\n".encode() + _int_lines(prefix, values)
+    return f"{a.k} {values.shape[0]}\n", prefix, values
 
 
 def assignment_to_text(a: ShiftAssignment | LiftAssignment) -> str:
-    return _assignment_bytes(a).decode("ascii")
+    return _int_text(*_assignment_lines(a))
 
 
 def _keyword_rows(lines, keyword: str, width: int) -> np.ndarray:
@@ -275,7 +285,7 @@ def assignment_from_text(text: str):
 
 def write_assignment(a, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(_assignment_bytes(a))
+        _write_int_lines(fh, *_assignment_lines(a))
 
 
 def read_assignment(path: str):

@@ -478,6 +478,90 @@ def test_huge_shift_file_writer_memory_follows_the_value_count(tmp_path):
     assert fileio.read_assignment(path) == a
 
 
+def _block_rows(prefix_words: int, words_per_row: int) -> int:
+    """Rows in one written block: the writer's buffer holds at most
+    fileio._BLOCK words, a row being its prefix words then its values'."""
+    return fileio._BLOCK // (prefix_words + words_per_row)
+
+
+def _assert_writes(a, tmp_path):
+    """`a` (a graph or an assignment) as text and as a file, against the
+    line writers of oracles.py."""
+    if isinstance(a, ll.RegularGraph):
+        want = oracles.line_graph_to_text(a.n, a.d, a.edges)
+        got, write = fileio.graph_to_text(a), fileio.write_graph
+    else:
+        kind, rows = ("shift", a.shifts) if isinstance(a, ll.ShiftAssignment) else ("perm", a.perms)
+        want = oracles.line_assignment_to_text(a.k, kind, rows)
+        got, write = fileio.assignment_to_text(a), fileio.write_assignment
+    assert _first_mismatch(got, want) is None
+    write(a, str(tmp_path / "out"))
+    assert _first_mismatch((tmp_path / "out").read_bytes().decode(), want) is None
+
+
+# Each maker takes a row count and gives a file with that many body lines,
+# and the rows of one block: 1 value after "shift ", 2 per edge line, k = 4
+# after "perm " (k + 1 tokens), and 19-digit shifts, each cut into five
+# 4-digit groups, as fewer than 10**5 values make the groups 4 digits wide.
+BLOCK_EDGE_FILES = {
+    "shift": (lambda r: ll.ShiftAssignment(10, np.arange(r) % 10), _block_rows(1, 1)),
+    "edge": (ll.cycle_graph, _block_rows(0, 2)),
+    "perm": (lambda r: ll.LiftAssignment(4, (np.arange(r)[:, None] + np.arange(4)) % 4),
+             _block_rows(1, 4)),
+    "shift 19 digits": (lambda r: ll.ShiftAssignment(2**63 - 1, 2**63 - 2 - np.arange(r)),
+                        _block_rows(1, 5)),
+}
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("name", sorted(BLOCK_EDGE_FILES))
+def test_writer_bytes_at_block_edges(tmp_path, name, delta):
+    make, rows = BLOCK_EDGE_FILES[name]
+    _assert_writes(make(rows + delta), tmp_path)
+
+
+def test_a_block_of_one_digit_values_below_a_19_digit_maximum(tmp_path):
+    # every group above a value's lowest is empty, in whole blocks and in
+    # the short last block, and the widest value still gets all its groups
+    rows = _block_rows(1, 5)
+    shifts = np.arange(2 * rows + 3) % 10
+    shifts[-1] = 2**63 - 2
+    _assert_writes(ll.ShiftAssignment(2**63 - 1, shifts), tmp_path)
+
+
+@pytest.mark.parametrize("pad", [0, 10**5])  # 4-digit groups, then 5-digit groups
+def test_a_zero_in_every_digit_group_position(tmp_path, pad):
+    top = 2**63 - 2
+    shifts = [0, 1, top] + [10**i for i in range(19)] + [10**i + 1 for i in range(1, 19)]
+    for width in (4, 5):  # every run of `width` digits of the maximum zeroed
+        shifts += [top - top // 10**p % 10**width * 10**p for p in range(19)]
+    _assert_writes(ll.ShiftAssignment(2**63 - 1, shifts + [7] * pad), tmp_path)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_follows_the_block_not_the_file(tmp_path):
+    # the lift of the lift_io pipeline: 240k edges, a 2.8 MB file
+    g = ll.random_regular(20000, 6, 3)
+    lift = ll.build_shift_lift(g, ll.random_shift_lift(g, 4, 5)).graph
+    edges = lift.edge_array
+    path = str(tmp_path / "lift")
+    assert _traced_peak(lambda: fileio.write_graph(lift, path)) <= 4.5 * 2**20
+    assert np.array_equal(np.loadtxt(path, dtype=np.int64, skiprows=1), edges)
+    # a million 19-digit shifts: 20 MB of text
+    a = ll.ShiftAssignment(2**62, np.random.default_rng(4).integers(0, 2**62, 10**6))
+    path = str(tmp_path / "shifts")
+    assert _traced_peak(lambda: fileio.write_assignment(a, path)) <= 4.5 * 2**20
+    assert fileio.read_assignment(path) == a
+
+
 # --------------------------------------------------------------------------
 # No tuple views on the gen -> lift -> replay path
 # --------------------------------------------------------------------------

@@ -158,6 +158,22 @@ class TestCli:
         assert dispatch(["lift", "--graph", g_path, "--out", default]) == 0
         assert fileio.read_graph(default).n == 10
 
+    def test_lift_k_other_than_two_beside_two_lift_is_a_usage_error(self, tmp_path, capsys):
+        g_path, out = str(tmp_path / "k4.graph"), tmp_path / "lift"
+        dispatch(["gen", "--family", "complete", "--m", "4", "--out", g_path])
+        for k in ("3", "3000000000"):
+            capsys.readouterr()
+            assert dispatch(["lift", "--graph", g_path, "--mode", "two_lift", "--k", k,
+                             "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: --k {k} conflicts with --mode two_lift (k=2)\n", err
+            assert not out.exists()
+        # --k 2, or no --k, is the 2-lift two_lift builds
+        for k_option in ([], ["--k", "2"]):
+            assert dispatch(["lift", "--graph", g_path, "--mode", "two_lift", *k_option,
+                             "--out", str(out)]) == 0
+            assert fileio.read_graph(str(out)).n == 8
+
     def test_lift_and_assignment_round_trip(self, tmp_path):
         g_path = tmp_path / "c5.graph"
         dispatch(["gen", "--family", "cycle", "--n", "5", "--out", str(g_path)])
@@ -396,6 +412,25 @@ class TestCli:
                          str(tmp_path / "x")]) == 2  # missing --m
         assert dispatch(["spec", "--graph", str(tmp_path / "missing.graph")]) == 2
         assert dispatch(["nonsense"]) == 2
+
+    def test_gen_options_the_family_does_not_take_are_usage_errors(self, tmp_path, capsys):
+        out = tmp_path / "g.graph"
+        for argv, named in (
+            (["complete", "--m", "4", "--n", "7"], "--n"),
+            (["complete_bipartite", "--m", "3", "--d", "2"], "--d"),
+            (["cycle", "--n", "5", "--m", "4"], "--m"),
+            (["random_regular", "--n", "10", "--d", "3", "--m", "2"], "--m"),
+            (["complete", "--m", "4", "--n", "7", "--d", "3"], "--n, --d"),
+        ):
+            capsys.readouterr()
+            assert dispatch(["gen", "--family", *argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {argv[0]} does not take {named}\n", err
+            assert not out.exists()
+        # --seed has a default, so a family without one still accepts it
+        assert dispatch(["gen", "--family", "complete", "--m", "4", "--seed", "9",
+                         "--out", str(out)]) == 0
+        assert fileio.read_graph(str(out)) == ll.complete_graph(4)
 
     def test_one_parser_serves_calls_around_a_usage_error(self, tmp_path, capsys):
         g_path, spec_path = tmp_path / "k4.graph", tmp_path / "k4.spec"
