@@ -74,9 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--assignment", help="existing assignment file")
     p.add_argument("--k", type=int, help="default: the assignment's k, else 2")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default: 0; not with --assignment")
     p.add_argument("--mode", choices=["two_lift", "shift_lift", "k_lift"],
-                   default="shift_lift")
+                   help="default: shift_lift; not with --assignment")
     p.add_argument("--out", required=True)
     p.add_argument("--save-assignment", dest="save_assignment")
 
@@ -162,7 +162,11 @@ def _gen(args) -> int:
 def _lift(args) -> int:
     g = fileio.read_graph(args.graph)
     k = 2 if args.k is None else args.k
+    seed = 0 if args.seed is None else args.seed
     if args.assignment:
+        for option in ("mode", "seed"):
+            if getattr(args, option) is not None:
+                raise InvalidParameterError(f"--{option} conflicts with --assignment")
         a = fileio.read_assignment(args.assignment)
         if args.k not in (None, a.k):
             raise InvalidParameterError(f"--k {args.k} conflicts with the assignment's k={a.k}")
@@ -172,13 +176,13 @@ def _lift(args) -> int:
     elif args.mode == "two_lift":
         if k != 2:
             raise InvalidParameterError(f"--k {k} conflicts with --mode two_lift (k=2)")
-        a = signing_to_assignment(random_signing(g, args.seed))
+        a = signing_to_assignment(random_signing(g, seed))
     else:
         check_lift_order(g.n, k)  # before any (m, k) array
-        if args.mode == "shift_lift":
-            a = shift_to_assignment(random_shift_lift(g, k, args.seed))
-        else:
-            a = random_k_lift(g, k, args.seed)
+        if args.mode == "k_lift":
+            a = random_k_lift(g, k, seed)
+        else:  # shift_lift, the default
+            a = shift_to_assignment(random_shift_lift(g, k, seed))
     lifted = build_lift(g, a)
     fileio.write_graph(lifted.graph, args.out)
     if args.save_assignment:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characterization import (
+    _root_values,
     lambda_new_from_fibers,
     lambda_new_from_roots,
     lambda_nontrivial_sparse,
@@ -581,41 +582,47 @@ def _class_shifts(free: np.ndarray, m: int, k: int, codes: np.ndarray) -> np.nda
     return shifts
 
 
+def _best_class(g: RegularGraph, k: int, tol: float) -> tuple[np.ndarray, float, int]:
+    """The shifts and lambda_new of the switching class of k-lifts of g with
+    the least lambda_new, and the class count. Codes of _class_shifts are
+    scored in order, 4096 per stack, by eigvalsh of the root stacks M_j for
+    j <= k/2 (M_{k/2} on its real part); a class is kept only when lower by more than tol."""
+    m, (eu, ev), free = g.num_edges, edge_endpoints(g), _switching_free_edges(g)
+    total, roots, best = k**free.size, _root_values(k), (math.inf, 0)
+    for lo in range(0, total, 4096):
+        shifts = _class_shifts(free, m, k, np.arange(lo, min(lo + 4096, total)))
+        radii = 0.0
+        for j in range(1, k // 2 + 1):
+            # t_j**s is root (j*s) mod k; "wrap" takes that index without a % pass
+            w = np.take(roots.real if 2 * j == k else roots, j * shifts, mode="wrap")
+            vals = np.linalg.eigvalsh(edge_matrix(g.n, eu, ev, w))
+            radii = np.maximum(radii, np.abs(vals[:, [0, -1]]).max(axis=1))
+        for code, radius in enumerate(radii.tolist(), lo):
+            if radius < best[0] - tol:
+                best = (radius, code)
+    return _class_shifts(free, m, k, np.array([best[1]]))[0], best[0], total
+
+
 def exhaustive_signing_search(g: RegularGraph) -> SigningSearchResult:
     """Minimize the spectral radius over every signing (|E| <= 24).
 
     Switching at a vertex (flipping all its edge signs) is a diagonal +-1
     similarity, so only one signing per switching class is solved: the one
-    with +1 on a spanning forest (see _switching_free_edges). Classes are
-    enumerated as the k = 2 codes of _class_shifts (bit i set means the i-th
-    free edge gets -1), so rerunning is deterministic, and ties resolve to the
-    first class in code order, whose representative is also the smallest full
-    code (bit e set means edge e gets -1) among the tied classes.
+    with +1 on a spanning forest (see _switching_free_edges). _best_class
+    scores the classes at k = 2, whose root matrix is the signing 1 - 2 * shifts
+    (bit i of a code set gives the i-th free edge -1), in code order with tol
+    0: ties resolve to the first tied class, whose representative is also the
+    smallest full code (bit e set means edge e gets -1) among the tied classes.
     """
     m = g.num_edges
     if m > SIGNING_SEARCH_CAP:
         raise SizeLimitError(
             f"exhaustive signing search capped at |E|={SIGNING_SEARCH_CAP}, got {m}"
         )
-    eu, ev = edge_endpoints(g)
-    free = _switching_free_edges(g)
-    total = 1 << free.size
-    best_code = 0
-    best_radius = math.inf
-    chunk = 4096
-    for lo in range(0, total, chunk):
-        codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        signs = 1.0 - 2.0 * _class_shifts(free, m, 2, codes)
-        vals = np.linalg.eigvalsh(edge_matrix(g.n, eu, ev, signs))
-        radii = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
-        idx = int(np.argmin(radii))
-        if radii[idx] < best_radius:
-            best_radius = float(radii[idx])
-            best_code = int(codes[idx])
-    best_signs = 1 - 2 * _class_shifts(free, m, 2, np.array([best_code]))[0]
+    shifts, best_radius, total = _best_class(g, 2, 0.0)
     bound = 2.0 * math.sqrt(g.d - 1)
     return SigningSearchResult(
-        Signing(best_signs), best_radius, bound, best_radius <= bound + 1e-9,
+        Signing(1 - 2 * shifts), best_radius, bound, best_radius <= bound + 1e-9,
         1 << m, total,
     )
 
@@ -649,16 +656,16 @@ def greedy_lift_growth(
     At each level, `samples_per_level` candidate shift assignments of the
     current graph are scored by the lambda_new of their lift and the best one
     is kept. When k^|E| <= samples_per_level the level is exhaustive: as
-    switching changes no spectrum, it scores one assignment per switching
-    class, the k^(|E|-n+c) codes of _class_shifts in order (c components),
-    and keeps what a scan of all k^|E| codes would, since each is the
-    smallest code of its class and its class-mates tie with it. The trigger
-    stays k^|E|: moving it would change which levels are sampled, and so
-    reports. A candidate is scored as a campaign trial is, by
-    _scored_lambda_new, so no candidate lift is built or solved; only the
-    kept one is built, once per level. It replaces the best so far
-    only when it is lower by more than CROSS_CHECK_TOL, so ties go to the
-    earliest candidate, not to rounding noise. The level-0 lambda is
+    switching changes no spectrum, _best_class ranks one assignment per
+    switching class, the k^(|E|-n+c) codes of _class_shifts (c components),
+    by dense root stacks, and keeps what a scan of all k^|E| codes would, as
+    each is the smallest code of its class and its class-mates tie with it.
+    The trigger stays k^|E|: moving it would change which levels are
+    sampled, and so reports. Sampled candidates, and an exhaustive level's
+    kept class, are scored as a campaign trial is, by _scored_lambda_new; only
+    the kept lift is built, once per level. A candidate replaces the best so
+    far only when it is lower by more than CROSS_CHECK_TOL, so ties go to
+    the earliest candidate, not to rounding noise. The level-0 lambda is
     lambda_nontrivial_sparse of the base; the lift spectrum is the base
     spectrum plus the new eigenvalues, so each later lambda is the larger of
     the previous lambda and lambda_new. The trajectory records (n, lambda,
@@ -667,6 +674,8 @@ def greedy_lift_growth(
     """
     if levels < 0:
         raise InvalidParameterError("levels must be >= 0")
+    if k < 2:
+        raise InvalidParameterError("k must be >= 2")
     if samples_per_level < 1:
         raise InvalidParameterError("samples_per_level must be >= 1")
     current = g0
@@ -679,9 +688,7 @@ def greedy_lift_growth(
             break
         m = current.num_edges
         if k**m <= samples_per_level:
-            free = _switching_free_edges(current)
-            shifts = _class_shifts(free, m, k, np.arange(k**free.size))
-            candidates = (ShiftAssignment(k, row) for row in shifts)
+            candidates = [ShiftAssignment(k, _best_class(current, k, CROSS_CHECK_TOL)[0])]
         else:
             candidates = (random_shift_lift(current, k, trial_seed(seed, (level << 32) | s))
                           for s in range(samples_per_level))

@@ -29,7 +29,7 @@ from .experiments import (
     SpotCheckReport,
 )
 from .graphs import RegularGraph
-from .lifts import LiftAssignment, ShiftAssignment
+from .lifts import LiftAssignment, ShiftAssignment, shift_to_assignment
 from .spectra import Spectrum
 
 
@@ -231,16 +231,16 @@ def _keyword_rows(lines, keyword: str, width: int) -> np.ndarray:
     return table["values"]
 
 
-def _assignment_rows(body: str, k: int) -> tuple[np.ndarray, bool]:
-    """The body's values and whether any line is a perm line: the (m,)
-    shifts of an all-shift body, else the (m, k) perms, with each shift
-    line s read as the permutation i -> (i + s) mod k."""
+def _assignment_rows(body: str, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The body's values and, if any line is a perm line, the indices of its
+    shift lines: the (m,) shifts of an all-shift body (indices None), else the
+    (m, k) rows, a perm line's permutation or a shift line's shift in column 0."""
     if "\0" in body:  # the "S8" keyword field would drop a keyword's NUL padding
         raise ValueError("a line holds a NUL byte")
     if "perm" not in body:
-        return _keyword_rows(body, "shift", 1)[:, 0], False
+        return _keyword_rows(body, "shift", 1)[:, 0], None
     if "shift" not in body:
-        return _keyword_rows(body, "perm", k), True
+        return _keyword_rows(body, "perm", k), np.empty(0, dtype=np.int64)
     lines = np.array(body.replace("\r", " ").split("\n"))
     words = np.strings.lstrip(lines)
     is_shift = np.strings.startswith(words, "shift")
@@ -248,11 +248,10 @@ def _assignment_rows(body: str, k: int) -> tuple[np.ndarray, bool]:
     if np.any(~is_shift & ~is_perm & (np.strings.str_len(np.strings.strip(words)) > 0)):
         raise ValueError("a line starts with neither 'shift' nor 'perm'")
     kinds = is_perm[is_shift | is_perm]
-    perms = np.empty((kinds.size, k), dtype=np.int64)
-    perms[kinds] = _keyword_rows(lines[is_perm], "perm", k)
-    shifts = _keyword_rows(lines[is_shift], "shift", 1)
-    perms[~kinds] = (shifts + np.arange(k)) % k
-    return perms, True
+    rows = np.zeros((kinds.size, k), dtype=np.int64)
+    rows[kinds] = _keyword_rows(lines[is_perm], "perm", k)
+    rows[~kinds, :1] = _keyword_rows(lines[is_shift], "shift", 1)
+    return rows, np.flatnonzero(~kinds)
 
 
 def assignment_from_text(text: str):
@@ -272,15 +271,17 @@ def assignment_from_text(text: str):
             raise FormatError(f"expected 'shift s' or 'perm i0..i{k-1}'", line=no) from None
 
     try:
-        values, saw_perm = _assignment_rows(body, k)
+        values, shift_lines = _assignment_rows(body, k)
     except ValueError:
         _raise_first_bad_line(text, check_line)
         raise
     if values.shape[0] != m:
         raise FormatError(f"header promised {m} lines, found {values.shape[0]}", line=1)
-    if saw_perm:
-        return LiftAssignment(k, values)
-    return ShiftAssignment(k, values)
+    if shift_lines is None:
+        return ShiftAssignment(k, values)
+    shifts = ShiftAssignment(k, values[shift_lines, 0])
+    values[shift_lines] = shift_to_assignment(shifts).perm_array
+    return LiftAssignment(k, values)
 
 
 def write_assignment(a, path: str) -> None:

@@ -632,10 +632,11 @@ def line_assignment_from_text(text: str) -> tuple:
         raise FormatError(f"header promised {m} lines, found {count}", line=1)
     if k < 2:
         raise InvalidParameterError("lift degree k must be >= 2")
-    if saw_perm:
-        return "perm", k, check_perms(k, perms)
+    # every shift line, in a mixed file too, must hold a shift in [0, k)
     if any(not 0 <= s < k for s in shifts):
         raise InvalidParameterError(f"shifts must lie in [0,{k})")
+    if saw_perm:
+        return "perm", k, check_perms(k, perms)
     return "shift", k, tuple(shifts)
 
 

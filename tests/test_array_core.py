@@ -383,6 +383,8 @@ def test_malformed_assignment_text_matches_line_parser(data, g):
 @pytest.mark.parametrize("text", [
     "3 3\nshift 1\n\nperm 2 0 1\r\n  shift 2\n",
     "3 2\nperm 0 2 1\nshift 4\n",
+    "3 2\nperm 0 2 1\nshift -1\n",
+    "3 3\nperm 0 2 1\nshift 4\n",
     "3 2\nperm 0 2 1\nshiftx 1\n",
     "3 2\nshift 1\npermx 0 1 2\n",
     "3 2\nperm 0 2 1\nswap 1\n",

@@ -64,6 +64,13 @@ class TestAssignmentFormat:
         assert isinstance(loaded, ll.LiftAssignment)
         assert loaded.perms == ((1, 2, 0), (0, 2, 1))
 
+    @pytest.mark.parametrize("line", ["shift 4", "shift -1"])
+    def test_mixed_shift_lines_are_range_checked_as_in_shift_files(self, line):
+        # they were read mod k: shift 4 as shift 1, shift -1 as shift k - 1
+        for text in (f"3 2\nperm 0 2 1\n{line}\n", f"3 2\nshift 1\n{line}\n"):
+            with pytest.raises(InvalidParameterError, match=r"^shifts must lie in \[0,3\)$"):
+                fileio.assignment_from_text(text)
+
     def test_header_count_enforced(self):
         with pytest.raises(FormatError):
             fileio.assignment_from_text("2 3\nshift 1\nshift 0\n")
@@ -157,6 +164,28 @@ class TestCli:
         # without --assignment, --k still defaults to 2
         assert dispatch(["lift", "--graph", g_path, "--out", default]) == 0
         assert fileio.read_graph(default).n == 10
+
+    def test_lift_mode_or_seed_beside_the_assignment_is_a_usage_error(self, tmp_path, capsys):
+        g_path, a_path, lift, replay = (
+            str(tmp_path / f) for f in ("c5.graph", "a", "lift", "replay"))
+        dispatch(["gen", "--family", "cycle", "--n", "5", "--out", g_path])
+        assert dispatch(["lift", "--graph", g_path, "--mode", "k_lift", "--k", "4",
+                         "--seed", "1", "--out", lift, "--save-assignment", a_path]) == 0
+        for options, option in ((["--mode", "two_lift"], "--mode"),
+                                (["--mode", "shift_lift"], "--mode"),
+                                (["--seed", "9"], "--seed"), (["--seed", "0"], "--seed")):
+            capsys.readouterr()
+            assert dispatch(["lift", "--graph", g_path, "--assignment", a_path, *options,
+                             "--out", replay]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {option} conflicts with --assignment\n", err
+            assert not (tmp_path / "replay").exists()
+        # without --assignment, --mode defaults to shift_lift and --seed to 0
+        default, given = str(tmp_path / "default"), str(tmp_path / "given")
+        assert dispatch(["lift", "--graph", g_path, "--k", "3", "--out", default]) == 0
+        assert dispatch(["lift", "--graph", g_path, "--k", "3", "--mode", "shift_lift",
+                         "--seed", "0", "--out", given]) == 0
+        assert (tmp_path / "default").read_bytes() == (tmp_path / "given").read_bytes()
 
     def test_lift_k_other_than_two_beside_two_lift_is_a_usage_error(self, tmp_path, capsys):
         g_path, out = str(tmp_path / "k4.graph"), tmp_path / "lift"
@@ -398,6 +427,17 @@ class TestCli:
         assert dispatch(["grow", "--graph", str(path), "--levels", "2",
                          "--samples", "10", "--seed", "1", "--out", str(out)]) == 0
         assert "level 2" in out.read_text()
+
+    @pytest.mark.parametrize("k", ["1", "0", "-1"])
+    def test_grow_k_below_two_is_a_usage_error(self, tmp_path, capsys, k):
+        path, out = tmp_path / "k4.graph", tmp_path / "growth.txt"
+        dispatch(["gen", "--family", "complete", "--m", "4", "--out", str(path)])
+        capsys.readouterr()
+        # k**|E| <= --samples made these levels exhaustive, over no class
+        assert dispatch(["grow", "--graph", str(path), "--levels", "1", "--samples", "10",
+                         "--k", k, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: k must be >= 2\n"
+        assert not out.exists()
 
     def test_lemma_check_command(self, tmp_path):
         path = tmp_path / "g.graph"

@@ -15,6 +15,7 @@ from liftlab.fileio import experiment_report_csv, experiment_report_text
 from oracles import (
     bfs_components,
     brute_force_signing_min_radius,
+    dense_half_root_radii,
     dense_root_radii,
     dense_scored_growth,
     dense_split_lambda_new,
@@ -507,20 +508,55 @@ def test_exhaustive_level_scores_one_candidate_per_switching_class(base, k, clas
     g = _growth_base(base)
     m, n, c = g.num_edges, g.n, len(bfs_components(g.n, g.edges))
     assert classes == k ** (m - n + c)
-    scored = []
-    score = experiments._scored_lambda_new
+    stacks, scored = [], []
+    class_shifts, score = experiments._class_shifts, experiments._scored_lambda_new
+
+    def recording_class_shifts(free, m, k, codes):
+        stacks.append(class_shifts(free, m, k, codes))
+        return stacks[-1]
 
     def counting_score(graph, sa):
         scored.append(sa)
         return score(graph, sa)
 
+    monkeypatch.setattr(experiments, "_class_shifts", recording_class_shifts)
     monkeypatch.setattr(experiments, "_scored_lambda_new", counting_score)
     ll.greedy_lift_growth(g, 1, k**m, k, 0)
-    assert len(scored) == classes
-    # shift 0 on the forest, every code of the free edges once, in code order
+    # shift 0 on the forest, every code of the free edges once, in code order,
+    # then the kept class alone
+    *stacks, kept = stacks
+    shifts = np.concatenate(stacks)
     free = experiments._switching_free_edges(g)
     forest = np.setdiff1d(np.arange(m), free)
-    shifts = np.array([sa.shift_array for sa in scored])
     assert not shifts[:, forest].any()
     codes = shifts[:, free] @ k ** np.arange(free.size)
     assert codes.tolist() == list(range(classes))
+    # the Lanczos score with its fiber cross-check runs once, on the kept class
+    assert kept.shape == (1, m)
+    assert [sa.shift_array.tolist() for sa in scored] == kept.tolist()
+
+
+@pytest.mark.parametrize("base", ["complete 4", "complete_bipartite 3"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_best_class_matches_dense_root_radii_over_every_class(base, k):
+    g = _growth_base(base)
+    free = experiments._switching_free_edges(g)
+    total = k**free.size
+    shifts = experiments._class_shifts(free, g.num_edges, k, np.arange(total))
+    radii = [max(dense_half_root_radii(g, ll.ShiftAssignment(k, row))) for row in shifts]
+    lowest = min(radii)
+
+    def kept_code(tol):
+        best, radius, count = experiments._best_class(g, k, tol)
+        assert count == total
+        assert abs(radius - lowest) <= 1e-9
+        assert not np.delete(best, free).any()
+        return int(best[free] @ k ** np.arange(free.size))
+
+    # tol 0 keeps a class at the lowest radius: the first in code order, or a
+    # later one that rounding puts below it
+    assert abs(radii[kept_code(0.0)] - lowest) <= 1e-9
+    # distinct radii here lie far more than CROSS_CHECK_TOL apart, so that
+    # rule keeps the first class of the lowest radius
+    tol = experiments.CROSS_CHECK_TOL
+    assert kept_code(tol) == next(i for i, r in enumerate(radii) if r <= lowest + tol)

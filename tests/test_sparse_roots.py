@@ -385,19 +385,23 @@ def test_report_bytes_do_not_depend_on_threads_or_blas(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("base = random_regular 300 5 4\nmode = shift_lift\n"
                         "k = 6\ntrials = 6\nseed = 21\nconstants = 1,2,3\n")
-    graph = tmp_path / "base.graph"
+    graph, k4 = tmp_path / "base.graph", tmp_path / "k4.graph"
     fileio.write_graph(ll.random_regular(300, 5, 4), str(graph))
+    fileio.write_graph(ll.complete_graph(4), str(k4))
     outputs = set()
     for threads in (1, 2):
         for blas in ("1", None):
             env = _cli_env(blas)
             tag = f"{threads}_{blas}"
-            files = out, csv, grown, mixing, lemma = tuple(
-                tmp_path / f"{name}{tag}" for name in ("r", "t", "g", "e", "l"))
+            files = out, csv, grown, every_class, mixing, lemma = tuple(
+                tmp_path / f"{name}{tag}" for name in ("r", "t", "g", "x", "e", "l"))
             for argv in (["mc", "--config", str(cfg_path), "--threads", str(threads),
                           "--out", str(out), "--csv", str(csv)],
                          ["grow", "--graph", str(graph), "--levels", "1", "--samples", "4",
                           "--out", str(grown)],
+                         # 3**6 <= 729: an exhaustive level over the 27 classes
+                         ["grow", "--graph", str(k4), "--levels", "1", "--samples", "729",
+                          "--k", "3", "--out", str(every_class)],
                          ["eml", "--graph", str(graph), "--method", "sampled",
                           "--samples", "200", "--seed", "3", "--out", str(mixing)],
                          ["lemma-check", "--graph", str(graph), "--which", "lemma3",
