@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CharacterizationError, InvalidParameterError, NumericalError
 from .graphs import RegularGraph, edge_endpoints, edge_matrix, symmetric_csr
-from .lifts import ShiftAssignment, lift_endpoints, shift_to_assignment
+from .lifts import ShiftAssignment, _check_per_edge, lift_endpoints, shift_to_assignment
 from .spectra import (Spectrum, _check_dense_dim, eig_stack, eig_symmetric,
                       max_multiset_mismatch, spectral_radius)
 
@@ -79,20 +79,13 @@ def roots_of_unity(k: int) -> tuple[RootOfUnity, ...]:
     return tuple(RootOfUnity(k, j) for j in range(k))
 
 
-def _check_shift_count(g: RegularGraph, sa: ShiftAssignment) -> None:
-    if sa.shift_array.shape[0] != g.num_edges:
-        raise InvalidParameterError(
-            f"assignment has {sa.shift_array.shape[0]} shifts for {g.num_edges} edges"
-        )
-
-
 def shift_matrix(g: RegularGraph, sa: ShiftAssignment, t: RootOfUnity) -> np.ndarray:
     """Hermitian matrix with entry t**shift on each stored edge direction.
 
     Entry (u, v) of a stored edge (u < v, shift s) is t**s and entry (v, u)
     is the conjugate t**(-s); at t = 1 this is exactly the adjacency matrix.
     """
-    _check_shift_count(g, sa)
+    _check_per_edge(g, sa.shift_array, "assignment", "shifts")
     if t.k != sa.k:
         raise InvalidParameterError("root order and assignment degree disagree")
     return edge_matrix(g.n, *edge_endpoints(g), _root_values(sa.k)[t.j * sa.shift_array % sa.k])
@@ -149,7 +142,7 @@ def verify_characterization(
     Raises CharacterizationError naming the worst offender if any check
     fails; a failure indicates a bug, never a counterexample.
     """
-    _check_shift_count(g, sa)
+    _check_per_edge(g, sa.shift_array, "assignment", "shifts")
     k, n = sa.k, g.n
     _check_dense_dim(k * n)  # before the (kn)^2 lift matrix is allocated
     a_h = edge_matrix(k * n, *lift_endpoints(g, shift_to_assignment(sa).perm_array))
@@ -293,7 +286,7 @@ def lambda_new_from_roots(g: RegularGraph, sa: ShiftAssignment) -> tuple[float, 
     path does not. Returns (max radius over roots j >= 1, all k-1 radii
     ordered by j).
     """
-    _check_shift_count(g, sa)
+    _check_per_edge(g, sa.shift_array, "assignment", "shifts")
     k, n = sa.k, g.n
     eu, ev = edge_endpoints(g)
     # w = a + ib on (u, v): a at (u, v) and (n+u, n+v), -b at (u, n+v), b at (v, n+u)
@@ -324,7 +317,7 @@ def lambda_new_from_fibers(g: RegularGraph, sa: ShiftAssignment) -> float:
     all-ones block of one fiber.
     """
     k, n = sa.k, g.n
-    _check_shift_count(g, sa)
+    _check_per_edge(g, sa.shift_array, "assignment", "shifts")
     ends = lift_endpoints(g, shift_to_assignment(sa).perm_array)
     return _mean_free_radius(symmetric_csr(k * n, *ends), n,
                              "the fiber-sum-zero operator")

@@ -95,8 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eml", help="mixing-bound check over subset pairs")
     p.add_argument("--graph", required=True)
     p.add_argument("--method", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, help="sampled only")
+    p.add_argument("--seed", type=int, help="sampled only; default: 0")
     p.add_argument("--bipartite", action="store_true",
                    help="exclude -d from lambda (bound may then fail)")
     p.add_argument("--out")
@@ -241,7 +241,8 @@ def _verify_shift(args) -> int:
 def _eml(args) -> int:
     g = fileio.read_graph(args.graph)
     lam = lambda_nontrivial_sparse(g, bipartite=args.bipartite)
-    report = eml_check(g, lam, method=args.method, samples=args.samples, seed=args.seed)
+    seed = 0 if args.seed is None and args.method == "sampled" else args.seed
+    report = eml_check(g, lam, method=args.method, samples=args.samples, seed=seed)
     if args.out:
         fileio.write_text(fileio.mixing_report_text(report), args.out)
     status = "ok" if report.passed else "VIOLATED"

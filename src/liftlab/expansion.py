@@ -19,7 +19,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
-from .graphs import RegularGraph, _incidences, adjacency_matrix, edge_endpoints
+from .graphs import RegularGraph, _as_seed, _incidences, adjacency_matrix, edge_endpoints
 from .spectra import eig_symmetric
 
 H_EXHAUSTIVE_CAP = 24
@@ -165,6 +165,18 @@ def _spectral_context(g: RegularGraph) -> tuple[float, float, float]:
     return lam2, gap / 2.0, math.sqrt(g.d * gap)
 
 
+def _check_method(method: str, samples: int | None, seed: int | None) -> None:
+    """InvalidParameterError unless the method is "exhaustive" with neither
+    samples nor a seed, or "sampled" with samples >= 1 and a seed."""
+    if method not in ("exhaustive", "sampled"):
+        raise InvalidParameterError(f"unknown method {method!r}")
+    dropped = [name for name, value in (("samples", samples), ("seed", seed)) if value is not None]
+    if method == "exhaustive" and dropped:
+        raise InvalidParameterError(f"exhaustive mode takes no {' or '.join(dropped)}")
+    if method == "sampled" and (not samples or samples < 1 or seed is None):
+        raise InvalidParameterError("sampled mode needs samples >= 1 and a seed")
+
+
 def combinatorial_expansion(
     g: RegularGraph,
     method: str = "exhaustive",
@@ -181,23 +193,21 @@ def combinatorial_expansion(
     full-vertex draws are rediscarded, oversized draws replaced by their
     complements) and returns the best ratio seen, which is only an upper
     bound on h and is flagged as method="sampled". The method, the cap and
-    the sampled parameters are checked before the dense lambda2 solve.
+    the parameters (none but the method for exhaustive mode) are checked
+    before the dense lambda2 solve.
     """
-    if method not in ("exhaustive", "sampled"):
-        raise InvalidParameterError(f"unknown method {method!r}")
+    _check_method(method, samples, seed)
     if method == "exhaustive" and g.n > H_EXHAUSTIVE_CAP:
         raise SizeLimitError(
             f"exhaustive expansion capped at n={H_EXHAUSTIVE_CAP}, got {g.n}"
         )
-    if method == "sampled" and (not samples or samples < 1 or seed is None):
-        raise InvalidParameterError("sampled mode needs samples >= 1 and a seed")
     lam2, lower, upper = _spectral_context(g)
     if method == "exhaustive":
         best, best_mask = _exhaustive_expansion(g)
         return ExpansionReport(
             best, _mask_to_subset(best_mask, g.n), "exhaustive", lam2, lower, upper
         )
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(_as_seed(seed))
     eu, ev = edge_endpoints(g)
     best = math.inf
     best_subset: frozenset = frozenset()
@@ -292,11 +302,13 @@ def eml_check(
     |T|. The ratio and the witness pair are those of a full pair scan, ties
     included; see `_exhaustive_mixing`. Sampled mode scans `samples` random
     pairs and counts E(S, T) from the edge arrays, so it builds no n x n
-    matrix. E(S, T) counts ordered incidences, so an edge inside the
-    intersection contributes 2. The caller chooses the lam convention:
-    passing max_{i>=2}|lambda_i| (no bipartite exclusion) makes the bound
-    hold for every graph, bipartite ones included.
+    matrix; exhaustive mode takes no samples and no seed. E(S, T) counts
+    ordered incidences, so an edge inside the intersection contributes 2.
+    The caller chooses the lam convention: passing max_{i>=2}|lambda_i| (no
+    bipartite exclusion) makes the bound hold for every graph, bipartite
+    ones included.
     """
+    _check_method(method, samples, seed)
     if method == "exhaustive":
         if g.n > PAIR_EXHAUSTIVE_CAP:
             raise SizeLimitError(
@@ -311,31 +323,27 @@ def eml_check(
             slack,
             "exhaustive",
         )
-    if method == "sampled":
-        if not samples or samples < 1 or seed is None:
-            raise InvalidParameterError("sampled mode needs samples >= 1 and a seed")
-        rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-        eu, ev = edge_endpoints(g)
-        best = -math.inf
-        best_pair_sets = (frozenset(), frozenset())
-        done = 0
-        while done < samples:
-            s_bits = rng.integers(0, 2, size=g.n)
-            t_bits = rng.integers(0, 2, size=g.n)
-            ssize, tsize = int(s_bits.sum()), int(t_bits.sum())
-            if ssize == 0 or tsize == 0:
-                continue
-            done += 1
-            count = _incidences(eu, ev, s_bits, t_bits)
-            ratio = abs(count - g.d * ssize * tsize / g.n) / math.sqrt(ssize * tsize)
-            if ratio > best:
-                best = ratio
-                best_pair_sets = (
-                    frozenset(np.flatnonzero(s_bits).tolist()),
-                    frozenset(np.flatnonzero(t_bits).tolist()),
-                )
-        return MixingReport(best, *best_pair_sets, lam, slack, "sampled")
-    raise InvalidParameterError(f"unknown method {method!r}")
+    rng = np.random.default_rng(_as_seed(seed))
+    eu, ev = edge_endpoints(g)
+    best = -math.inf
+    best_pair_sets = (frozenset(), frozenset())
+    done = 0
+    while done < samples:
+        s_bits = rng.integers(0, 2, size=g.n)
+        t_bits = rng.integers(0, 2, size=g.n)
+        ssize, tsize = int(s_bits.sum()), int(t_bits.sum())
+        if ssize == 0 or tsize == 0:
+            continue
+        done += 1
+        count = _incidences(eu, ev, s_bits, t_bits)
+        ratio = abs(count - g.d * ssize * tsize / g.n) / math.sqrt(ssize * tsize)
+        if ratio > best:
+            best = ratio
+            best_pair_sets = (
+                frozenset(np.flatnonzero(s_bits).tolist()),
+                frozenset(np.flatnonzero(t_bits).tolist()),
+            )
+    return MixingReport(best, *best_pair_sets, lam, slack, "sampled")
 
 
 def converse_eml_alpha(

@@ -593,8 +593,7 @@ def _best_class(g: RegularGraph, k: int, tol: float) -> tuple[np.ndarray, float,
         shifts = _class_shifts(free, m, k, np.arange(lo, min(lo + 4096, total)))
         radii = 0.0
         for j in range(1, k // 2 + 1):
-            # t_j**s is root (j*s) mod k; "wrap" takes that index without a % pass
-            w = np.take(roots.real if 2 * j == k else roots, j * shifts, mode="wrap")
+            w = (roots.real if 2 * j == k else roots)[j * shifts % k]
             vals = np.linalg.eigvalsh(edge_matrix(g.n, eu, ev, w))
             radii = np.maximum(radii, np.abs(vals[:, [0, -1]]).max(axis=1))
         for code, radius in enumerate(radii.tolist(), lo):

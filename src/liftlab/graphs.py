@@ -33,8 +33,44 @@ def _int_array(values, what: str) -> np.ndarray:
     return arr
 
 
+class _ArrayRecord:
+    """Base of the frozen value dataclasses: scalar fields, then one read-only
+    int64 array as the last field. Equality and hashing run over the fields,
+    the array compared by contents. Subclasses are declared with eq=False, so
+    that dataclass adds no __eq__ or __hash__ of its own."""
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """Take field values that are valid by construction, the array last and
+        fresh, with no copy and no check; the array is made read-only."""
+        fields[-1].flags.writeable = False
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
+        return obj
+
+    def _fields(self) -> list:
+        return [self.__dict__[name] for name in self.__dataclass_fields__]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        *mine, a = self._fields()
+        *theirs, b = other._fields()
+        return mine == theirs and np.array_equal(a, b)
+
+    def __hash__(self):
+        *scalars, arr = self._fields()
+        return hash((*scalars, arr.tobytes()))
+
+    def _tuples(self) -> tuple:
+        """The array as a tuple of ints (1-d) or of int tuples (2-d), built on
+        first access."""
+        arr = self._fields()[-1]
+        return tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.tolist())
+
+
 @dataclass(frozen=True, eq=False)
-class RegularGraph:
+class RegularGraph(_ArrayRecord):
     """A simple undirected d-regular graph on n vertices.
 
     `edge_array` is the (m, 2) int64 edge storage; the constructor accepts
@@ -83,29 +119,7 @@ class RegularGraph:
                 f"vertex {x} has degree {int(deg[x])}, expected {self.d}"
             )
 
-    @classmethod
-    def _trusted(cls, n: int, d: int, edge_array: np.ndarray) -> RegularGraph:
-        """Take a fresh (m, 2) int64 edge array that is valid by construction,
-        such as build_lift's, with no copy and no check; it is made read-only."""
-        edge_array.flags.writeable = False
-        obj = object.__new__(cls)
-        obj.__dict__.update(n=n, d=d, edge_array=edge_array)
-        return obj
-
-    def __eq__(self, other):
-        if not isinstance(other, RegularGraph):
-            return NotImplemented
-        return (self.n, self.d) == (other.n, other.d) and np.array_equal(
-            self.edge_array, other.edge_array
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.d, self.edge_array.tobytes()))
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges as a tuple of (u, v) int pairs, built on first access."""
-        return tuple(map(tuple, self.edge_array.tolist()))
+    edges = cached_property(_ArrayRecord._tuples)  # (u, v) int pairs
 
     @property
     def num_edges(self) -> int:

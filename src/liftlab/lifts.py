@@ -14,11 +14,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
-from .graphs import RegularGraph, _as_seed, _int_array, edge_endpoints, edge_matrix
+from .graphs import (RegularGraph, _ArrayRecord, _as_seed, _int_array, edge_endpoints,
+                     edge_matrix)
 
 
 @dataclass(frozen=True, eq=False)
-class Signing:
+class Signing(_ArrayRecord):
     """One label in {+1, -1} per base edge, in base-edge order.
 
     `sign_array` is the (m,) int64 storage, `signs` a tuple view built on
@@ -35,21 +36,11 @@ class Signing:
         if np.any((arr != 1) & (arr != -1)):
             raise InvalidParameterError("signs must be +1 or -1")
 
-    def __eq__(self, other):
-        if not isinstance(other, Signing):
-            return NotImplemented
-        return np.array_equal(self.sign_array, other.sign_array)
-
-    def __hash__(self):
-        return hash(self.sign_array.tobytes())
-
-    @cached_property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(self.sign_array.tolist())
+    signs = cached_property(_ArrayRecord._tuples)
 
 
 @dataclass(frozen=True, eq=False)
-class ShiftAssignment:
+class ShiftAssignment(_ArrayRecord):
     """One cyclic-shift amount in [0, k) per base edge, in base-edge order.
 
     The stored value is Shift(u, v) for the stored direction u < v; the
@@ -70,21 +61,11 @@ class ShiftAssignment:
         if np.any((arr < 0) | (arr >= self.k)):
             raise InvalidParameterError(f"shifts must lie in [0,{self.k})")
 
-    def __eq__(self, other):
-        if not isinstance(other, ShiftAssignment):
-            return NotImplemented
-        return self.k == other.k and np.array_equal(self.shift_array, other.shift_array)
-
-    def __hash__(self):
-        return hash((self.k, self.shift_array.tobytes()))
-
-    @cached_property
-    def shifts(self) -> tuple[int, ...]:
-        return tuple(self.shift_array.tolist())
+    shifts = cached_property(_ArrayRecord._tuples)
 
 
 @dataclass(frozen=True, eq=False)
-class LiftAssignment:
+class LiftAssignment(_ArrayRecord):
     """One permutation of [0, k) per base edge, stored as image sequences.
 
     `perm_array` is the (m, k) int64 storage, row e holding the images of
@@ -121,27 +102,7 @@ class LiftAssignment:
             idx = int(np.flatnonzero(np.any(counts[:-1].reshape(arr.shape) != 1, axis=1))[0])
         raise InvalidParameterError(f"perm {idx} is not a bijection on [0,{self.k})")
 
-    @classmethod
-    def _trusted(cls, k: int, perm_array: np.ndarray) -> LiftAssignment:
-        """Take a fresh (m, k) int64 array whose rows are permutations by
-        construction, skipping the bijection check; it is made read-only."""
-        arr = np.asarray(perm_array, dtype=np.int64)
-        arr.flags.writeable = False
-        obj = object.__new__(cls)
-        obj.__dict__.update(k=k, perm_array=arr)
-        return obj
-
-    def __eq__(self, other):
-        if not isinstance(other, LiftAssignment):
-            return NotImplemented
-        return self.k == other.k and np.array_equal(self.perm_array, other.perm_array)
-
-    def __hash__(self):
-        return hash((self.k, self.perm_array.tobytes()))
-
-    @cached_property
-    def perms(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.perm_array.tolist()))
+    perms = cached_property(_ArrayRecord._tuples)  # one image tuple per edge
 
 
 @dataclass(frozen=True)
@@ -182,8 +143,7 @@ def random_signing(g: RegularGraph, seed: int) -> Signing:
 
 def signing_to_assignment(s: Signing) -> LiftAssignment:
     """+1 becomes the identity permutation, -1 the swap; k = 2."""
-    swap = s.sign_array[:, None] == -1
-    return LiftAssignment._trusted(2, np.where(swap, [1, 0], [0, 1]))
+    return shift_to_assignment(signing_to_shifts(s))
 
 
 def signing_to_shifts(s: Signing) -> ShiftAssignment:
@@ -213,6 +173,12 @@ def shift_to_signing(sa: ShiftAssignment) -> Signing:
     return Signing(np.where(sa.shift_array == 0, 1, -1))
 
 
+def _check_per_edge(g: RegularGraph, arr: np.ndarray, owner: str, what: str) -> None:
+    """InvalidParameterError unless `arr` has one row per base edge of g."""
+    if arr.shape[0] != g.num_edges:
+        raise InvalidParameterError(f"{owner} has {arr.shape[0]} {what} for {g.num_edges} edges")
+
+
 def lift_endpoints(g: RegularGraph, perm_array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lift edges (u*k + i, v*k + perm(i)) of an (m, k) permutation array as
     two parallel index arrays; entry e*k + i is copy i of base edge e."""
@@ -238,11 +204,7 @@ def build_lift(g: RegularGraph, a: LiftAssignment) -> LiftedGraph:
     validated again: each base edge lifts to a perfect matching between two
     fibers, so a valid base and bijective rows give a simple d-regular lift.
     """
-    m = g.num_edges
-    if a.perm_array.shape[0] != m:
-        raise InvalidParameterError(
-            f"assignment has {a.perm_array.shape[0]} permutations for {m} edges"
-        )
+    _check_per_edge(g, a.perm_array, "assignment", "permutations")
     check_lift_order(g.n, a.k)
     k, size = a.k, a.k * g.n
     b = (size - 1).bit_length()
@@ -263,10 +225,7 @@ def build_shift_lift(g: RegularGraph, sa: ShiftAssignment) -> LiftedGraph:
 
 def signed_adjacency(g: RegularGraph, s: Signing) -> np.ndarray:
     """Adjacency matrix with entries replaced by the edge signs."""
-    if s.sign_array.shape[0] != g.num_edges:
-        raise InvalidParameterError(
-            f"signing has {s.sign_array.shape[0]} signs for {g.num_edges} edges"
-        )
+    _check_per_edge(g, s.sign_array, "signing", "signs")
     return edge_matrix(g.n, *edge_endpoints(g), s.sign_array)
 
 

@@ -16,6 +16,7 @@ from .errors import (
     InvalidParameterError,
     SearchError,
 )
+from .graphs import _as_seed
 
 
 def support(u: np.ndarray) -> frozenset:
@@ -131,7 +132,7 @@ def _round_until(x, seed: int, max_tries: int, draw, score, failure: str):
     `failure` formatted with the target, the tries and the best score, and
     carrying the best-scoring rounding (None if max_tries is 0)."""
     target = score(x)
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(_as_seed(seed))
     best_val, best = -math.inf, None
     for _ in range(max_tries):
         y = draw(x, rng)

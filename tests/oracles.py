@@ -539,6 +539,20 @@ def bmat_root_operators(g, sa) -> list:
     return ops
 
 
+def spanning_tree_free_edges(g) -> np.ndarray:
+    """The edges outside the minimum spanning forest under the distinct
+    weights m - e, by scipy's csgraph: the forest Kruskal builds taking edges
+    from the highest index down, with no union-find."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    m = g.num_edges
+    weights = coo_matrix((m - np.arange(m), ll.edge_endpoints(g)), shape=(g.n, g.n))
+    free = np.ones(m, dtype=bool)
+    free[m - minimum_spanning_tree(weights).data.astype(np.int64)] = False
+    return np.flatnonzero(free)
+
+
 def loop_adjacency(n: int, edges, weights=None) -> np.ndarray:
     """(Signed) adjacency matrix filled one edge at a time."""
     a = np.zeros((n, n))

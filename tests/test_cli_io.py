@@ -566,3 +566,24 @@ class TestCliExtraBranches:
                   "--seed", "1", "--out", str(g_path)])
         assert dispatch(["eml", "--graph", str(g_path), "--method", "sampled",
                          "--samples", "200", "--seed", "6"]) == 0
+
+    def test_eml_exhaustive_rejects_samples_and_seed(self, tmp_path, capsys):
+        g_path, out = tmp_path / "k4.graph", tmp_path / "report"
+        dispatch(["gen", "--family", "complete", "--m", "4", "--out", str(g_path)])
+        for extra, named in ((["--samples", "5"], "samples"), (["--seed", "3"], "seed"),
+                             (["--samples", "5", "--seed", "3"], "samples or seed")):
+            capsys.readouterr()
+            argv = ["eml", "--graph", str(g_path), "--method", "exhaustive", *extra]
+            assert dispatch([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: exhaustive mode takes no {named}\n", err
+            assert not out.exists()
+
+    def test_eml_sampled_seed_defaults_to_0(self, tmp_path):
+        g_path = tmp_path / "g.graph"
+        dispatch(["gen", "--family", "random_regular", "--n", "30", "--d", "4",
+                  "--seed", "1", "--out", str(g_path)])
+        argv = ["eml", "--graph", str(g_path), "--method", "sampled", "--samples", "50"]
+        assert dispatch([*argv, "--out", str(tmp_path / "default")]) == 0
+        assert dispatch([*argv, "--seed", "0", "--out", str(tmp_path / "zero")]) == 0
+        assert (tmp_path / "default").read_text() == (tmp_path / "zero").read_text()

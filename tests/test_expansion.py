@@ -361,6 +361,19 @@ class TestMixing:
         assert report.method == "sampled"
         assert report.passed
 
+    def test_exhaustive_mode_rejects_sampled_parameters(self, k4):
+        # eml_check, converse_eml_alpha (through it) and combinatorial_expansion
+        # name the dropped parameter instead of ignoring it
+        lam = base_lambda(k4)
+        for samples, seed, named in ((5, None, "samples"), (None, 3, "seed"),
+                                     (5, 3, "samples or seed"), (0, 0, "samples or seed")):
+            message = f"^exhaustive mode takes no {named}$"
+            for check in (lambda: ll.eml_check(k4, lam, "exhaustive", samples, seed),
+                          lambda: ll.converse_eml_alpha(k4, lam, "exhaustive", samples, seed),
+                          lambda: ll.combinatorial_expansion(k4, "exhaustive", samples, seed)):
+                with pytest.raises(InvalidParameterError, match=message):
+                    check()
+
     def test_sampled_never_exceeds_exhaustive(self):
         g = ll.random_regular(10, 3, 12)
         lam = base_lambda(g)

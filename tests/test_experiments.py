@@ -21,6 +21,7 @@ from oracles import (
     dense_split_lambda_new,
     k4_top_radius_rate,
     lemma3_size_pair_list,
+    spanning_tree_free_edges,
 )
 
 
@@ -534,6 +535,17 @@ def test_exhaustive_level_scores_one_candidate_per_switching_class(base, k, clas
     # the Lanczos score with its fiber cross-check runs once, on the kept class
     assert kept.shape == (1, m)
     assert [sa.shift_array.tolist() for sa in scored] == kept.tolist()
+
+
+def test_switching_free_edges_match_the_spanning_tree_oracle():
+    graphs = [ll.complete_graph(2), ll.complete_graph(4), ll.complete_bipartite(3),
+              ll.cycle_graph(5), ll.disjoint_copies(ll.complete_graph(4), 3),
+              ll.disjoint_copies(ll.random_regular(10, 3, 4), 2)]
+    graphs += [ll.random_regular(n, d, n * d) for n in range(8, 51, 6) for d in (3, 4, 6)]
+    for g in graphs:
+        free = experiments._switching_free_edges(g)
+        assert free.dtype == np.int64
+        assert free.tolist() == spanning_tree_free_edges(g).tolist(), (g.n, g.d)
 
 
 @pytest.mark.parametrize("base", ["complete 4", "complete_bipartite 3"])

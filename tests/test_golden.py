@@ -252,7 +252,8 @@ def test_converse_mixing_report_bytes(case):
     make, _ = ll.experiments.FAMILIES[family]
     g = make(*map(int, args))
     lam = ll.lambda_nontrivial(ll.eig_symmetric(ll.adjacency_matrix(g)), g.d)
-    report = ll.converse_eml_alpha(g, lam, method=method, samples=200, seed=4)
+    sampled = {"samples": 200, "seed": 4} if method == "sampled" else {}
+    report = ll.converse_eml_alpha(g, lam, method=method, **sampled)
     text = fileio.converse_mixing_report_text(report)
     assert hashlib.sha256(text.encode()).hexdigest() == CONVERSE_CASES[case]
 

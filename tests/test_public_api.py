@@ -1,0 +1,85 @@
+"""The public surface of liftlab, pinned: exported names, the attributes of the
+four value types, the CLI options and the environment variables. A change that
+adds or drops any of them has to change this file too."""
+import argparse
+import re
+import types
+from pathlib import Path
+
+import liftlab as ll
+from liftlab import cli
+
+PUBLIC_NAMES = [
+    "CharacterizationError", "CharacterizationReport", "CheegerReport",
+    "ConverseMixingReport", "DyadicDecomposition", "ExpansionReport", "ExperimentConfig",
+    "ExperimentReport", "FormatError", "GenerationError", "GrowthTrajectory",
+    "InvalidParameterError", "LiftAssignment", "LiftLabError", "LiftedGraph", "MatchingError",
+    "MixingReport", "NumericalError", "OldNewSplit", "RegularGraph", "RootOfUnity",
+    "SearchError", "ShiftAssignment", "Signing", "SigningSearchResult", "SizeLimitError",
+    "Spectrum", "SpotCheckReport", "TrialRecord", "adjacency_matrix", "assignment_to_signing",
+    "build_lift", "build_shift_lift", "cheeger_check", "combinatorial_expansion",
+    "complete_bipartite", "complete_graph", "converse_eml_alpha", "cycle_graph", "discretize",
+    "discretize_pair", "disjoint_copies", "dyadic_decompose", "dyadic_round", "edge_endpoints",
+    "edges_between", "eig_symmetric", "eml_check", "exhaustive_signing_search", "fiber",
+    "geometric_log_sum_bound", "greedy_lift_growth", "lambda_new_from_fibers",
+    "lambda_new_from_roots", "lambda_nontrivial", "lambda_nontrivial_sparse",
+    "lemma_inequality_spot_check", "lift_eigenvector", "max_multiset_mismatch", "random_k_lift",
+    "random_regular", "random_shift_lift", "random_signing", "rayleigh_quotient",
+    "resolve_base_graph", "roots_of_unity", "run_lift_trials", "shift_matrix",
+    "shift_to_assignment", "shift_to_signing", "sign_sum_stats", "signed_adjacency",
+    "signing_to_assignment", "signing_to_shifts", "spectral_radius", "split_old_new",
+    "splitmix64", "support", "trial_seed", "two_lift_block_matrix", "verify_characterization",
+]
+
+VALUE_TYPE_ATTRIBUTES = {
+    "RegularGraph": ["d", "edge_array", "edges", "n", "num_edges"],
+    "Signing": ["sign_array", "signs"],
+    "ShiftAssignment": ["k", "shift_array", "shifts"],
+    "LiftAssignment": ["k", "perm_array", "perms"],
+}
+
+CLI_OPTIONS = {
+    "gen": ["--copies", "--d", "--family", "--m", "--n", "--out", "--seed"],
+    "lift": ["--assignment", "--graph", "--k", "--mode", "--out", "--save-assignment",
+             "--seed"],
+    "spec": ["--graph", "--out"],
+    "verify-shift": ["--assignment", "--graph", "--k", "--out", "--shifts", "--tol"],
+    "eml": ["--bipartite", "--graph", "--method", "--out", "--samples", "--seed"],
+    "cheeger": ["--graph", "--out"],
+    "mc": ["--base", "--config", "--constants", "--copies", "--csv", "--k", "--mode", "--out",
+           "--seed", "--threads", "--trials"],
+    "search-signing": ["--graph", "--out"],
+    "grow": ["--graph", "--k", "--levels", "--out", "--samples", "--seed"],
+    "lemma-check": ["--graph", "--out", "--seed", "--trials", "--which"],
+}
+
+
+def test_public_names_are_pinned():
+    # submodules become package attributes once imported anywhere, so they
+    # are not counted as exported names
+    names = sorted(name for name, value in vars(ll).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES
+
+
+def test_value_type_attributes_are_pinned():
+    g = ll.complete_graph(4)
+    values = [g, ll.random_signing(g, 1), ll.random_shift_lift(g, 3, 1), ll.random_k_lift(g, 3, 1)]
+    got = {type(v).__name__: sorted(a for a in dir(v) if not a.startswith("_")) for v in values}
+    assert got == VALUE_TYPE_ATTRIBUTES
+
+
+def test_cli_options_are_pinned():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(o for a in p._actions for o in a.option_strings if o.startswith("--")
+                        and o != "--help")
+           for name, p in sub.choices.items()}
+    assert got == CLI_OPTIONS
+
+
+def test_environment_variables_are_pinned():
+    src = Path(ll.__file__).parent
+    names = {name for path in src.glob("*.py")
+             for name in re.findall(r"\bLIFTLAB_[A-Z0-9_]+", path.read_text())}
+    assert sorted(names) == ["LIFTLAB_THREADS"]
