@@ -140,8 +140,13 @@ def verify_characterization(
           products at most ortho_tol.
 
     Raises CharacterizationError naming the worst offender if any check
-    fails; a failure indicates a bug, never a counterexample.
+    fails; a failure indicates a bug, never a counterexample. A NaN or
+    negative threshold raises InvalidParameterError: a NaN one would pass
+    every instance, a negative one none.
     """
+    for name, value in (("tol", tol), ("window", window), ("ortho_tol", ortho_tol)):
+        if not value >= 0:
+            raise InvalidParameterError(f"{name} must be >= 0, got {value}")
     _check_per_edge(g, sa.shift_array, "assignment", "shifts")
     k, n = sa.k, g.n
     _check_dense_dim(k * n)  # before the (kn)^2 lift matrix is allocated

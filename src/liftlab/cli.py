@@ -1,8 +1,10 @@
 """Command-line workbench tying the library together.
 
-Exit codes: 0 success, 1 check failure, 2 usage/input error, 3 numerical or
-generation failure. Every command prints a one-line summary and optionally
-writes its full report to --out.
+Every command runs the same way: read the edge list at --graph if it takes
+one, run, write its output to --out if given (`gen` and `lift` require it;
+`spec` without it writes the spectrum to stdout), print one summary line,
+and exit 0 on success, 1 on a check failure, 2 on a usage or input error,
+3 on a numerical or generation failure.
 """
 from __future__ import annotations
 
@@ -13,30 +15,14 @@ import time
 
 from . import fileio
 from .characterization import lambda_nontrivial_sparse, verify_characterization
-from .errors import (
-    CharacterizationError,
-    InvalidParameterError,
-    LiftLabError,
-)
+from .errors import CharacterizationError, InvalidParameterError, LiftLabError
 from .expansion import cheeger_check, eml_check
-from .experiments import (
-    FAMILIES,
-    exhaustive_signing_search,
-    greedy_lift_growth,
-    lemma_inequality_spot_check,
-    run_lift_trials,
-)
+from .experiments import (FAMILIES, exhaustive_signing_search, greedy_lift_growth,
+                          lemma_inequality_spot_check, run_lift_trials)
 from .graphs import adjacency_matrix, disjoint_copies
-from .lifts import (
-    ShiftAssignment,
-    build_lift,
-    check_lift_order,
-    random_k_lift,
-    random_shift_lift,
-    shift_to_assignment,
-    signing_to_assignment,
-    random_signing,
-)
+from .lifts import (ShiftAssignment, build_lift, check_lift_order, random_k_lift,
+                    random_shift_lift, random_signing, shift_to_assignment,
+                    signing_to_assignment)
 from .spectra import eig_symmetric, lambda_nontrivial
 
 EXIT_OK = 0
@@ -142,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gen(args) -> int:
+def _gen(args, _) -> int:
     make, params = FAMILIES[args.family]
     values = [getattr(args, p) for p in params]
     missing = [f"--{p}" for p, value in zip(params, values) if value is None]
@@ -159,17 +145,25 @@ def _gen(args) -> int:
     return EXIT_OK
 
 
-def _lift(args) -> int:
-    g = fileio.read_graph(args.graph)
+def _read_assignment(args):
+    """The --assignment file, whose k an explicit --k must equal; verify-shift
+    takes shift lines only."""
+    a = fileio.read_assignment(args.assignment)
+    if args.command == "verify-shift" and not isinstance(a, ShiftAssignment):
+        raise InvalidParameterError("verify-shift needs a shift assignment")
+    if args.k not in (None, a.k):
+        raise InvalidParameterError(f"--k {args.k} conflicts with the assignment's k={a.k}")
+    return a
+
+
+def _lift(args, g) -> int:
     k = 2 if args.k is None else args.k
     seed = 0 if args.seed is None else args.seed
     if args.assignment:
         for option in ("mode", "seed"):
             if getattr(args, option) is not None:
                 raise InvalidParameterError(f"--{option} conflicts with --assignment")
-        a = fileio.read_assignment(args.assignment)
-        if args.k not in (None, a.k):
-            raise InvalidParameterError(f"--k {args.k} conflicts with the assignment's k={a.k}")
+        a = _read_assignment(args)
         check_lift_order(g.n, a.k)  # before a shift file's (m, k) permutations
         if isinstance(a, ShiftAssignment):
             a = shift_to_assignment(a)
@@ -191,8 +185,7 @@ def _lift(args) -> int:
     return EXIT_OK
 
 
-def _spec(args) -> int:
-    g = fileio.read_graph(args.graph)
+def _spec(args, g) -> int:
     spec = eig_symmetric(adjacency_matrix(g))
     text = fileio.spectrum_to_text(spec)
     if args.out:
@@ -204,66 +197,7 @@ def _spec(args) -> int:
     return EXIT_OK
 
 
-def _verify_shift(args) -> int:
-    g = fileio.read_graph(args.graph)
-    if args.assignment:
-        if args.shifts is not None:
-            raise InvalidParameterError("--shifts conflicts with --assignment")
-        sa = fileio.read_assignment(args.assignment)
-        if not isinstance(sa, ShiftAssignment):
-            raise InvalidParameterError("verify-shift needs a shift assignment")
-        if args.k not in (None, sa.k):
-            raise InvalidParameterError(f"--k {args.k} conflicts with the assignment's k={sa.k}")
-    else:
-        if args.shifts is None or args.k is None:
-            raise InvalidParameterError("need --shifts and --k (or --assignment)")
-        try:
-            shifts = tuple(int(tok) for tok in args.shifts.split(","))
-        except ValueError as exc:  # int() names the token: "... base 10: 'x'"
-            raise InvalidParameterError(f"--shifts: {exc}") from None
-        sa = ShiftAssignment(args.k, shifts)
-    try:
-        report = verify_characterization(g, sa, tol=args.tol)
-    except CharacterizationError as exc:
-        print(f"characterization FAILED: {exc}")
-        return EXIT_CHECK_FAILED
-    if args.out:
-        fileio.write_text(fileio.characterization_report_text(report), args.out)
-    print(
-        "characterization holds: "
-        f"mismatch={report.max_multiset_mismatch:.3e} "
-        f"residual={report.max_eigenvector_residual:.3e} "
-        f"cross_inner={report.max_cross_root_inner:.3e}"
-    )
-    return EXIT_OK
-
-
-def _eml(args) -> int:
-    g = fileio.read_graph(args.graph)
-    lam = lambda_nontrivial_sparse(g, bipartite=args.bipartite)
-    seed = 0 if args.seed is None and args.method == "sampled" else args.seed
-    report = eml_check(g, lam, method=args.method, samples=args.samples, seed=seed)
-    if args.out:
-        fileio.write_text(fileio.mixing_report_text(report), args.out)
-    status = "ok" if report.passed else "VIOLATED"
-    print(f"mixing check {status}: max_ratio={report.max_ratio:.12g} lambda={lam:.12g}")
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-
-
-def _cheeger(args) -> int:
-    g = fileio.read_graph(args.graph)
-    report = cheeger_check(g)
-    if args.out:
-        fileio.write_text(fileio.cheeger_report_text(report), args.out)
-    status = "ok" if report.passed else "VIOLATED"
-    print(
-        f"cheeger check {status}: {report.lower:.12g} <= h={report.h:.12g} "
-        f"<= {report.upper:.12g}"
-    )
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-
-
-def _mc(args) -> int:
+def _mc(args, _) -> int:
     overrides = {"base": args.base, "copies": args.copies, "trials": args.trials,
                  "seed": args.seed, "k": args.k, "mode": args.mode,
                  "constants": args.constants}
@@ -282,65 +216,87 @@ def _mc(args) -> int:
         f"{report.workers} worker{'s' if report.workers > 1 else ''}, "
         f"{cfg.trials / wall:.3g} trials/s"
     )
-    if report.failed:
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_NUMERICAL if report.failed else EXIT_OK
 
 
-def _search_signing(args) -> int:
-    g = fileio.read_graph(args.graph)
-    result = exhaustive_signing_search(g)
-    if args.out:
-        fileio.write_text(fileio.signing_search_report_text(result), args.out)
-    print(
-        f"min ||A_s|| = {result.min_radius:.12g} over {result.num_signings} signings "
-        f"({result.num_classes} switching classes); "
-        f"2*sqrt(d-1) = {result.ramanujan_bound:.12g}; "
-        f"within: {'yes' if result.within_bound else 'no'}"
+def _verify_shift(args, g):
+    if args.assignment:
+        if args.shifts is not None:
+            raise InvalidParameterError("--shifts conflicts with --assignment")
+        sa = _read_assignment(args)
+    else:
+        if args.shifts is None or args.k is None:
+            raise InvalidParameterError("need --shifts and --k (or --assignment)")
+        try:
+            shifts = tuple(int(tok) for tok in args.shifts.split(","))
+        except ValueError as exc:  # int() names the token: "... base 10: 'x'"
+            raise InvalidParameterError(f"--shifts: {exc}") from None
+        sa = ShiftAssignment(args.k, shifts)
+    try:
+        r = verify_characterization(g, sa, tol=args.tol)
+    except CharacterizationError as exc:
+        return EXIT_CHECK_FAILED, None, f"characterization FAILED: {exc}"
+    return EXIT_OK, r, (
+        f"characterization holds: mismatch={r.max_multiset_mismatch:.3e} "
+        f"residual={r.max_eigenvector_residual:.3e} cross_inner={r.max_cross_root_inner:.3e}"
     )
-    return EXIT_OK
 
 
-def _grow(args) -> int:
-    g = fileio.read_graph(args.graph)
+def _eml(args, g):
+    lam = lambda_nontrivial_sparse(g, bipartite=args.bipartite)
+    seed = 0 if args.seed is None and args.method == "sampled" else args.seed
+    r = eml_check(g, lam, method=args.method, samples=args.samples, seed=seed)
+    code, status = (EXIT_OK, "ok") if r.passed else (EXIT_CHECK_FAILED, "VIOLATED")
+    return code, r, f"mixing check {status}: max_ratio={r.max_ratio:.12g} lambda={lam:.12g}"
+
+
+def _cheeger(args, g):
+    r = cheeger_check(g)
+    code, status = (EXIT_OK, "ok") if r.passed else (EXIT_CHECK_FAILED, "VIOLATED")
+    return code, r, f"cheeger check {status}: {r.lower:.12g} <= h={r.h:.12g} <= {r.upper:.12g}"
+
+
+def _search_signing(args, g):
+    r = exhaustive_signing_search(g)
+    return EXIT_OK, r, (
+        f"min ||A_s|| = {r.min_radius:.12g} over {r.num_signings} signings "
+        f"({r.num_classes} switching classes); 2*sqrt(d-1) = {r.ramanujan_bound:.12g}; "
+        f"within: {'yes' if r.within_bound else 'no'}"
+    )
+
+
+def _grow(args, g):
     traj = greedy_lift_growth(g, args.levels, args.samples, args.k, args.seed)
-    if args.out:
-        fileio.write_text(fileio.growth_report_text(traj), args.out)
-    last = traj.records[-1]
-    note = " (truncated)" if traj.truncated else ""
-    print(
-        f"grew to n={last.n} lambda={last.lam:.6g} after "
-        f"{len(traj.records) - 1} levels{note}"
+    last, note = traj.records[-1], " (truncated)" if traj.truncated else ""
+    return EXIT_OK, traj, (
+        f"grew to n={last.n} lambda={last.lam:.6g} after {len(traj.records) - 1} levels{note}"
     )
-    return EXIT_OK
 
 
-def _lemma_check(args) -> int:
-    g = fileio.read_graph(args.graph)
-    report = lemma_inequality_spot_check(g, args.trials, args.seed, args.which)
-    if args.out:
-        fileio.write_text(fileio.spot_check_report_text(report), args.out)
-    if report.not_applicable:
-        print(f"{args.which}: no admissible vectors for n={g.n} d={g.d}")
-        return EXIT_OK
-    print(
-        f"{args.which}: {report.violations}/{report.trials} violations, "
-        f"max lhs/rhs = {report.max_ratio:.6g}"
+def _lemma_check(args, g):
+    r = lemma_inequality_spot_check(g, args.trials, args.seed, args.which)
+    if r.not_applicable:
+        return EXIT_OK, r, f"{args.which}: no admissible vectors for n={g.n} d={g.d}"
+    code = EXIT_OK if r.violations == 0 else EXIT_CHECK_FAILED
+    return code, r, (
+        f"{args.which}: {r.violations}/{r.trials} violations, max lhs/rhs = {r.max_ratio:.6g}"
     )
-    return EXIT_OK if report.violations == 0 else EXIT_CHECK_FAILED
 
 
-_HANDLERS = {
-    "gen": _gen,
-    "lift": _lift,
-    "spec": _spec,
-    "verify-shift": _verify_shift,
-    "eml": _eml,
-    "cheeger": _cheeger,
-    "mc": _mc,
-    "search-signing": _search_signing,
-    "grow": _grow,
-    "lemma-check": _lemma_check,
+# command -> (handler, renderer of its --out report or None). A handler with
+# a renderer returns (exit code, report or None, summary line) and leaves
+# --out and the summary to dispatch.
+_COMMANDS = {
+    "gen": (_gen, None),
+    "lift": (_lift, None),
+    "spec": (_spec, None),
+    "mc": (_mc, None),
+    "verify-shift": (_verify_shift, fileio.characterization_report_text),
+    "eml": (_eml, fileio.mixing_report_text),
+    "cheeger": (_cheeger, fileio.cheeger_report_text),
+    "search-signing": (_search_signing, fileio.signing_search_report_text),
+    "grow": (_grow, fileio.growth_report_text),
+    "lemma-check": (_lemma_check, fileio.spot_check_report_text),
 }
 
 
@@ -350,8 +306,16 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    handler, render = _COMMANDS[args.command]
     try:
-        return _HANDLERS[args.command](args)
+        g = fileio.read_graph(args.graph) if "graph" in args else None
+        if render is None:
+            return handler(args, g)
+        code, report, summary = handler(args, g)
+        if args.out and report is not None:
+            fileio.write_text(render(report), args.out)
+        print(summary)
+        return code
     except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -128,7 +128,7 @@ class ExperimentConfig:
         if self.copies < 1:
             raise InvalidParameterError("copies must be >= 1")
         object.__setattr__(self, "constants", tuple(float(c) for c in self.constants))
-        if any(c < 0 for c in self.constants):
+        if not all(c >= 0 for c in self.constants):  # NaN fails c >= 0
             raise InvalidParameterError("bound constants must be nonnegative")
 
 

@@ -334,6 +334,8 @@ _CONFIG_DEFAULTS = {
     "copies": "1",
     "constants": "1,2,3",
 }
+_CONFIG_REQUIRED = ("base", "trials", "seed")
+_CONFIG_KEYS = (*_CONFIG_REQUIRED, *_CONFIG_DEFAULTS)
 
 
 def parse_config_text(text: str) -> dict:
@@ -344,15 +346,22 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in stripped:
             raise FormatError(f"expected 'key = value', got {ln!r}", line=no)
-        key, _, value = stripped.partition("=")
-        out[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in out:
+            raise FormatError(f"repeated key {key!r}", line=no)
+        out[key] = value
     return out
 
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:
+    unknown = [key for key in raw if key not in _CONFIG_KEYS]
+    if unknown:
+        raise InvalidParameterError(
+            f"unknown config key {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(_CONFIG_KEYS)}")
     data = dict(_CONFIG_DEFAULTS)
     data.update(raw)
-    for key in ("base", "trials", "seed"):
+    for key in _CONFIG_REQUIRED:
         if key not in data:
             raise InvalidParameterError(f"config is missing required key {key!r}")
     try:

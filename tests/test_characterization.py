@@ -232,6 +232,15 @@ class TestVerifyCharacterization:
                            match=f"cross-root inner product {report.max_cross_root_inner:.3e}"):
             ll.verify_characterization(g, sa, ortho_tol=0.0)
 
+    @pytest.mark.parametrize("name", ["tol", "window", "ortho_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, -1e-300])
+    def test_nan_or_negative_threshold_is_rejected(self, k4, name, value):
+        # every comparison with NaN is false, so a NaN threshold passed any
+        # instance; a negative one failed every instance as a check failure
+        sa = ll.random_shift_lift(k4, 3, 1)
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be >= 0, got "):
+            ll.verify_characterization(k4, sa, **{name: value})
+
     @pytest.mark.parametrize("call", [
         lambda g, sa: ll.verify_characterization(g, sa),
         lambda g, sa: ll.shift_matrix(g, sa, ll.RootOfUnity(sa.k, 1)),

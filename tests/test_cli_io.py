@@ -127,6 +127,40 @@ class TestConfigFormat:
         cfg = fileio.read_config(str(path), {"trials": 11, "seed": None})
         assert cfg.trials == 11 and cfg.base_seed == 9
 
+    def test_unknown_keys_are_named(self):
+        # misspelt keys once fell back to the defaults: mode two_lift, copies 1
+        raw = fileio.parse_config_text(
+            "base = complete 4\ntrials = 2\nseed = 1\nmdoe = shift_lift\ncopise = 2\n")
+        with pytest.raises(InvalidParameterError,
+                           match="^unknown config key 'mdoe', 'copise'; accepted: base, "
+                                 "trials, seed, mode, k, copies, constants$"):
+            fileio.config_from_mapping(raw)
+
+    def test_repeated_key_reports_its_line(self):
+        # the last value once won silently
+        with pytest.raises(FormatError, match="^line 4: repeated key 'trials'$"):
+            fileio.parse_config_text("base = complete 4\ntrials = 3\n# more\ntrials = 5\n")
+
+    @pytest.mark.parametrize("extra,message", [
+        ("mdoe = shift_lift\n", "error: unknown config key 'mdoe'; accepted: base, trials, "
+                                "seed, mode, k, copies, constants\n"),
+        ("trials = 5\n", "error: line 4: repeated key 'trials'\n"),
+        ("constants = nan,1\n", "error: bad config value: bound constants must be "
+                                "nonnegative\n"),
+    ])
+    def test_mc_rejects_bad_configs_before_any_trial(self, tmp_path, capsys, extra, message):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "report"
+        cfg.write_text("base = complete 4\ntrials = 2\nseed = 1\n" + extra)
+        assert dispatch(["mc", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+
+    def test_mc_nan_constant_override_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("base = complete 4\ntrials = 2\nseed = 1\n")
+        assert dispatch(["mc", "--config", str(cfg), "--constants", "nan,1"]) == 2
+        assert "bound constants must be nonnegative" in capsys.readouterr().err
+
 
 class TestCli:
     def test_gen_writes_k4(self, tmp_path, capsys, k4):
@@ -551,6 +585,31 @@ class TestCliExtraBranches:
         fileio.write_assignment(ll.ShiftAssignment(3, (1, 0, 0)), str(a_path))
         assert dispatch(["verify-shift", "--graph", str(g_path),
                          "--assignment", str(a_path)]) == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_verify_shift_nan_or_negative_tol_is_a_usage_error(self, tmp_path, capsys, tol):
+        # --tol nan once printed "characterization holds", --tol -1 "FAILED"
+        g_path, out = tmp_path / "c3.graph", tmp_path / "report"
+        dispatch(["gen", "--family", "cycle", "--n", "3", "--out", str(g_path)])
+        capsys.readouterr()
+        assert dispatch(["verify-shift", "--graph", str(g_path), "--k", "3", "--shifts",
+                         "1,0,0", "--tol", tol, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: tol must be >= 0, got {float(tol)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["eml"], ["cheeger"], ["search-signing"],
+                                         ["verify-shift", "--k", "2", "--shifts", "1,0,0"],
+                                         ["grow", "--levels", "1", "--samples", "2"],
+                                         ["lemma-check", "--which", "lemma4", "--trials", "2"]])
+    def test_report_that_cannot_be_written_prints_no_summary(self, tmp_path, capsys, command):
+        g_path = tmp_path / "c3.graph"
+        dispatch(["gen", "--family", "cycle", "--n", "3", "--out", str(g_path)])
+        capsys.readouterr()
+        # --out names a directory, so the report write fails with an OSError
+        assert dispatch([command[0], "--graph", str(g_path), *command[1:],
+                         "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_verify_shift_rejects_perm_assignment(self, tmp_path, k4):
         g_path = tmp_path / "k4.graph"
