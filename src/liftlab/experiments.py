@@ -48,6 +48,7 @@ from .spectra import MAX_DENSE_DIM
 _M64 = (1 << 64) - 1
 CROSS_CHECK_TOL = 1e-6
 SIGNING_SEARCH_CAP = 24
+_STACKED_MAX_N = 128  # _stack_radii's dense limit; Lanczos is faster from about 192
 QUANTILE_LEVELS = ((0.0, "min"), (0.25, "q25"), (0.5, "median"), (0.75, "q75"),
                    (0.9, "q90"), (0.95, "q95"), (1.0, "max"))
 
@@ -582,36 +583,49 @@ def _class_shifts(free: np.ndarray, m: int, k: int, codes: np.ndarray) -> np.nda
     return shifts
 
 
-def _best_class(g: RegularGraph, k: int, tol: float) -> tuple[np.ndarray, float, int]:
-    """The shifts and lambda_new of the switching class of k-lifts of g with
-    the least lambda_new, and the class count. Codes of _class_shifts are
-    scored in order, 4096 per stack, by eigvalsh of the root stacks M_j for
-    j <= k/2 (M_{k/2} on its real part); a class is kept only when lower by more than tol."""
-    m, (eu, ev), free = g.num_edges, edge_endpoints(g), _switching_free_edges(g)
-    total, roots, best = k**free.size, _root_values(k), (math.inf, 0)
-    for lo in range(0, total, 4096):
-        shifts = _class_shifts(free, m, k, np.arange(lo, min(lo + 4096, total)))
-        radii = 0.0
-        for j in range(1, k // 2 + 1):
-            w = (roots.real if 2 * j == k else roots)[j * shifts % k]
-            vals = np.linalg.eigvalsh(edge_matrix(g.n, eu, ev, w))
-            radii = np.maximum(radii, np.abs(vals[:, [0, -1]]).max(axis=1))
-        for code, radius in enumerate(radii.tolist(), lo):
+def _stack_radii(g: RegularGraph, k: int, shifts: np.ndarray) -> np.ndarray:
+    """The largest root radius of each row of an (r, m) shift stack: up to
+    base order _STACKED_MAX_N, the max over j <= k/2 of eigvalsh of the root
+    stacks M_j (M_{k/2} on its real part), above it lambda_new_from_roots."""
+    if g.n > _STACKED_MAX_N:
+        return np.array([lambda_new_from_roots(g, ShiftAssignment(k, row))[0] for row in shifts])
+    (eu, ev), roots, radii = edge_endpoints(g), _root_values(k), np.zeros(len(shifts))
+    for j in range(1, k // 2 + 1):
+        w = (roots.real if 2 * j == k else roots)[j * shifts % k]
+        vals = np.linalg.eigvalsh(edge_matrix(g.n, eu, ev, w))
+        radii = np.maximum(radii, np.abs(vals[:, [0, -1]]).max(axis=1))
+    return radii
+
+
+def _pick(g: RegularGraph, k: int, tol: float, total: int, rows) -> tuple[np.ndarray, float]:
+    """(shifts, radius) of the candidate _stack_radii ranks lowest, where
+    rows(idx) stacks the shifts of candidates idx < total, max(1, 2**20 // n**2)
+    per stack; one is kept only when lower by more than tol (ties: earliest)."""
+    step, best = max(1, 2**20 // g.n**2), (math.inf, 0)
+    for lo in range(0, total, step):
+        radii = _stack_radii(g, k, rows(np.arange(lo, min(lo + step, total))))
+        for i, radius in enumerate(radii.tolist(), lo):
             if radius < best[0] - tol:
-                best = (radius, code)
-    return _class_shifts(free, m, k, np.array([best[1]]))[0], best[0], total
+                best = (radius, i)
+    return rows(np.array([best[1]]))[0], best[0]
+
+
+def _best_class(g: RegularGraph, k: int, tol: float) -> tuple[np.ndarray, float, int]:
+    """The shifts and radius of the switching class of k-lifts of g that _pick
+    keeps over the codes of _class_shifts in order, and the class count."""
+    m, free = g.num_edges, _switching_free_edges(g)
+    total = k**free.size
+    return (*_pick(g, k, tol, total, lambda codes: _class_shifts(free, m, k, codes)), total)
 
 
 def exhaustive_signing_search(g: RegularGraph) -> SigningSearchResult:
     """Minimize the spectral radius over every signing (|E| <= 24).
 
     Switching at a vertex (flipping all its edge signs) is a diagonal +-1
-    similarity, so only one signing per switching class is solved: the one
-    with +1 on a spanning forest (see _switching_free_edges). _best_class
-    scores the classes at k = 2, whose root matrix is the signing 1 - 2 * shifts
-    (bit i of a code set gives the i-th free edge -1), in code order with tol
-    0: ties resolve to the first tied class, whose representative is also the
-    smallest full code (bit e set means edge e gets -1) among the tied classes.
+    similarity, so only one signing per switching class is solved, by
+    _best_class at k = 2 (the root matrix is the signing 1 - 2 * shifts) with
+    tol 0: ties resolve to the first tied class, whose representative is the
+    smallest full code (bit e set: edge e gets -1).
     """
     m = g.num_edges
     if m > SIGNING_SEARCH_CAP:
@@ -652,24 +666,16 @@ def greedy_lift_growth(
 ) -> GrowthTrajectory:
     """Iterated best-of-sample shift lifting, keeping the smallest lambda_new.
 
-    At each level, `samples_per_level` candidate shift assignments of the
-    current graph are scored by the lambda_new of their lift and the best one
-    is kept. When k^|E| <= samples_per_level the level is exhaustive: as
-    switching changes no spectrum, _best_class ranks one assignment per
-    switching class, the k^(|E|-n+c) codes of _class_shifts (c components),
-    by dense root stacks, and keeps what a scan of all k^|E| codes would, as
-    each is the smallest code of its class and its class-mates tie with it.
-    The trigger stays k^|E|: moving it would change which levels are
-    sampled, and so reports. Sampled candidates, and an exhaustive level's
-    kept class, are scored as a campaign trial is, by _scored_lambda_new; only
-    the kept lift is built, once per level. A candidate replaces the best so
-    far only when it is lower by more than CROSS_CHECK_TOL, so ties go to
-    the earliest candidate, not to rounding noise. The level-0 lambda is
-    lambda_nontrivial_sparse of the base; the lift spectrum is the base
-    spectrum plus the new eigenvalues, so each later lambda is the larger of
-    the previous lambda and lambda_new. The trajectory records (n, lambda,
-    lambda_new) after every level; if the next lift would exceed the dense
-    solver cap the trajectory is cut short and flagged truncated.
+    Each level lifts the current graph by the candidate _pick keeps among the
+    draws trial_seed(seed, (level << 32) | s), s < samples_per_level, or, when
+    k^|E| <= samples_per_level, among one assignment per switching class
+    (_best_class, which keeps what a scan of all k^|E| codes would); a trigger
+    on the class count would change which levels are sampled, and so reports.
+    Only the kept candidate is scored by _scored_lambda_new, as a campaign
+    trial is, and only its lift is built. Level 0 has the base's
+    lambda_nontrivial_sparse, later levels the larger of the last lambda and
+    lambda_new (the lift spectrum is the base's plus the new eigenvalues).
+    The tower stops, flagged truncated, before a lift over the dense cap.
     """
     if levels < 0:
         raise InvalidParameterError("levels must be >= 0")
@@ -680,24 +686,18 @@ def greedy_lift_growth(
     current = g0
     lam = lambda_nontrivial_sparse(current)
     records = [LevelRecord(0, current.n, lam, None)]
-    truncated = False
     for level in range(1, levels + 1):
         if k * current.n > MAX_DENSE_DIM:
-            truncated = True
             break
-        m = current.num_edges
-        if k**m <= samples_per_level:
-            candidates = [ShiftAssignment(k, _best_class(current, k, CROSS_CHECK_TOL)[0])]
+        if k**current.num_edges <= samples_per_level:
+            shifts = _best_class(current, k, CROSS_CHECK_TOL)[0]
         else:
-            candidates = (random_shift_lift(current, k, trial_seed(seed, (level << 32) | s))
-                          for s in range(samples_per_level))
-        best = None
-        for sa in candidates:
-            lam_new = _scored_lambda_new(current, sa)[0]
-            if best is None or lam_new < best[0] - CROSS_CHECK_TOL:
-                best = (lam_new, sa)
-        lam_new, sa = best
+            shifts = _pick(current, k, CROSS_CHECK_TOL, samples_per_level, lambda draws: np.array(
+                [random_shift_lift(current, k, trial_seed(seed, (level << 32) | s)).shift_array
+                 for s in draws.tolist()]))[0]
+        sa = ShiftAssignment(k, shifts)
+        lam_new = _scored_lambda_new(current, sa)[0]
         current = build_shift_lift(current, sa).graph
         lam = max(lam, lam_new)
         records.append(LevelRecord(level, current.n, lam, lam_new))
-    return GrowthTrajectory(tuple(records), truncated, k, samples_per_level, seed)
+    return GrowthTrajectory(tuple(records), len(records) <= levels, k, samples_per_level, seed)

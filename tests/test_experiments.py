@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -541,6 +542,123 @@ def test_exhaustive_level_scores_one_candidate_per_switching_class(base, k, clas
     # the Lanczos score with its fiber cross-check runs once, on the kept class
     assert kept.shape == (1, m)
     assert [sa.shift_array.tolist() for sa in scored] == kept.tolist()
+
+
+@pytest.mark.parametrize("base,k,samples,chunks", [
+    ("complete 4", 3, 50, [50]),
+    ("random_regular 12 4 5", 2, 20, [20]),
+    # the stack limit at n = 128 is 2**20 // 128**2 = 64 rows
+    ("random_regular 128 3 1", 2, 150, [64, 64, 22]),
+])
+def test_sampled_level_scores_the_seeded_draws_and_rescores_the_kept_one(
+        base, k, samples, chunks, monkeypatch):
+    g, seed = _growth_base(base), 6
+    assert k**g.num_edges > samples
+    stacks, scores, scored = [], [], []
+    stack_radii, score = experiments._stack_radii, experiments._scored_lambda_new
+
+    def recording_stack_radii(graph, k, shifts):
+        stacks.append(shifts)
+        scores.append(stack_radii(graph, k, shifts))
+        return scores[-1]
+
+    def counting_score(graph, sa):
+        scored.append(sa)
+        return score(graph, sa)
+
+    monkeypatch.setattr(experiments, "_stack_radii", recording_stack_radii)
+    monkeypatch.setattr(experiments, "_scored_lambda_new", counting_score)
+    ll.greedy_lift_growth(g, 1, samples, k, seed)
+    draws = [ll.random_shift_lift(g, k, ll.trial_seed(seed, (1 << 32) | s)).shift_array
+             for s in range(samples)]
+    assert [len(stack) for stack in stacks] == chunks
+    assert np.concatenate(stacks).tolist() == np.array(draws).tolist()
+    # distinct radii here lie far more than CROSS_CHECK_TOL apart, so the tie
+    # rule keeps the first draw of the lowest radius
+    radii, tol = np.concatenate(scores), experiments.CROSS_CHECK_TOL
+    gaps = np.diff(np.sort(radii))
+    assert np.all((gaps < 1e-12) | (gaps > tol))
+    kept = int(np.argmax(radii <= radii.min() + tol))
+    assert [sa.shift_array.tolist() for sa in scored] == [draws[kept].tolist()]
+
+
+@pytest.mark.parametrize("tol,radii,kept", [
+    (0.0, [3.0, 1.0, 2.0, 1.0, 1.0], 1),
+    (1e-6, [3.0, 1.0, 1.0 - 5e-7, 0.5, 0.5 - 5e-7, 0.5 - 2e-6, 0.5 - 2.5e-6], 5),
+])
+def test_pick_keeps_the_earliest_candidate_lower_by_more_than_tol(tol, radii, kept,
+                                                                  monkeypatch):
+    g = ll.complete_graph(4)
+    # candidate i is the constant shift row i, scored radii[i]
+    monkeypatch.setattr(experiments, "_stack_radii",
+                        lambda graph, k, shifts: np.array(radii)[shifts[:, 0]])
+    shifts, radius = experiments._pick(
+        g, 8, tol, len(radii), lambda idx: np.repeat(idx[:, None], g.num_edges, axis=1))
+    assert (shifts.tolist(), radius) == ([kept] * g.num_edges, radii[kept])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("n,d", [(4, 3), (12, 4), (40, 3), (experiments._STACKED_MAX_N, 3)])
+def test_stack_radii_match_the_dense_half_roots(n, d, k, monkeypatch):
+    g = ll.random_regular(n, d, n + k)
+    shifts = np.array([ll.random_shift_lift(g, k, s).shift_array for s in range(3)])
+    expected = [max(dense_half_root_radii(g, ll.ShiftAssignment(k, row))) for row in shifts]
+    dtypes, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording_eigvalsh(a):
+        dtypes.append(a.dtype)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    radii = experiments._stack_radii(g, k, shifts)
+    assert np.max(np.abs(radii - expected)) <= 1e-12
+    # one stack per root j <= k/2, and M_{k/2} on its real part
+    assert dtypes == [np.dtype(complex)] * ((k - 1) // 2) + [np.dtype(float)] * (k % 2 == 0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_both_sides_of_the_stack_size_rule_keep_the_same_lifts(k, monkeypatch):
+    g = ll.random_regular(experiments._STACKED_MAX_N, 3, 2)
+    build, roots = experiments.build_shift_lift, experiments.lambda_new_from_roots
+    runs = []
+    for limit in (g.n, g.n - 1):  # dense root stacks, then Lanczos per candidate
+        kept, root_calls = [], []
+
+        def recording_build(graph, sa):
+            kept.append(sa)
+            return build(graph, sa)
+
+        def counting_roots(graph, sa):
+            root_calls.append(sa)
+            return roots(graph, sa)
+
+        monkeypatch.setattr(experiments, "_STACKED_MAX_N", limit)
+        monkeypatch.setattr(experiments, "build_shift_lift", recording_build)
+        monkeypatch.setattr(experiments, "lambda_new_from_roots", counting_roots)
+        runs.append((ll.greedy_lift_growth(g, 1, 12, k, 4), kept, len(root_calls)))
+    (stacked, kept_stacked, calls_stacked), (lanczos, kept_lanczos, calls_lanczos) = runs
+    assert stacked == lanczos
+    assert kept_stacked == kept_lanczos
+    # the kept candidate's own re-score, and one Lanczos score per candidate
+    assert (calls_stacked, calls_lanczos) == (1, 13)
+
+
+def test_sampled_level_memory_follows_the_stack_not_the_samples():
+    n, k = experiments._STACKED_MAX_N, 2
+    g, rows = ll.random_regular(n, 3, 3), 2**20 // n**2
+    stack_bytes = rows * n * n * 8  # one real root stack
+    ll.greedy_lift_growth(g, 1, 1, k, 0)  # first-call imports stay out of the peaks
+    peaks = []
+    for samples in (rows, 4 * rows):
+        tracemalloc.start()
+        try:
+            ll.greedy_lift_growth(g, 1, samples, k, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a stack of all 4 * rows samples alone would take 4 * stack_bytes
+    assert peaks[1] < 2 * stack_bytes, peaks
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_switching_free_edges_match_the_spanning_tree_oracle():

@@ -323,12 +323,15 @@ def test_sampled_checks_build_no_dense_matrix(argv, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_growth_solves_nothing_densely(k, monkeypatch):
+    # every level's graph is above the order up to which candidates are
+    # ranked by dense root stacks
+    g = ll.random_regular(experiments._STACKED_MAX_N + 8, 3, 1)
     _refuse_dense(monkeypatch)
     for module in (graphs, characterization, experiments):
         if hasattr(module, "adjacency_matrix"):
             monkeypatch.setattr(module, "adjacency_matrix", _refuse)
-    traj = ll.greedy_lift_growth(ll.complete_bipartite(3), 4, 6, k, 1)
-    assert [r.n for r in traj.records] == [6 * k**level for level in range(5)]
+    traj = ll.greedy_lift_growth(g, 2, 3, k, 1)
+    assert [r.n for r in traj.records] == [g.n * k**level for level in range(3)]
 
 
 def test_root_lanczos_failure_is_a_named_failed_trial(monkeypatch, tmp_path):
@@ -385,16 +388,17 @@ def test_report_bytes_do_not_depend_on_threads_or_blas(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("base = random_regular 300 5 4\nmode = shift_lift\n"
                         "k = 6\ntrials = 6\nseed = 21\nconstants = 1,2,3\n")
-    graph, k4 = tmp_path / "base.graph", tmp_path / "k4.graph"
+    graph, k4, small = (tmp_path / f"{name}.graph" for name in ("base", "k4", "small"))
     fileio.write_graph(ll.random_regular(300, 5, 4), str(graph))
     fileio.write_graph(ll.complete_graph(4), str(k4))
+    fileio.write_graph(ll.random_regular(120, 3, 1), str(small))
     outputs = set()
     for threads in (1, 2):
         for blas in ("1", None):
             env = _cli_env(blas)
             tag = f"{threads}_{blas}"
-            files = out, csv, grown, every_class, mixing, lemma = tuple(
-                tmp_path / f"{name}{tag}" for name in ("r", "t", "g", "x", "e", "l"))
+            files = out, csv, grown, every_class, stacked, mixing, lemma = tuple(
+                tmp_path / f"{name}{tag}" for name in ("r", "t", "g", "x", "s", "e", "l"))
             for argv in (["mc", "--config", str(cfg_path), "--threads", str(threads),
                           "--out", str(out), "--csv", str(csv)],
                          ["grow", "--graph", str(graph), "--levels", "1", "--samples", "4",
@@ -402,6 +406,9 @@ def test_report_bytes_do_not_depend_on_threads_or_blas(tmp_path):
                          # 3**6 <= 729: an exhaustive level over the 27 classes
                          ["grow", "--graph", str(k4), "--levels", "1", "--samples", "729",
                           "--k", "3", "--out", str(every_class)],
+                         # a sampled level ranked by dense root stacks (n <= 128)
+                         ["grow", "--graph", str(small), "--levels", "1", "--samples", "16",
+                          "--k", "4", "--out", str(stacked)],
                          ["eml", "--graph", str(graph), "--method", "sampled",
                           "--samples", "200", "--seed", "3", "--out", str(mixing)],
                          ["lemma-check", "--graph", str(graph), "--which", "lemma3",
