@@ -7,7 +7,8 @@ transport to the lift coordinate-wise, and lifted eigenvectors coming from
 distinct roots are orthogonal. verify_characterization checks all three
 statements numerically and treats any failure as an implementation bug; it
 solves all k root matrices as one (k, n, n) stack in one eigensolver call.
-Every matrix here is one graphs.edge_matrix or graphs.symmetric_csr call, the
+Every other root radius comes from _root_radii, dense or Lanczos by base
+order. Every matrix here is one graphs.edge_matrix or graphs.symmetric_csr call, the
 lift's on the edges of lifts.lift_endpoints; no lift graph is built. Root
 weights are read from the k values exp(2*pi*i*m/k), t_j**s being value (j*s)
 mod k: O(m) memory per root at any k. Only verify_characterization, whose
@@ -278,34 +279,47 @@ def lambda_nontrivial_sparse(g: RegularGraph, bipartite: bool = False) -> float:
                              "the bipartite graph")
 
 
-def lambda_new_from_roots(g: RegularGraph, sa: ShiftAssignment) -> tuple[float, tuple[float, ...]]:
-    """Largest new eigenvalue of a shift lift via the per-root radii.
+_STACKED_MAX_N = 128  # dense root stacks up to this base order; Lanczos is faster from about 192
 
-    Only roots j <= k/2 are solved: M_{k-j} is the entrywise conjugate of
-    M_j and has the same spectrum, and M_{k/2} is a real signing, assembled
-    as one n x n symmetric_csr with the entries of shift_matrix. A complex
-    M_j is solved through its real symmetric embedding [[Re, -Im], [Im, Re]]
-    of order 2n, also one symmetric_csr, which has the spectrum of M_j with
-    every multiplicity doubled: ARPACK's complex (Arnoldi) path gives values
-    whose last digits depend on the BLAS thread count, the symmetric Lanczos
-    path does not. Returns (max radius over roots j >= 1, all k-1 radii
-    ordered by j).
+
+def _root_radii(g: RegularGraph, k: int, shifts: np.ndarray):
+    """Yield, for j = 1..k//2, the spectral radius of M_j for each row of the
+    (r, m) shift stack; M_{k-j} = conj(M_j) has the same spectrum, and M_{k/2}
+    is solved on its real part. Up to base order _STACKED_MAX_N, one eigvalsh
+    call per root solves the (r, n, n) stack. Above it each row is one
+    symmetric_csr solved by _lanczos_radius, a complex M_j through its real
+    symmetric embedding [[Re, -Im], [Im, Re]] (each eigenvalue doubled), since
+    ARPACK's complex path gives last digits that depend on the BLAS thread
+    count. A failed solve raises NumericalError naming the root.
     """
-    _check_per_edge(g, sa.shift_array, "assignment", "shifts")
-    k, n = sa.k, g.n
-    eu, ev = edge_endpoints(g)
+    n, (eu, ev), roots = g.n, edge_endpoints(g), _root_values(k)
     # w = a + ib on (u, v): a at (u, v) and (n+u, n+v), -b at (u, n+v), b at (v, n+u)
     rows = np.concatenate([eu, eu + n, eu, ev])
     cols = np.concatenate([ev, ev + n, ev + n, eu + n])
-    roots, half = _root_values(k), []
     for j in range(1, k // 2 + 1):
-        w = roots[j * sa.shift_array % k]
+        w = roots[j * shifts % k]
         if 2 * j == k:
-            m = symmetric_csr(n, eu, ev, w.real)
+            w = w.real
+        if n <= _STACKED_MAX_N:
+            try:
+                vals = np.linalg.eigvalsh(edge_matrix(n, eu, ev, w))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"eigvalsh on root {j} failed: {exc}") from exc
+            yield np.abs(vals[:, [0, -1]]).max(axis=1)
+        elif 2 * j == k:
+            yield np.array([_lanczos_radius(symmetric_csr(n, eu, ev, x), f"root {j}") for x in w])
         else:
-            m = symmetric_csr(2 * n, rows, cols, np.concatenate([w.real, w.real, -w.imag, w.imag]))
-        half.append(_lanczos_radius(m, f"root {j}"))
-    radii = tuple(half[min(j, k - j) - 1] for j in range(1, k))
+            embedded = np.concatenate([w.real, w.real, -w.imag, w.imag], axis=1)
+            yield np.array([_lanczos_radius(symmetric_csr(2 * n, rows, cols, x), f"root {j}")
+                            for x in embedded])
+
+
+def lambda_new_from_roots(g: RegularGraph, sa: ShiftAssignment) -> tuple[float, tuple[float, ...]]:
+    """Largest new eigenvalue of a shift lift, and all k-1 root radii ordered
+    by j, from the radii of roots j <= k/2 (_root_radii)."""
+    _check_per_edge(g, sa.shift_array, "assignment", "shifts")
+    half = [float(col[0]) for col in _root_radii(g, sa.k, sa.shift_array[None, :])]
+    radii = tuple(half[min(j, sa.k - j) - 1] for j in range(1, sa.k))
     return max(radii), radii
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .characterization import (
-    _root_values,
+    _root_radii,
     lambda_new_from_fibers,
     lambda_new_from_roots,
     lambda_nontrivial_sparse,
@@ -32,7 +33,6 @@ from .graphs import (
     cycle_graph,
     disjoint_copies,
     edge_endpoints,
-    edge_matrix,
     random_regular,
 )
 from .lifts import (
@@ -48,7 +48,6 @@ from .spectra import MAX_DENSE_DIM
 _M64 = (1 << 64) - 1
 CROSS_CHECK_TOL = 1e-6
 SIGNING_SEARCH_CAP = 24
-_STACKED_MAX_N = 128  # _stack_radii's dense limit; Lanczos is faster from about 192
 QUANTILE_LEVELS = ((0.0, "min"), (0.25, "q25"), (0.5, "median"), (0.75, "q75"),
                    (0.9, "q90"), (0.95, "q95"), (1.0, "max"))
 
@@ -196,19 +195,13 @@ class ExperimentReport:
     workers: int  # processes that ran trials (1: the caller); never serialized
 
 
-def _scored_lambda_new(g: RegularGraph, sa: ShiftAssignment) -> tuple[float, tuple[float, ...]]:
-    """lambda_new of the shift lift of g by sa, and its k-1 root radii, from
-    lambda_new_from_roots; the lift is never built. The value is
-    cross-checked against the fiber-projected radius, and a gap beyond
-    CROSS_CHECK_TOL raises NumericalError."""
-    lam_new, radii = lambda_new_from_roots(g, sa)
+def _fiber_cross_check(g: RegularGraph, sa: ShiftAssignment, lam_new: float) -> None:
+    """Raise NumericalError if lam_new, the largest root radius of the shift lift
+    of g by sa, is more than CROSS_CHECK_TOL from the fiber-projected radius."""
     projected = lambda_new_from_fibers(g, sa)
     if abs(lam_new - projected) > CROSS_CHECK_TOL:
-        raise NumericalError(
-            f"lambda_new {lam_new!r} disagrees with the fiber-projected "
-            f"radius {projected!r}"
-        )
-    return lam_new, radii
+        raise NumericalError(f"lambda_new {lam_new!r} disagrees with the fiber-projected "
+                             f"radius {projected!r}")
 
 
 def _run_one_trial(g: RegularGraph, cfg: ExperimentConfig, index: int) -> TrialRecord:
@@ -218,7 +211,8 @@ def _run_one_trial(g: RegularGraph, cfg: ExperimentConfig, index: int) -> TrialR
             sa = signing_to_shifts(random_signing(g, seed))
         else:
             sa = random_shift_lift(g, cfg.k, seed)
-        lam_new, radii = _scored_lambda_new(g, sa)
+        lam_new, radii = lambda_new_from_roots(g, sa)
+        _fiber_cross_check(g, sa, lam_new)
     except LiftLabError as exc:
         return TrialRecord(index, seed, None, None, error=str(exc))
     if cfg.mode == "two_lift":
@@ -290,8 +284,8 @@ def run_lift_trials(
     k-1 radii are recorded. It is cross-checked against the spectral radius
     of the lift adjacency on the fiber-sum-zero subspace; a disagreement
     beyond CROSS_CHECK_TOL fails the trial. The base lambda comes from
-    lambda_nontrivial_sparse, so no step builds a dense matrix. Fractions are
-    over successful trials only.
+    lambda_nontrivial_sparse, so no step builds a dense matrix above base
+    order _STACKED_MAX_N. Fractions are over successful trials only.
 
     `threads` (default: default_threads()) counts the processes that run
     trials, this one included, capped by pool_size; without os.fork it is 1.
@@ -509,8 +503,12 @@ def sign_sum_stats(
     its single-draw standard deviation is sqrt(sum of squared edge weights).
     Returns (empirical mean, single-draw stddev, draws).
     """
+    u, v = np.asarray(u), np.asarray(v)
+    if draws < 1 or u.shape != v.shape or u.shape != (g.n,):
+        raise InvalidParameterError(f"need draws >= 1 and u, v of shape ({g.n},), "
+                                    f"got {draws}, {u.shape}, {v.shape}")
     eu, ev = edge_endpoints(g)
-    w = np.asarray(u)[eu] * np.asarray(v)[ev] + np.asarray(u)[ev] * np.asarray(v)[eu]
+    w = u[eu] * v[ev] + u[ev] * v[eu]
     keep = w != 0
     w = w[keep]
     rng = np.random.default_rng(trial_seed(seed, 1))
@@ -583,27 +581,13 @@ def _class_shifts(free: np.ndarray, m: int, k: int, codes: np.ndarray) -> np.nda
     return shifts
 
 
-def _stack_radii(g: RegularGraph, k: int, shifts: np.ndarray) -> np.ndarray:
-    """The largest root radius of each row of an (r, m) shift stack: up to
-    base order _STACKED_MAX_N, the max over j <= k/2 of eigvalsh of the root
-    stacks M_j (M_{k/2} on its real part), above it lambda_new_from_roots."""
-    if g.n > _STACKED_MAX_N:
-        return np.array([lambda_new_from_roots(g, ShiftAssignment(k, row))[0] for row in shifts])
-    (eu, ev), roots, radii = edge_endpoints(g), _root_values(k), np.zeros(len(shifts))
-    for j in range(1, k // 2 + 1):
-        w = (roots.real if 2 * j == k else roots)[j * shifts % k]
-        vals = np.linalg.eigvalsh(edge_matrix(g.n, eu, ev, w))
-        radii = np.maximum(radii, np.abs(vals[:, [0, -1]]).max(axis=1))
-    return radii
-
-
 def _pick(g: RegularGraph, k: int, tol: float, total: int, rows) -> tuple[np.ndarray, float]:
-    """(shifts, radius) of the candidate _stack_radii ranks lowest, where
+    """(shifts, radius) of the candidate of lowest largest root radius, where
     rows(idx) stacks the shifts of candidates idx < total, max(1, 2**20 // n**2)
     per stack; one is kept only when lower by more than tol (ties: earliest)."""
     step, best = max(1, 2**20 // g.n**2), (math.inf, 0)
     for lo in range(0, total, step):
-        radii = _stack_radii(g, k, rows(np.arange(lo, min(lo + step, total))))
+        radii = reduce(np.maximum, _root_radii(g, k, rows(np.arange(lo, min(lo + step, total)))))
         for i, radius in enumerate(radii.tolist(), lo):
             if radius < best[0] - tol:
                 best = (radius, i)
@@ -671,11 +655,12 @@ def greedy_lift_growth(
     k^|E| <= samples_per_level, among one assignment per switching class
     (_best_class, which keeps what a scan of all k^|E| codes would); a trigger
     on the class count would change which levels are sampled, and so reports.
-    Only the kept candidate is scored by _scored_lambda_new, as a campaign
-    trial is, and only its lift is built. Level 0 has the base's
-    lambda_nontrivial_sparse, later levels the larger of the last lambda and
-    lambda_new (the lift spectrum is the base's plus the new eigenvalues).
-    The tower stops, flagged truncated, before a lift over the dense cap.
+    lambda_new is the radius _pick gives the kept candidate, the only one that
+    is cross-checked by _fiber_cross_check, as a campaign trial is, and built.
+    Level 0 has the base's lambda_nontrivial_sparse, later levels the larger of
+    the last lambda and lambda_new (the lift spectrum is the base's plus the
+    new eigenvalues). The tower stops, flagged truncated, before a lift over
+    the dense cap.
     """
     if levels < 0:
         raise InvalidParameterError("levels must be >= 0")
@@ -690,13 +675,14 @@ def greedy_lift_growth(
         if k * current.n > MAX_DENSE_DIM:
             break
         if k**current.num_edges <= samples_per_level:
-            shifts = _best_class(current, k, CROSS_CHECK_TOL)[0]
+            shifts, lam_new, _ = _best_class(current, k, CROSS_CHECK_TOL)
         else:
-            shifts = _pick(current, k, CROSS_CHECK_TOL, samples_per_level, lambda draws: np.array(
-                [random_shift_lift(current, k, trial_seed(seed, (level << 32) | s)).shift_array
-                 for s in draws.tolist()]))[0]
+            shifts, lam_new = _pick(
+                current, k, CROSS_CHECK_TOL, samples_per_level, lambda draws: np.array(
+                    [random_shift_lift(current, k, trial_seed(seed, (level << 32) | s)).shift_array
+                     for s in draws.tolist()]))
         sa = ShiftAssignment(k, shifts)
-        lam_new = _scored_lambda_new(current, sa)[0]
+        _fiber_cross_check(current, sa, lam_new)
         current = build_shift_lift(current, sa).graph
         lam = max(lam, lam_new)
         records.append(LevelRecord(level, current.n, lam, lam_new))

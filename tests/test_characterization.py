@@ -140,8 +140,11 @@ class TestRootPathMemory:
         finally:
             tracemalloc.stop()
 
-    def test_roots(self, lift, monkeypatch):
+    @pytest.mark.parametrize("limit", [characterization._STACKED_MAX_N, 0],
+                             ids=["stacked", "lanczos"])
+    def test_roots(self, lift, monkeypatch, limit):
         monkeypatch.setattr(characterization, "_lanczos_radius", lambda op, what: 0.0)
+        monkeypatch.setattr(characterization, "_STACKED_MAX_N", limit)
         g = lift[0]
         ll.lambda_new_from_roots(g, ll.random_shift_lift(g, 4, 0))  # scipy imports, untraced
         assert self._peak(lambda: ll.lambda_new_from_roots(*lift)) <= self.LIMIT

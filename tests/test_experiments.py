@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import time
 import tracemalloc
 
@@ -350,6 +351,16 @@ class TestSpotChecks:
         assert ll.sign_sum_stats(g, u, v, 2000, 9) == \
             ll.sign_sum_stats(g, u, v, 2000, 9)
 
+    @pytest.mark.parametrize("draws,u_len,v_len", [
+        (0, 30, 30), (-5, 30, 30), (10, 29, 30), (10, 30, 31), (10, 60, 30), (10, 30, 60)])
+    def test_sign_sum_rejects_no_draws_and_vectors_not_of_length_n(self, draws, u_len, v_len):
+        # draws = 0 divided by zero, draws = -5 returned (-0.0, sd, -5), and a
+        # longer vector was read only up to index n - 1
+        g = ll.random_regular(30, 3, 1)
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                f"need draws >= 1 and u, v of shape (30,), got {draws}, ({u_len},), ({v_len},)")):
+            ll.sign_sum_stats(g, np.ones(u_len), np.ones(v_len), draws, 9)
+
 
 class TestSigningSearch:
     def test_k2_has_no_useful_signing(self):
@@ -516,19 +527,19 @@ def test_exhaustive_level_scores_one_candidate_per_switching_class(base, k, clas
     g = _growth_base(base)
     m, n, c = g.num_edges, g.n, len(bfs_components(g.n, g.edges))
     assert classes == k ** (m - n + c)
-    stacks, scored = [], []
-    class_shifts, score = experiments._class_shifts, experiments._scored_lambda_new
+    stacks, checked = [], []
+    class_shifts, cross_check = experiments._class_shifts, experiments._fiber_cross_check
 
     def recording_class_shifts(free, m, k, codes):
         stacks.append(class_shifts(free, m, k, codes))
         return stacks[-1]
 
-    def counting_score(graph, sa):
-        scored.append(sa)
-        return score(graph, sa)
+    def recording_check(graph, sa, lam_new):
+        checked.append(sa)
+        return cross_check(graph, sa, lam_new)
 
     monkeypatch.setattr(experiments, "_class_shifts", recording_class_shifts)
-    monkeypatch.setattr(experiments, "_scored_lambda_new", counting_score)
+    monkeypatch.setattr(experiments, "_fiber_cross_check", recording_check)
     ll.greedy_lift_growth(g, 1, k**m, k, 0)
     # shift 0 on the forest, every code of the free edges once, in code order,
     # then the kept class alone
@@ -539,9 +550,9 @@ def test_exhaustive_level_scores_one_candidate_per_switching_class(base, k, clas
     assert not shifts[:, forest].any()
     codes = shifts[:, free] @ k ** np.arange(free.size)
     assert codes.tolist() == list(range(classes))
-    # the Lanczos score with its fiber cross-check runs once, on the kept class
+    # the fiber cross-check runs once, on the kept class
     assert kept.shape == (1, m)
-    assert [sa.shift_array.tolist() for sa in scored] == kept.tolist()
+    assert [sa.shift_array.tolist() for sa in checked] == kept.tolist()
 
 
 @pytest.mark.parametrize("base,k,samples,chunks", [
@@ -550,25 +561,25 @@ def test_exhaustive_level_scores_one_candidate_per_switching_class(base, k, clas
     # the stack limit at n = 128 is 2**20 // 128**2 = 64 rows
     ("random_regular 128 3 1", 2, 150, [64, 64, 22]),
 ])
-def test_sampled_level_scores_the_seeded_draws_and_rescores_the_kept_one(
+def test_sampled_level_scores_the_seeded_draws_and_cross_checks_the_kept_one(
         base, k, samples, chunks, monkeypatch):
     g, seed = _growth_base(base), 6
     assert k**g.num_edges > samples
-    stacks, scores, scored = [], [], []
-    stack_radii, score = experiments._stack_radii, experiments._scored_lambda_new
+    stacks, scores, checked = [], [], []
+    root_radii, cross_check = experiments._root_radii, experiments._fiber_cross_check
 
-    def recording_stack_radii(graph, k, shifts):
+    def recording_root_radii(graph, k, shifts):
         stacks.append(shifts)
-        scores.append(stack_radii(graph, k, shifts))
-        return scores[-1]
+        scores.append(np.max(list(root_radii(graph, k, shifts)), axis=0))
+        yield scores[-1]
 
-    def counting_score(graph, sa):
-        scored.append(sa)
-        return score(graph, sa)
+    def recording_check(graph, sa, lam_new):
+        checked.append((sa, lam_new))
+        return cross_check(graph, sa, lam_new)
 
-    monkeypatch.setattr(experiments, "_stack_radii", recording_stack_radii)
-    monkeypatch.setattr(experiments, "_scored_lambda_new", counting_score)
-    ll.greedy_lift_growth(g, 1, samples, k, seed)
+    monkeypatch.setattr(experiments, "_root_radii", recording_root_radii)
+    monkeypatch.setattr(experiments, "_fiber_cross_check", recording_check)
+    traj = ll.greedy_lift_growth(g, 1, samples, k, seed)
     draws = [ll.random_shift_lift(g, k, ll.trial_seed(seed, (1 << 32) | s)).shift_array
              for s in range(samples)]
     assert [len(stack) for stack in stacks] == chunks
@@ -579,7 +590,10 @@ def test_sampled_level_scores_the_seeded_draws_and_rescores_the_kept_one(
     gaps = np.diff(np.sort(radii))
     assert np.all((gaps < 1e-12) | (gaps > tol))
     kept = int(np.argmax(radii <= radii.min() + tol))
-    assert [sa.shift_array.tolist() for sa in scored] == [draws[kept].tolist()]
+    # the kept draw's stacked radius is cross-checked and reported, not re-solved
+    assert [(sa.shift_array.tolist(), lam) for sa, lam in checked] == [
+        (draws[kept].tolist(), radii[kept])]
+    assert traj.records[1].lambda_new == radii[kept]
 
 
 @pytest.mark.parametrize("tol,radii,kept", [
@@ -590,75 +604,77 @@ def test_pick_keeps_the_earliest_candidate_lower_by_more_than_tol(tol, radii, ke
                                                                   monkeypatch):
     g = ll.complete_graph(4)
     # candidate i is the constant shift row i, scored radii[i]
-    monkeypatch.setattr(experiments, "_stack_radii",
-                        lambda graph, k, shifts: np.array(radii)[shifts[:, 0]])
+    monkeypatch.setattr(experiments, "_root_radii",
+                        lambda graph, k, shifts: iter([np.array(radii)[shifts[:, 0]]]))
     shifts, radius = experiments._pick(
         g, 8, tol, len(radii), lambda idx: np.repeat(idx[:, None], g.num_edges, axis=1))
     assert (shifts.tolist(), radius) == ([kept] * g.num_edges, radii[kept])
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
-@pytest.mark.parametrize("n,d", [(4, 3), (12, 4), (40, 3), (experiments._STACKED_MAX_N, 3)])
-def test_stack_radii_match_the_dense_half_roots(n, d, k, monkeypatch):
-    g = ll.random_regular(n, d, n + k)
-    shifts = np.array([ll.random_shift_lift(g, k, s).shift_array for s in range(3)])
-    expected = [max(dense_half_root_radii(g, ll.ShiftAssignment(k, row))) for row in shifts]
-    dtypes, eigvalsh = [], np.linalg.eigvalsh
-
-    def recording_eigvalsh(a):
-        dtypes.append(a.dtype)
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-    radii = experiments._stack_radii(g, k, shifts)
-    assert np.max(np.abs(radii - expected)) <= 1e-12
-    # one stack per root j <= k/2, and M_{k/2} on its real part
-    assert dtypes == [np.dtype(complex)] * ((k - 1) // 2) + [np.dtype(float)] * (k % 2 == 0)
-
-
 @pytest.mark.parametrize("k", [2, 3])
 def test_both_sides_of_the_stack_size_rule_keep_the_same_lifts(k, monkeypatch):
-    g = ll.random_regular(experiments._STACKED_MAX_N, 3, 2)
-    build, roots = experiments.build_shift_lift, experiments.lambda_new_from_roots
+    g = ll.random_regular(characterization._STACKED_MAX_N, 3, 2)
+    build, solve = experiments.build_shift_lift, characterization._lanczos_radius
     runs = []
     for limit in (g.n, g.n - 1):  # dense root stacks, then Lanczos per candidate
-        kept, root_calls = [], []
+        kept, solves = [], []
 
         def recording_build(graph, sa):
             kept.append(sa)
             return build(graph, sa)
 
-        def counting_roots(graph, sa):
-            root_calls.append(sa)
-            return roots(graph, sa)
+        def recording_lanczos(op, what):
+            solves.append(what)
+            return solve(op, what)
 
-        monkeypatch.setattr(experiments, "_STACKED_MAX_N", limit)
+        monkeypatch.setattr(characterization, "_STACKED_MAX_N", limit)
         monkeypatch.setattr(experiments, "build_shift_lift", recording_build)
-        monkeypatch.setattr(experiments, "lambda_new_from_roots", counting_roots)
-        runs.append((ll.greedy_lift_growth(g, 1, 12, k, 4), kept, len(root_calls)))
-    (stacked, kept_stacked, calls_stacked), (lanczos, kept_lanczos, calls_lanczos) = runs
-    assert stacked == lanczos
+        monkeypatch.setattr(characterization, "_lanczos_radius", recording_lanczos)
+        traj = ll.greedy_lift_growth(g, 1, 12, k, 4)
+        runs.append((traj, kept, sum(what.startswith("root ") for what in solves),
+                     solves.count("the fiber-sum-zero operator")))
+    (stacked, kept_stacked, *calls_stacked), (lanczos, kept_lanczos, *calls_lanczos) = runs
     assert kept_stacked == kept_lanczos
-    # the kept candidate's own re-score, and one Lanczos score per candidate
-    assert (calls_stacked, calls_lanczos) == (1, 13)
+    assert [r.n for r in stacked.records] == [r.n for r in lanczos.records]
+    for a, b in zip(stacked.records[1:], lanczos.records[1:]):
+        assert abs(a.lam - b.lam) <= 1e-12 and abs(a.lambda_new - b.lambda_new) <= 1e-12
+    # root j = 1 of each of the 12 candidates, solved once, by Lanczos or in a
+    # stack; the fiber cross-check once, on the kept candidate
+    assert (calls_stacked, calls_lanczos) == ([0, 1], [12, 1])
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_sampled_level_memory_follows_the_stack_not_the_samples():
-    n, k = experiments._STACKED_MAX_N, 2
+    n, k = characterization._STACKED_MAX_N, 2
     g, rows = ll.random_regular(n, 3, 3), 2**20 // n**2
     stack_bytes = rows * n * n * 8  # one real root stack
     ll.greedy_lift_growth(g, 1, 1, k, 0)  # first-call imports stay out of the peaks
-    peaks = []
-    for samples in (rows, 4 * rows):
-        tracemalloc.start()
-        try:
-            ll.greedy_lift_growth(g, 1, samples, k, 0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_traced_peak(lambda: ll.greedy_lift_growth(g, 1, samples, k, 0))
+             for samples in (rows, 4 * rows)]
     # a stack of all 4 * rows samples alone would take 4 * stack_bytes
     assert peaks[1] < 2 * stack_bytes, peaks
     assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def test_stacked_scoring_memory_follows_the_stack_not_k():
+    # 128 candidates of order 8 at k = 1024: their 512 radii each would take
+    # four times the complex root stack they come from
+    n, k, total = 8, 1024, 128
+    g = ll.random_regular(n, 3, 1)
+    shifts = np.random.default_rng(0).integers(0, k, (total, g.num_edges))
+    stack_bytes = total * n * n * 16  # one complex root stack
+    assert total * (k // 2) * 8 == 4 * stack_bytes
+    experiments._pick(g, 4, 0.0, total, lambda idx: shifts[idx] % 4)
+    peak = _traced_peak(lambda: experiments._pick(g, k, 0.0, total, lambda idx: shifts[idx]))
+    assert peak < 2 * stack_bytes, peak
 
 
 def test_switching_free_edges_match_the_spanning_tree_oracle():

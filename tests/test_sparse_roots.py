@@ -1,12 +1,16 @@
 """Campaigns on sparse operators: the Lanczos root radii, the fiber-projected
 check and the base lambda against the dense oracles, on the base families
 where Lanczos is hardest (+-lambda ties, repeated eigenvalues, K_2 and K_3),
-plus the failure, no-dense and determinism guarantees of the campaign."""
+plus the failure, no-dense and determinism guarantees of the campaign.
+
+Root radii come from dense stacks up to base order _STACKED_MAX_N; the tests
+of Lanczos corner cases on tiny bases set that limit to 0 (lanczos_roots)."""
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +28,13 @@ from oracles import (bfs_components, bmat_root_operators, dense_half_root_radii,
                      dense_root_radii, dense_split_lambda_new)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+STACKED = characterization._STACKED_MAX_N
+
+
+@pytest.fixture
+def lanczos_roots(monkeypatch):
+    """Every root radius solved by Lanczos, at any base order."""
+    monkeypatch.setattr(characterization, "_STACKED_MAX_N", 0)
 
 
 @st.composite
@@ -55,13 +66,15 @@ def shift_lifts(draw):
 
 
 class TestRootRadiiOracle:
+    @pytest.mark.parametrize("limit", [STACKED, 0], ids=["stacked", "lanczos"])
     @settings(max_examples=150, deadline=None)
     @given(case=shift_lifts())
-    def test_sparse_half_roots_match_every_dense_root(self, case):
+    def test_sparse_half_roots_match_every_dense_root(self, limit, case):
         # M_{k-j} = conj(M_j): radii of the solved roots j <= k/2 stand for
-        # all k-1 roots
+        # all k-1 roots; every drawn base is stacked at the default limit
         g, sa = case
-        lam, radii = ll.lambda_new_from_roots(g, sa)
+        with mock.patch.object(characterization, "_STACKED_MAX_N", limit):
+            lam, radii = ll.lambda_new_from_roots(g, sa)
         dense = dense_root_radii(g, sa)
         assert len(radii) == sa.k - 1
         assert np.max(np.abs(np.subtract(radii, dense))) <= 1e-12
@@ -96,7 +109,7 @@ class TestRootRadiiOracle:
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("k", range(2, 9))
-    def test_smallest_bases(self, m, k):
+    def test_smallest_bases(self, m, k, lanczos_roots):
         # K_2's real operators have order 2 and take the dense branch; K_3's
         # have order 3 (real) or 6 (embedded)
         g = ll.complete_graph(m)
@@ -109,7 +122,7 @@ class TestRootRadiiOracle:
     @pytest.mark.parametrize("base,k", [("random_regular 60 4 3", 4),
                                         ("random_regular 60 4 3", 7),
                                         ("complete_bipartite 6", 6)])
-    def test_sparse_radii_match_the_former_dense_half_roots(self, base, k):
+    def test_sparse_radii_match_the_former_dense_half_roots(self, base, k, lanczos_roots):
         g = ll.resolve_base_graph(ll.ExperimentConfig(base, k, 1, 0, (1.0,), "shift_lift"))
         sa = ll.random_shift_lift(g, k, 17)
         _, radii = ll.lambda_new_from_roots(g, sa)
@@ -129,7 +142,7 @@ def _operator_bases():
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8])
-def test_root_operators_match_the_bmat_oracle_byte_for_byte(k, monkeypatch):
+def test_root_operators_match_the_bmat_oracle_byte_for_byte(k, monkeypatch, lanczos_roots):
     # ARPACK sees the same matvecs only if the operator bytes are the same;
     # the conjugate embedding (b and -b swapped) has the same spectrum, so
     # no radius test can tell it apart
@@ -151,6 +164,29 @@ def test_root_operators_match_the_bmat_oracle_byte_for_byte(k, monkeypatch):
             for attr in ("indptr", "indices", "data"):
                 a, b = getattr(got, attr), getattr(ref, attr)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (g.n, k, attr)
+
+
+@pytest.mark.parametrize("lanczos", [False, True], ids=["stacked", "lanczos"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("n,d", [(4, 3), (12, 4), (40, 3), (STACKED, 3)])
+def test_root_radii_match_the_dense_half_roots(n, d, k, lanczos, monkeypatch):
+    g = ll.random_regular(n, d, n + k)
+    shifts = np.array([ll.random_shift_lift(g, k, s).shift_array for s in range(3)])
+    expected = [dense_half_root_radii(g, ll.ShiftAssignment(k, row))[:k // 2] for row in shifts]
+    dtypes, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording_eigvalsh(a):
+        dtypes.append(a.dtype)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    # the size rule: stacks up to order _STACKED_MAX_N, Lanczos above it
+    monkeypatch.setattr(characterization, "_STACKED_MAX_N", n - 1 if lanczos else n)
+    radii = np.transpose(list(characterization._root_radii(g, k, shifts)))
+    assert np.max(np.abs(radii - expected)) <= 1e-12
+    # stacked: one eigvalsh per root j <= k/2, and M_{k/2} on its real part
+    stacks = [np.dtype(complex)] * ((k - 1) // 2) + [np.dtype(float)] * (k % 2 == 0)
+    assert dtypes == ([] if lanczos else stacks)
 
 
 def test_exact_checks_import_no_scipy():
@@ -183,6 +219,7 @@ def _check_one_value_solves(g, sa):
     return lam
 
 
+@pytest.mark.usefixtures("lanczos_roots")
 class TestOneValueSolve:
     """The Lanczos radius asks for one largest-magnitude value; these are the
     cases where one value is easiest to get wrong."""
@@ -325,7 +362,7 @@ def test_sampled_checks_build_no_dense_matrix(argv, monkeypatch, tmp_path):
 def test_growth_solves_nothing_densely(k, monkeypatch):
     # every level's graph is above the order up to which candidates are
     # ranked by dense root stacks
-    g = ll.random_regular(experiments._STACKED_MAX_N + 8, 3, 1)
+    g = ll.random_regular(STACKED + 8, 3, 1)
     _refuse_dense(monkeypatch)
     for module in (graphs, characterization, experiments):
         if hasattr(module, "adjacency_matrix"):
@@ -334,7 +371,7 @@ def test_growth_solves_nothing_densely(k, monkeypatch):
     assert [r.n for r in traj.records] == [g.n * k**level for level in range(3)]
 
 
-def test_root_lanczos_failure_is_a_named_failed_trial(monkeypatch, tmp_path):
+def test_root_lanczos_failure_is_a_named_failed_trial(monkeypatch, tmp_path, lanczos_roots):
     real = sla.eigsh
     n = 40
 
@@ -364,7 +401,48 @@ def test_root_lanczos_failure_is_a_named_failed_trial(monkeypatch, tmp_path):
                 in text)
 
 
-def test_restart_vectors_are_seeded():
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("argv", [["search-signing"],
+                                  ["grow", "--levels", "1", "--samples", "8"],
+                                  ["grow", "--levels", "1", "--samples", "729", "--k", "3"]],
+                         ids=["search-signing", "grow-sampled", "grow-exhaustive"])
+def test_stacked_root_failure_exits_three(argv, monkeypatch, tmp_path, capsys):
+    # a LAPACK failure once escaped dispatch as LinAlgError: Python's exit 1,
+    # which reads as a failed check
+    path = tmp_path / "k4.graph"
+    fileio.write_graph(ll.complete_graph(4), str(path))
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+    assert dispatch([argv[0], "--graph", str(path), *argv[1:]]) == cli.EXIT_NUMERICAL
+    assert (capsys.readouterr().err
+            == "failure: eigvalsh on root 1 failed: Eigenvalues did not converge\n")
+
+
+def test_stacked_root_failure_is_a_named_failed_trial(monkeypatch, tmp_path):
+    n = 40
+    assert n <= STACKED
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+    cfg = ll.ExperimentConfig(f"random_regular {n} 3 2", 4, 3, 5, (3.0,), "shift_lift")
+    report = ll.run_lift_trials(cfg, threads=2)
+    assert report.failed == cfg.trials
+    assert [r.error for r in report.records] == (
+        ["eigvalsh on root 1 failed: Eigenvalues did not converge"] * cfg.trials)
+
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"base = random_regular {n} 3 2\nmode = two_lift\n"
+                        "k = 2\ntrials = 3\nseed = 5\n")
+    out = tmp_path / "report.txt"
+    assert dispatch(["mc", "--config", str(cfg_path), "--out", str(out)]) == 3
+    text = out.read_text()
+    assert "failed = 3" in text
+    for i in range(3):
+        assert (f"trial {i} seed {ll.trial_seed(5, i)} failed eigvalsh on root 1 failed"
+                in text)
+
+
+def test_restart_vectors_are_seeded(lanczos_roots):
     # random_regular(16, 3) has few distinct eigenvalues: the Krylov space of
     # root 1's embedding turns invariant and ARPACK asks for a fresh vector
     cfg = ll.ExperimentConfig("random_regular 16 3 2", 4, 10, 42, (1.0,), "shift_lift")
@@ -385,40 +463,44 @@ def _cli_env(blas):
 
 
 def test_report_bytes_do_not_depend_on_threads_or_blas(tmp_path):
-    cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("base = random_regular 300 5 4\nmode = shift_lift\n"
-                        "k = 6\ntrials = 6\nseed = 21\nconstants = 1,2,3\n")
+    configs = {"mc": "base = random_regular 300 5 4\nmode = shift_lift\n"
+                     "k = 6\ntrials = 6\nseed = 21\nconstants = 1,2,3\n",
+               # dense complex root stacks (n <= 128)
+               "mc_stacked": "base = random_regular 128 3 1\nmode = shift_lift\n"
+                             "k = 8\ntrials = 4\nseed = 3\n"}
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
     graph, k4, small = (tmp_path / f"{name}.graph" for name in ("base", "k4", "small"))
     fileio.write_graph(ll.random_regular(300, 5, 4), str(graph))
     fileio.write_graph(ll.complete_graph(4), str(k4))
     fileio.write_graph(ll.random_regular(120, 3, 1), str(small))
-    outputs = set()
-    for threads in (1, 2):
-        for blas in ("1", None):
-            env = _cli_env(blas)
-            tag = f"{threads}_{blas}"
-            files = out, csv, grown, every_class, stacked, mixing, lemma = tuple(
-                tmp_path / f"{name}{tag}" for name in ("r", "t", "g", "x", "s", "e", "l"))
-            for argv in (["mc", "--config", str(cfg_path), "--threads", str(threads),
-                          "--out", str(out), "--csv", str(csv)],
-                         ["grow", "--graph", str(graph), "--levels", "1", "--samples", "4",
-                          "--out", str(grown)],
-                         # 3**6 <= 729: an exhaustive level over the 27 classes
-                         ["grow", "--graph", str(k4), "--levels", "1", "--samples", "729",
-                          "--k", "3", "--out", str(every_class)],
-                         # a sampled level ranked by dense root stacks (n <= 128)
-                         ["grow", "--graph", str(small), "--levels", "1", "--samples", "16",
-                          "--k", "4", "--out", str(stacked)],
-                         ["eml", "--graph", str(graph), "--method", "sampled",
-                          "--samples", "200", "--seed", "3", "--out", str(mixing)],
-                         ["lemma-check", "--graph", str(graph), "--which", "lemma3",
-                          "--trials", "200", "--seed", "1", "--out", str(lemma)]):
-                subprocess.run([sys.executable, "-m", "liftlab.cli", *argv],
-                               env=env, check=True, capture_output=True)
-            outputs.add(tuple(path.read_bytes() for path in files))
-    assert len(outputs) == 1
-    report = outputs.pop()[0].decode()
-    assert "failed = 0" in report
+    out, csv = tmp_path / "out", tmp_path / "csv"
+    # only mc takes --threads; the other commands run once per BLAS setting
+    runs = [(name, ["mc", "--config", str(tmp_path / f"{name}.cfg"), "--threads", str(threads),
+                    "--csv", str(csv)]) for name in configs for threads in (1, 2)]
+    runs += [
+        ("grow", ["grow", "--graph", str(graph), "--levels", "1", "--samples", "4"]),
+        # 3**6 <= 729: an exhaustive level over the 27 classes
+        ("grow_classes", ["grow", "--graph", str(k4), "--levels", "1", "--samples", "729",
+                          "--k", "3"]),
+        # a sampled level ranked by dense root stacks (n <= 128)
+        ("grow_stacked", ["grow", "--graph", str(small), "--levels", "1", "--samples", "16",
+                          "--k", "4"]),
+        ("eml", ["eml", "--graph", str(graph), "--method", "sampled", "--samples", "200",
+                 "--seed", "3"]),
+        ("lemma3", ["lemma-check", "--graph", str(graph), "--which", "lemma3",
+                    "--trials", "200", "--seed", "1"]),
+    ]
+    seen = {}  # name -> the (report, CSV) bytes of its runs
+    for blas in ("1", None):
+        for name, argv in runs:
+            subprocess.run([sys.executable, "-m", "liftlab.cli", *argv, "--out", str(out)],
+                           env=_cli_env(blas), check=True, capture_output=True)
+            seen.setdefault(name, set()).add(
+                (out.read_bytes(), csv.read_bytes() if argv[0] == "mc" else None))
+    assert {name: len(outputs) for name, outputs in seen.items()} == dict.fromkeys(seen, 1)
+    for name in configs:
+        assert b"failed = 0" in next(iter(seen[name]))[0]
 
 
 def test_dense_report_bytes_do_not_depend_on_blas_below_the_documented_size(tmp_path):
