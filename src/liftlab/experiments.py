@@ -363,57 +363,34 @@ class SpotCheckReport:
         return self.violations / self.trials if self.trials else 0.0
 
 
-class _PairRanges:
-    """The pairs (a, b) with lo[i] <= a <= hi[i] and b = b[i], in the order of
-    i, then a: one range per b and a cumulative count, O(len(b)) memory.
-    Pair `index` is found by bisection on the counts."""
+def _size_table(
+    n: int, d: int, lam: float, which: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Admissible support sizes as int64 rows (b, lo, hi), one per |S(v)| = b,
+    ascending in b, with cap = (n*lam/d)^2.
 
-    def __init__(self, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        self._b, self._lo = b, lo
-        self._ends = np.cumsum(hi - lo + 1)
-
-    def __len__(self) -> int:
-        return int(self._ends[-1]) if self._ends.size else 0
-
-    def __getitem__(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        i = int(np.searchsorted(self._ends, index, side="right"))
-        start = int(self._ends[i - 1]) if i else 0
-        return int(self._lo[i]) + int(index) - start, int(self._b[i])
-
-
-def _lemma3_size_pairs(n: int, d: int, lam: float) -> _PairRanges:
-    """Admissible (|S(u)|, |S(v)|): a <= b <= d*a, b > n/d^2, a*b < (n*lam/d)^2,
-    ordered by b, then a. For each b the admissible a are one range."""
+    lemma3 admits |S(u)| = a for lo <= a <= hi: b/d <= a <= b, b > n/d^2 and
+    a*b < cap. lemma4 admits a level-i size in [lo, b // 4^i] with lo*b >= cap,
+    so hi = b ends level 0.
+    """
     cap = (n * lam / d) ** 2
-    b = np.arange(int(n / d**2) + 1, n + 1, dtype=np.int64)
-    lo = -(-b // d)
-    hi = np.minimum(b, np.floor(cap / b)).astype(np.int64)
-    # a*b < cap is strict, and the float cap / b may round up to an integer
-    hi -= hi * b >= cap
+    if which == "lemma3":
+        b = np.arange(int(n / d**2) + 1, n + 1, dtype=np.int64)
+        lo = -(-b // d)
+        hi = np.minimum(b, np.floor(cap / b)).astype(np.int64)
+        # a*b < cap is strict, and the float cap / b may round up to an integer
+        hi -= hi * b >= cap
+    else:
+        b = np.arange(1, n + 1, dtype=np.int64)
+        lo = np.maximum(1.0, np.ceil(cap / b)).astype(np.int64)
+        hi = b
     keep = lo <= hi
-    return _PairRanges(b[keep], lo[keep], hi[keep])
+    return b[keep], lo[keep], hi[keep]
 
 
-def _lemma4_sizes(n: int, d: int, lam: float) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """Admissible (|S(v)|, per-level ranges): level i needs |S(u_i)| <= b/4^i
-    and |S(u_i)|*b >= (n*lam/d)^2."""
-    floor_cap = (n * lam / d) ** 2
-    out = []
-    for b in range(1, n + 1):
-        ranges = []
-        level = 0
-        while True:
-            hi = min(n, b // (4**level))
-            lo = max(1, math.ceil(floor_cap / b))
-            if lo > hi:
-                break
-            ranges.append((lo, hi))
-            level += 1
-        if ranges:
-            out.append((b, tuple(ranges)))
-    return out
+def _edge_weights(u: np.ndarray, v: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Per-edge weights u_x v_y + u_y v_x of u^T A_s v = sum of s_xy times them."""
+    return u[eu] * v[ev] + u[ev] * v[eu]
 
 
 def lemma_inequality_spot_check(
@@ -421,35 +398,30 @@ def lemma_inequality_spot_check(
     trials: int,
     seed: int,
     which: str,
-    lam: float | None = None,
 ) -> SpotCheckReport:
     """Monte-Carlo check of one stated sign-sum inequality.
 
     Every trial draws a fresh uniform signing plus support sizes uniform over
     the admissible size combinations, then uniform supports and uniform +-1
-    entries, and evaluates the inequality. Graphs where no admissible sizes
-    exist are reported as not_applicable rather than silently passing. lam
-    defaults to lambda_nontrivial_sparse(g). The lemma3 size table holds one
-    range of |S(u)| per |S(v)|.
+    entries, and evaluates the inequality with lambda_nontrivial_sparse(g).
+    Graphs where no admissible sizes exist are reported as not_applicable
+    rather than silently passing. Both size tables hold O(n) rows, one range
+    per |S(v)|.
     """
     if which not in ("lemma3", "lemma4"):
         raise InvalidParameterError("which must be 'lemma3' or 'lemma4'")
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    if lam is None:
-        lam = lambda_nontrivial_sparse(g)
+    lam = lambda_nontrivial_sparse(g)
     n, d = g.n, g.d
     eu, ev = edge_endpoints(g)
     rng = np.random.default_rng(trial_seed(seed, 0))
-
-    if which == "lemma3":
-        pairs = _lemma3_size_pairs(n, d, lam)
-        if not pairs:
-            return SpotCheckReport(which, 0, 0, 0.0, True)
-    else:
-        sizes = _lemma4_sizes(n, d, lam)
-        if not sizes:
-            return SpotCheckReport(which, 0, 0, 0.0, True)
+    b_rows, lo_rows, hi_rows = _size_table(n, d, lam, which)
+    if not b_rows.size:
+        return SpotCheckReport(which, 0, 0, 0.0, True)
+    # lemma3 numbers its pairs (a, b) in (b, a) order; ends[i] counts the
+    # pairs in rows 0..i
+    ends = np.cumsum(hi_rows - lo_rows + 1)
 
     violations = 0
     max_ratio = 0.0
@@ -457,35 +429,35 @@ def lemma_inequality_spot_check(
     for _ in range(trials):
         signs = rng.integers(0, 2, size=m) * 2 - 1
         if which == "lemma3":
-            a, b = pairs[rng.integers(0, len(pairs))]
+            index = int(rng.integers(0, int(ends[-1])))
+            i = int(np.searchsorted(ends, index, side="right"))
+            a, b = int(hi_rows[i]) + 1 + index - int(ends[i]), int(b_rows[i])
             u = np.zeros(n)
             v = np.zeros(n)
             u[rng.choice(n, size=a, replace=False)] = rng.integers(0, 2, size=a) * 2 - 1
             v[rng.choice(n, size=b, replace=False)] = rng.integers(0, 2, size=b) * 2 - 1
-            lhs = abs(float(np.sum(signs * (u[eu] * v[ev] + u[ev] * v[eu]))))
+            lhs = abs(float(np.sum(signs * _edge_weights(u, v, eu, ev))))
             rhs = 8.0 * math.sqrt(
                 lam * math.sqrt(a * b) * b * math.log2(2.0 * d * a / b)
             )
         else:
-            b, ranges = sizes[rng.integers(0, len(sizes))]
+            i = int(rng.integers(0, b_rows.size))
+            b, lo = int(b_rows[i]), int(lo_rows[i])
             v = np.zeros(n)
             v[rng.choice(n, size=b, replace=False)] = rng.integers(0, 2, size=b) * 2 - 1
             perm = rng.permutation(n)
-            used = 0
+            used = level = 0
             u = np.zeros(n)
             weight = 0.0
-            for level, (lo, hi) in enumerate(ranges):
-                hi = min(hi, n - used)
-                if lo > hi:
-                    break
+            # level 0 always admits a size, since lo <= b <= n
+            while lo <= (hi := min(b // 4**level, n - used)):
                 a_i = int(rng.integers(lo, hi + 1))
                 block = perm[used : used + a_i]
                 used += a_i
                 u[block] = (rng.integers(0, 2, size=a_i) * 2 - 1) * float(2**level)
                 weight += a_i * 4.0**level
-            if weight == 0.0:
-                continue
-            lhs = abs(float(np.sum(signs * (v[eu] * u[ev] + v[ev] * u[eu]))))
+                level += 1
+            lhs = abs(float(np.sum(signs * _edge_weights(u, v, eu, ev))))
             rhs = 8.0 * math.sqrt(d / n * b * b * weight * math.log2(2.0 * n / b))
         ratio = lhs / rhs
         max_ratio = max(max_ratio, ratio)
@@ -507,8 +479,7 @@ def sign_sum_stats(
     if draws < 1 or u.shape != v.shape or u.shape != (g.n,):
         raise InvalidParameterError(f"need draws >= 1 and u, v of shape ({g.n},), "
                                     f"got {draws}, {u.shape}, {v.shape}")
-    eu, ev = edge_endpoints(g)
-    w = u[eu] * v[ev] + u[ev] * v[eu]
+    w = _edge_weights(u, v, *edge_endpoints(g))
     keep = w != 0
     w = w[keep]
     rng = np.random.default_rng(trial_seed(seed, 1))

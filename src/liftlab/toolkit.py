@@ -115,6 +115,8 @@ def _check_round_inputs(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.nd
     m = np.asarray(m, dtype=float)
     if x.ndim != 1:
         raise InvalidParameterError("expected a 1-d vector")
+    if not (np.isfinite(x).all() and np.isfinite(m).all()):
+        raise InvalidParameterError("x and M must be finite")
     if np.max(np.abs(x), initial=0.0) > 0.5:
         raise InvalidParameterError("need ||x||_inf <= 1/2; scale the input first")
     if m.ndim != 2 or m.shape != (x.size, x.size):
@@ -190,11 +192,13 @@ def geometric_log_sum_bound(
 ) -> tuple[float, float, float]:
     """Bound sum_{i=0..t} (r^i log2(z/r^i))^x by c(r) times its last term.
 
-    Needs r >= 2, x > 0, and r^t <= z/2. The constant is
+    Needs finite arguments, r >= 2, x > 0, and r^t <= z/2. The constant is
     c(r) = 1 + alpha/(alpha - 1) with alpha = (r*(1+log2 r)/(1+2*log2 r))^x.
     Returns (lhs, rhs, c); raises if the inequality ever fails, since it is
     exact and a failure means a bug.
     """
+    if not all(map(math.isfinite, (r, t, z, x))):
+        raise InvalidParameterError(f"need finite r, t, z, x; got {r!r}, {t!r}, {z!r}, {x!r}")
     if r < 2:
         raise InvalidParameterError("need r >= 2")
     if x <= 0:

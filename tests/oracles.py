@@ -375,7 +375,7 @@ def dense_scored_growth(g0, levels: int, samples_per_level: int, k: int, seed: i
 
 def lemma3_size_pair_list(n: int, d: int, lam: float) -> list[tuple[int, int]]:
     """Every admissible lemma3 (a, b) as one list, in (b, a) order: the O(n^2)
-    table that the per-b range table replaced."""
+    table that the (b, lo, hi) row table replaced."""
     cap = (n * lam / d) ** 2
     pairs = []
     for b in range(int(n / d**2) + 1, n + 1):
@@ -383,6 +383,27 @@ def lemma3_size_pair_list(n: int, d: int, lam: float) -> list[tuple[int, int]]:
             if a * b < cap and b <= d * a:
                 pairs.append((a, b))
     return pairs
+
+
+def lemma4_size_list(n: int, d: int, lam: float) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """Every admissible lemma4 |S(v)| = b with its per-level (lo, hi) ranges of
+    |S(u_i)|: |S(u_i)| <= b/4^i and |S(u_i)|*b >= (n*lam/d)^2. The per-b loop
+    that the (b, lo, hi) row table replaced."""
+    floor_cap = (n * lam / d) ** 2
+    out = []
+    for b in range(1, n + 1):
+        ranges = []
+        level = 0
+        while True:
+            hi = min(n, b // (4**level))
+            lo = max(1, math.ceil(floor_cap / b))
+            if lo > hi:
+                break
+            ranges.append((lo, hi))
+            level += 1
+        if ranges:
+            out.append((b, tuple(ranges)))
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -197,7 +197,8 @@ def test_criterion_10_inequality_spot_checks():
             assert not report.not_applicable
             assert report.violations == 0, (which, report.violations)
         lam = ll.lambda_nontrivial(ll.eig_symmetric(ll.adjacency_matrix(g)), 4)
-        a, b = ll.experiments._lemma3_size_pairs(400, 4, lam)[0]
+        b_rows, lo_rows, _ = ll.experiments._size_table(400, 4, lam, "lemma3")
+        a, b = int(lo_rows[0]), int(b_rows[0])  # the first admissible pair
         rng = np.random.default_rng(4)
         u = np.zeros(400)
         v = np.zeros(400)

@@ -23,6 +23,7 @@ from oracles import (
     dense_split_lambda_new,
     k4_top_radius_rate,
     lemma3_size_pair_list,
+    lemma4_size_list,
     spanning_tree_free_edges,
 )
 
@@ -308,22 +309,35 @@ class TestSpotChecks:
             with pytest.raises(InvalidParameterError, match="trials must be >= 1"):
                 ll.lemma_inequality_spot_check(k4, trials, 0, "lemma4")
 
-    @pytest.mark.parametrize("n,d,lam", [
+    # lam = 4 and 2 at n = 60, d = 4 put (n*lam/d)^2 on an integer, so a*b <
+    # cap and lo*b >= cap are decided on their boundary; at (2, 1, 0.0) and
+    # (100, 3, 0.1) the lemma3 table is empty
+    SIZE_GRID = [
         (60, 4, 3.340125366733687), (60, 4, 4.0), (60, 4, 2.0), (12, 3, 2.6),
         (400, 4, 3.5), (1000, 6, 4.410116265019274), (2, 1, 0.0), (100, 3, 0.1),
-    ])
+    ]
+
+    @pytest.mark.parametrize("n,d,lam", SIZE_GRID)
     def test_lemma3_size_ranges_match_the_pair_list(self, n, d, lam):
-        # lam = 4 and 2 at n = 60, d = 4 put (n*lam/d)^2 on an integer, so
-        # a*b < cap is decided on its boundary; the last two tables are empty
-        table = experiments._lemma3_size_pairs(n, d, lam)
-        pairs = lemma3_size_pair_list(n, d, lam)
-        assert len(table) == len(pairs)
-        assert [table[i] for i in range(len(table))] == pairs
-        with pytest.raises(IndexError):
-            table[len(table)]
+        rows = experiments._size_table(n, d, lam, "lemma3")
+        assert all(col.dtype == np.int64 for col in rows)
+        pairs = [(a, b) for b, lo, hi in zip(*map(np.ndarray.tolist, rows))
+                 for a in range(lo, hi + 1)]
+        assert pairs == lemma3_size_pair_list(n, d, lam)
+
+    @pytest.mark.parametrize("n,d,lam", SIZE_GRID)
+    def test_lemma4_size_rows_match_the_per_b_ranges(self, n, d, lam):
+        rows = experiments._size_table(n, d, lam, "lemma4")
+        assert all(col.dtype == np.int64 for col in rows)
+        sizes = []
+        for b, lo, hi in zip(*map(np.ndarray.tolist, rows)):
+            assert hi == b
+            ends = [b // 4**i for i in range(b.bit_length())]  # level i ends at b // 4^i
+            sizes.append((b, tuple((lo, end) for end in ends if lo <= end)))
+        assert sizes == lemma4_size_list(n, d, lam)
 
     def test_lemma3_runs_past_5000_vertices(self, tmp_path):
-        # both size tables are O(n) or O(n log n), so neither lemma has a cap
+        # both size tables are O(n) rows, so neither lemma has a cap
         g = ll.random_regular(5002, 3, 1)
         path, out = tmp_path / "big.graph", tmp_path / "report"
         fileio.write_graph(g, str(path))

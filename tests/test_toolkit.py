@@ -133,6 +133,21 @@ class TestDiscretize:
         with pytest.raises(InvalidParameterError):
             ll.discretize(np.array([0.6, 0.0, 0.0]), m, seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        # NaN compares False, so the ||x||_inf and symmetry checks alone
+        # would let it spend every rounding try before a SearchError
+        m = ll.adjacency_matrix(ll.complete_graph(3))
+        x = np.array([0.25, bad, 0.0])
+        m_bad = m.copy()
+        m_bad[0, 1] = m_bad[1, 0] = bad
+        for call in (lambda: ll.discretize(x, m, seed=0),
+                     lambda: ll.discretize(np.zeros(3), m_bad, seed=0),
+                     lambda: ll.discretize_pair(np.zeros(3), x, m, seed=0),
+                     lambda: ll.discretize_pair(np.zeros(3), np.zeros(3), m_bad, seed=0)):
+            with pytest.raises(InvalidParameterError, match="x and M must be finite"):
+                call()
+
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(InvalidParameterError):
             ll.discretize(np.zeros(2), np.eye(2), seed=0)
@@ -212,3 +227,12 @@ class TestGeometricLogSumBound:
             ll.geometric_log_sum_bound(2.0, 5, 40.0, 1.0)  # r^t > z/2
         with pytest.raises(InvalidParameterError):
             ll.geometric_log_sum_bound(2.0, -1, 100.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_arguments_rejected(self, bad, slot):
+        # a NaN lhs or rhs would read as a pass, since lhs > rhs is False
+        args = [2.0, 3, 32.0, 1.0]
+        args[slot] = bad
+        with pytest.raises(InvalidParameterError, match="need finite r, t, z, x"):
+            ll.geometric_log_sum_bound(*args)
