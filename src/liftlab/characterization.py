@@ -198,33 +198,43 @@ def verify_characterization(
     return report
 
 
-def _lanczos_radius(op, what: str) -> float:
-    """Spectral radius of a real symmetric sparse matrix or operator.
+def _lanczos_radius(op, what: str, project=None) -> float:
+    """Spectral radius of a real symmetric sparse matrix or operator `op`,
+    or, given `project`, of P op: P is an orthogonal projection that
+    commutes with op, and project(y) applies it to a fresh product y, which
+    it may overwrite.
 
-    Solved by ARPACK's symmetric Lanczos for the one largest-magnitude
-    eigenvalue, from a seeded start vector, so reruns give the same bytes.
-    A +-lambda tie (a bipartite lift) needs no second value: whichever sign
-    converges has the radius as its magnitude, and asking for two values
-    would roughly double the Lanczos iterations. ARPACK stops once the Ritz residual is
-    below tol * |theta| <= tol * d, which also bounds the Ritz value's
-    distance to an eigenvalue. Operators of order <= 2 (K_2's) are solved
-    densely. An ARPACK failure raises NumericalError naming `what`.
+    Solved by ARPACK's symmetric Lanczos for the one largest eigenvalue theta
+    of the squared operator x -> op(op(x)), from a seeded start vector, so
+    reruns give the same bytes; the radius is sqrt(theta). With a projection
+    the square is x -> P(op(op(x))), which equals (P op)(P op) x, so each
+    squared product is projected once. The square is positive semidefinite
+    and merges the two ends of the spectrum, so a +-lambda tie (a bipartite
+    lift) is one eigenvalue lambda^2 and the top gap is relatively wider:
+    about half the Lanczos steps of a largest-magnitude solve on op itself.
+    ARPACK stops once the Ritz residual is below tol * theta, which bounds
+    theta's distance to lambda^2 and so the radius error by about
+    tol * lambda / 2. Operators of order <= 2 (K_2's) are solved densely.
+    An ARPACK failure raises NumericalError naming `what`.
     """
-    from scipy.sparse.linalg import ArpackError, eigsh
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     size = op.shape[0]
+    project = project or (lambda y: y)
     if size <= 2:
-        return spectral_radius(op @ np.eye(size))
+        return spectral_radius(project(op @ np.eye(size)))
     # the same seeded generator also draws any restart vector ARPACK asks
     # for when the Krylov space becomes invariant (few distinct eigenvalues)
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(size)
+    squared = LinearOperator((size, size), dtype=float,
+                             matvec=lambda x: project(op @ (op @ x)))
     try:
-        vals = eigsh(op, k=1, which="LM", v0=v0, tol=1e-10, rng=rng,
+        vals = eigsh(squared, k=1, which="LM", v0=v0, tol=1e-10, rng=rng,
                      return_eigenvectors=False)
     except ArpackError as exc:
         raise NumericalError(f"Lanczos on {what} failed: {exc}") from exc
-    return float(abs(vals[0]))
+    return math.sqrt(max(float(vals[0]), 0.0))
 
 
 def _mean_free_radius(a, blocks: int, what: str) -> float:
@@ -232,18 +242,17 @@ def _mean_free_radius(a, blocks: int, what: str) -> float:
     zero over each of `blocks` equal consecutive index blocks.
 
     `a` must commute with the projection P that subtracts each block's mean;
-    then P a P = P a, so one projection per product suffices.
+    then that radius is the one of P a, which _lanczos_radius solves with P
+    made in place on each squared product.
     """
-    from scipy.sparse.linalg import LinearOperator
+    width = a.shape[0] // blocks
 
-    size = a.shape[0]
+    def project(y: np.ndarray) -> np.ndarray:
+        z = y.reshape(blocks, width, -1)
+        z -= z.sum(axis=1, keepdims=True) / width
+        return z.reshape(y.shape)
 
-    def project(x: np.ndarray) -> np.ndarray:
-        x = x.reshape(blocks, size // blocks, -1)
-        return (x - x.mean(axis=1, keepdims=True)).reshape(size, -1)
-
-    op = LinearOperator((size, size), dtype=float, matvec=lambda x: project(a @ x))
-    return _lanczos_radius(op, what)
+    return _lanczos_radius(a, what, project)
 
 
 def lambda_nontrivial_sparse(g: RegularGraph, bipartite: bool = False) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
 from .graphs import RegularGraph, _as_seed, _incidences, adjacency_matrix, edge_endpoints
-from .spectra import eig_symmetric
+from .spectra import BOUND_SLACK, eig_symmetric
 
 H_EXHAUSTIVE_CAP = 24
 PAIR_EXHAUSTIVE_CAP = 12
@@ -228,7 +228,7 @@ def combinatorial_expansion(
     return ExpansionReport(best, best_subset, "sampled", lam2, lower, upper)
 
 
-def cheeger_check(g: RegularGraph, slack: float = 1e-9) -> CheegerReport:
+def cheeger_check(g: RegularGraph, slack: float = BOUND_SLACK) -> CheegerReport:
     """Verify (d - lambda2)/2 <= h <= sqrt(d*(d - lambda2)) with exhaustive h."""
     report = combinatorial_expansion(g, method="exhaustive")
     passed = (
@@ -292,7 +292,7 @@ def eml_check(
     method: str = "exhaustive",
     samples: int | None = None,
     seed: int | None = None,
-    slack: float = 1e-9,
+    slack: float = BOUND_SLACK,
 ) -> MixingReport:
     """Worst-case mixing deviation ratio against the spectral bound lam.
 

@@ -43,7 +43,7 @@ from .lifts import (
     random_signing,
     signing_to_shifts,
 )
-from .spectra import MAX_DENSE_DIM
+from .spectra import BOUND_SLACK, MAX_DENSE_DIM
 
 _M64 = (1 << 64) - 1
 CROSS_CHECK_TOL = 1e-6
@@ -220,11 +220,15 @@ def _run_one_trial(g: RegularGraph, cfg: ExperimentConfig, index: int) -> TrialR
     return TrialRecord(index, seed, lam_new, radii)
 
 
-def _run_in_pool(g: RegularGraph, cfg: ExperimentConfig, chunk: int) -> list[TrialRecord]:
-    """Trials in contiguous chunks of `chunk` indices, records in trial order:
-    one forked child runs each chunk but the last, and this process runs the
-    last. Children inherit the graph and config through the fork and send back
-    only their pickled records, or the exception that stopped them."""
+def _run_in_pool(g: RegularGraph, cfg: ExperimentConfig,
+                 chunk: int) -> tuple[float, list[TrialRecord]]:
+    """The base lambda and the trial records in trial order, the trials in
+    contiguous chunks of `chunk` indices: one forked child runs each chunk but
+    the last, and this process solves the base lambda while they run, then
+    runs the last chunk. Children inherit the graph and config through the
+    fork and send back only their pickled records, or the exception that
+    stopped them. If the base lambda fails, every trial fails with the reason
+    (no trial can be scored without it) and the children are killed."""
     # imported here, not at the top: `signal` is not loaded by `import liftlab`
     import pickle
     import signal
@@ -248,6 +252,12 @@ def _run_in_pool(g: RegularGraph, cfg: ExperimentConfig, chunk: int) -> list[Tri
                     os._exit(1)
             os.close(write_fd)  # before the next fork: EOF once this child exits
             children[pid] = read_fd
+        try:
+            lam = lambda_nontrivial_sparse(g)
+        except LiftLabError as exc:
+            return math.nan, [TrialRecord(i, trial_seed(cfg.base_seed, i), None, None,
+                                          error=f"base lambda: {exc}")
+                              for i in range(cfg.trials)]
         own = [_run_one_trial(g, cfg, i) for i in range(starts[-1], cfg.trials)]
         records = []
         for pid, read_fd in list(children.items()):
@@ -262,7 +272,7 @@ def _run_in_pool(g: RegularGraph, cfg: ExperimentConfig, chunk: int) -> list[Tri
             if isinstance(out, Exception):
                 raise out
             records.extend(out)
-        return records + own
+        return lam, records + own
     finally:
         for pid, read_fd in children.items():
             os.close(read_fd)
@@ -285,41 +295,33 @@ def run_lift_trials(
     of the lift adjacency on the fiber-sum-zero subspace; a disagreement
     beyond CROSS_CHECK_TOL fails the trial. The base lambda comes from
     lambda_nontrivial_sparse, so no step builds a dense matrix above base
-    order _STACKED_MAX_N. Fractions are over successful trials only.
+    order _STACKED_MAX_N; if it fails, every trial fails with the reason.
+    Fractions are over successful trials only, each trial compared with its
+    bound plus the absolute slack BOUND_SLACK.
 
     `threads` (default: default_threads()) counts the processes that run
     trials, this one included, capped by pool_size; without os.fork it is 1.
-    This process runs the last contiguous chunk of trials and one forked
-    child runs each other chunk. A child that dies raises NumericalError.
+    One forked child runs each contiguous chunk of trials but the last. This
+    process solves the base lambda while they run (with one process, before
+    any trial), then runs the last chunk. A child that dies raises
+    NumericalError.
     """
     requested = default_threads() if threads is None else threads
     g = resolve_base_graph(cfg) if graph is None else graph
-    try:
-        lam, base_error = lambda_nontrivial_sparse(g), None
-    except LiftLabError as exc:
-        # no trial can be scored without lambda, so each fails with the reason
-        lam, base_error = math.nan, f"base lambda: {exc}"
-    workers = pool_size(requested, cfg.trials)
-    if base_error is not None or not hasattr(os, "fork"):
-        workers = 1
+    workers = pool_size(requested, cfg.trials) if hasattr(os, "fork") else 1
     chunk = -(-cfg.trials // workers)
     workers = -(-cfg.trials // chunk)  # e.g. 5 trials, 4 requested: 3 chunks of 2
-
-    if base_error is not None:
-        records = [TrialRecord(i, trial_seed(cfg.base_seed, i), None, None, error=base_error)
-                   for i in range(cfg.trials)]
-    else:
-        records = _run_in_pool(g, cfg, chunk)
+    lam, records = _run_in_pool(g, cfg, chunk)
 
     ok = np.array([r.lambda_new for r in records if r.error is None])
     failed = sum(1 for r in records if r.error is not None)
     sqrt_d = math.sqrt(g.d)
     frac_add = tuple(
-        (c, float(np.mean(ok <= lam + c * sqrt_d)) if ok.size else math.nan)
+        (c, float(np.mean(ok <= lam + c * sqrt_d + BOUND_SLACK)) if ok.size else math.nan)
         for c in cfg.constants
     )
     frac_mult = tuple(
-        (c, float(np.mean(ok <= c * lam)) if ok.size else math.nan)
+        (c, float(np.mean(ok <= c * lam + BOUND_SLACK)) if ok.size else math.nan)
         for c in cfg.constants
     )
     quantiles = tuple(
@@ -461,7 +463,7 @@ def lemma_inequality_spot_check(
             rhs = 8.0 * math.sqrt(d / n * b * b * weight * math.log2(2.0 * n / b))
         ratio = lhs / rhs
         max_ratio = max(max_ratio, ratio)
-        if lhs > rhs + 1e-9:
+        if lhs > rhs + BOUND_SLACK:
             violations += 1
     return SpotCheckReport(which, trials, violations, max_ratio, False)
 
@@ -590,7 +592,7 @@ def exhaustive_signing_search(g: RegularGraph) -> SigningSearchResult:
     shifts, best_radius, total = _best_class(g, 2, 0.0)
     bound = 2.0 * math.sqrt(g.d - 1)
     return SigningSearchResult(
-        Signing(1 - 2 * shifts), best_radius, bound, best_radius <= bound + 1e-9,
+        Signing(1 - 2 * shifts), best_radius, bound, best_radius <= bound + BOUND_SLACK,
         1 << m, total,
     )
 

@@ -19,6 +19,9 @@ from .errors import (
 
 MAX_DENSE_DIM = 5000
 DEFAULT_TOL = 1e-9
+# absolute slack of every check of a computed value against a stated bound,
+# so a value that meets its bound exactly is not sorted by its last bit
+BOUND_SLACK = 1e-9
 DEFAULT_MATCH_WINDOW = 1e-6
 
 

@@ -637,9 +637,9 @@ def test_both_sides_of_the_stack_size_rule_keep_the_same_lifts(k, monkeypatch):
             kept.append(sa)
             return build(graph, sa)
 
-        def recording_lanczos(op, what):
+        def recording_lanczos(op, what, *args):
             solves.append(what)
-            return solve(op, what)
+            return solve(op, what, *args)
 
         monkeypatch.setattr(characterization, "_STACKED_MAX_N", limit)
         monkeypatch.setattr(experiments, "build_shift_lift", recording_build)

@@ -150,6 +150,13 @@ def test_shift_file_replay_bytes(tmp_path):
 # lambda 3.3401253667336954 -> 3.340125366733687 (max_ratio unchanged) and
 # lemma3 max_ratio 0.032695123119472105 -> 0.03269512311947215.
 #
+# The SMALL `eml` and the MID `eml --method sampled` and `lemma3` digests were
+# re-recorded a third time when the Lanczos radius moved to the squared
+# operator (one largest value of x -> P(A(A x)), radius its square root):
+# SMALL lambda 2.5830822224039185 -> 2.58308222240392, MID lambda
+# 3.340125366733687 -> 3.340125366733685 (max_ratio unchanged), lemma3
+# max_ratio 0.03269512311947215 -> 0.032695123119472154; at most 1.8e-15.
+#
 # The RR24 and RR18 `cheeger` digests were recorded from the byte-table cut
 # scan, before the per-hi cut grid replaced it. Both scans read vertices past
 # 16, the top mask byte (h = 5/11 and 8/9).
@@ -197,7 +204,7 @@ REPORT_CASES = {
         (0, "5659239c7162e391853c01a24b9e17d4c173b9080a233a4d40739e601081530a",
          "b4794252428214c58121febfc93fd5b68a122de225a9c29493070f9a22db1373"),
     (SMALL, "eml"):
-        (0, "c7fd0ef4040ad0c0634c409e05cb330ede337771209536624fdaa528f2c27fce",
+        (0, "dadf30561d828d1c07ad4040a7381a828d3e4de325317e0fb293363218b8c392",
          "b4a45ce7dcec893efad29ce44e4ae2127d8fc40c86001b04c11ff9c51f12fef6"),
     (SMALL, "verify-shift --k 3 --shifts 0,1,2,0,1,2,2,1,0,0,0,1,1,2,2,0,2,1"):
         (0, "8f074f415b53ac2798f0c00857811b57a36f14c46b0819fbc8bef9d5691a8dde",
@@ -209,10 +216,10 @@ REPORT_CASES = {
         (0, "c155e40afd64724df262ceb7b151a78a92ceaee8be552fe383d22be447ba8a11",
          "f1e6a8c530c11bb01be8cac6d159faff4daad21849ae9fb645b7271d669e1685"),
     (MID, "eml --method sampled --samples 300 --seed 2"):
-        (0, "8827fb4de9defde39b0f4673b1acba78b5fd56a15f5f9e800acd57c5d0e47b7a",
+        (0, "7aa9e4d3be7d32e89a4d930916fc7f69070b1520a8f45ffc14ddc6894e0d7648",
          "df6118c17452dd81e2dac2e0320452fa81bbeb4d4cd80f400b88edc78f6081d4"),
     (MID, "lemma-check --which lemma3 --trials 300 --seed 1"):
-        (0, "8159c8b625f10c5c4f2beb681770ea1998fcfe5a52ac3d1c32192665930df960",
+        (0, "3f115ae61d5810c6c72eef01c10ac4fbbe2bc3c500039afee13bcbe38741a13e",
          "56653c354dc9a7d8249a6ac029ff886d2a5f44f965e534111c4bd1f6d257974f"),
     (MID, "lemma-check --which lemma4 --trials 300 --seed 1"):
         (0, "38541918585a016c9023094af5a2d459e5b6b31a5bd82c3d71adaec72236bccc",
@@ -237,7 +244,13 @@ REPORT_CASES = {
 # and four trials have lambda_new = 3 exactly, which Lanczos gave as
 # 3.0000000000000004 to 3.0000000000000013 and the stacks give as 3.0. So
 # `frac lambda_new <= 1.0*lambda` moved 0.3333333333333333 -> 1.0, the exact
-# value: a comparison at c*lambda = d has no slack (ROADMAP item 13).
+# value: a comparison at c*lambda = d had no slack then. The `frac` lines now
+# compare with the absolute slack BOUND_SLACK, and neither digest moved.
+#
+# The random_regular 40 report was re-recorded when the Lanczos radius moved
+# to the squared operator: only the lambda line moved, 3.2298841914542944 ->
+# 3.229884191454286 (8.4e-15); its roots come from dense stacks, and the CSV
+# did not change.
 MC_CASES = {
     "base = complete 4\ncopies = 3\nmode = two_lift\ntrials = 6\nseed = 2\n"
     "constants = 0.5,1,2\n": (
@@ -245,7 +258,7 @@ MC_CASES = {
         "7e70aff816974c055bb07a719eb557e20c950ea0e0dd80710511c25ba44fa152",
     ),
     "base = random_regular 40 4 3\nmode = shift_lift\nk = 3\ntrials = 5\nseed = 11\n": (
-        "5d243055f54803dada74519a22e3f8a01ba67876354257361bea547fef074fbf",
+        "50765337379fb0af5da98d59cd622d2792a9c3e998ca3cfa431d692e23827c6c",
         "8f3c4aba5e4502626afdc7e9ca36661d9b8b59b81c978a92031bc75626facea9",
     ),
 }
@@ -317,15 +330,23 @@ def test_converse_mixing_report_bytes(case):
 # level 5 2.7427625761389085 -> 2.7427625761389, K_{3,3} level 1 lambda_new
 # 2.000000000000001 -> 2.0, SMALL level 2 2.7570681847639973 -> ...96. The
 # C_7 bytes did not change.
+#
+# The K_{3,3} and SMALL digests were re-recorded when the Lanczos radius
+# moved to the squared operator. Only the level-0 lambda (the sparse base
+# lambda) moved, and the levels that carry it: K_{3,3} 3.0 ->
+# 2.9999999999999996 (levels 0 and 1), SMALL 2.5830822224039185 ->
+# 2.58308222240392; at most 1.3e-15. Every level builds the same lift as
+# before (a spy on build_shift_lift), and the K_4 and C_7 bytes did not
+# change.
 GROW_CASES = {
     ("complete --m 4", "--levels 5 --samples 50 --k 2 --seed 3"):
         "9d8806b4f83203849c1e613cbd3343cbc0d59a1970e14765ddae899700c2644d",
     (K33, "--levels 1 --samples 512 --k 2 --seed 0"):
-        "d5b9673df9ac1112bceb7e1033fad04c887e55efa2363cbf0a85ac9181a0837f",
+        "0543880f68b77b7cdeb12f52d1682459af6871854745af405ac6de091ebe7248",
     ("cycle --n 7", "--levels 2 --samples 25 --k 3 --seed 2"):
         "9519422557cc4a9e7f0bddc34bc8ce033533ea755e5cc93cb770d79560ec996a",
     (SMALL, "--levels 2 --samples 10 --k 4 --seed 1"):
-        "af2ed534c8f8a1a76dced4f42985c424b4bf3d7b627a46507f6f4fc7534994a4",
+        "1be2ace99ea824ab75fbaf72522f8c1a237917bda74453150878b636a8e1e926",
 }
 
 

@@ -126,15 +126,9 @@ def test_error_in_a_child_chunk_reaches_the_caller(monkeypatch):
         ll.run_lift_trials(cfg, threads=2)
 
 
-@pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
-def test_error_in_the_callers_chunk_propagates_and_children_are_reaped(monkeypatch):
-    real_run, real_fork = experiments._run_one_trial, os.fork
-    forked = []
-
-    def fail_on_three(g, cfg, index):
-        if index == 3:
-            raise ValueError("trial three broke")
-        return real_run(g, cfg, index)
+def _record_forks(monkeypatch):
+    """The pids os.fork returns to the caller, in order, from now on."""
+    real_fork, forked = os.fork, []
 
     def recording_fork():
         pid = real_fork()
@@ -142,8 +136,21 @@ def test_error_in_the_callers_chunk_propagates_and_children_are_reaped(monkeypat
             forked.append(pid)
         return pid
 
-    monkeypatch.setattr(experiments, "_run_one_trial", fail_on_three)
     monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+@pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
+def test_error_in_the_callers_chunk_propagates_and_children_are_reaped(monkeypatch):
+    real_run = experiments._run_one_trial
+
+    def fail_on_three(g, cfg, index):
+        if index == 3:
+            raise ValueError("trial three broke")
+        return real_run(g, cfg, index)
+
+    monkeypatch.setattr(experiments, "_run_one_trial", fail_on_three)
+    forked = _record_forks(monkeypatch)
     cfg = ll.ExperimentConfig("random_regular 16 3 2", 3, 4, 42, (3.0,),
                               "shift_lift")
     with pytest.raises(ValueError, match="trial three broke"):
@@ -152,6 +159,57 @@ def test_error_in_the_callers_chunk_propagates_and_children_are_reaped(monkeypat
     for pid in forked:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
+def test_base_lambda_is_solved_in_the_caller_while_the_children_run(monkeypatch):
+    real_lambda = experiments.lambda_nontrivial_sparse
+    cfg = ll.ExperimentConfig("random_regular 16 3 2", 3, 4, 42, (1.0, 3.0), "shift_lift")
+    serial = ll.run_lift_trials(cfg, threads=1)
+    forked, solved = _record_forks(monkeypatch), []
+
+    def recording_lambda(g):
+        solved.append((len(forked), os.getpid()))
+        return real_lambda(g)
+
+    monkeypatch.setattr(experiments, "lambda_nontrivial_sparse", recording_lambda)
+    parallel = ll.run_lift_trials(cfg, threads=2)
+    assert parallel.workers == 2 and solved == [(1, os.getpid())]
+    assert experiment_report_text(parallel) == experiment_report_text(serial)
+    assert experiment_report_csv(parallel) == experiment_report_csv(serial)
+
+
+@pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")
+def test_base_lambda_failure_reads_the_same_in_one_and_two_processes(monkeypatch):
+    # one process solves the base first and runs no trial after it fails;
+    # with two, the caller runs none and kills the child it forked
+    real_run, caller = experiments._run_one_trial, os.getpid()
+    caller_trials = []
+
+    def base_fails(g):
+        raise NumericalError("Lanczos on the base graph failed: injected")
+
+    def recording_run(g, cfg, index):
+        if os.getpid() == caller:
+            caller_trials.append(index)
+        return real_run(g, cfg, index)
+
+    monkeypatch.setattr(experiments, "lambda_nontrivial_sparse", base_fails)
+    monkeypatch.setattr(experiments, "_run_one_trial", recording_run)
+    forked = _record_forks(monkeypatch)
+    cfg = ll.ExperimentConfig("random_regular 40 3 2", 3, 4, 5, (1.0, 3.0), "shift_lift")
+    reports = [ll.run_lift_trials(cfg, threads=threads) for threads in (1, 2)]
+    assert [r.workers for r in reports] == [1, 2] and len(forked) == 1
+    assert caller_trials == []
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    for report in reports:
+        assert report.failed == cfg.trials
+        assert [r.error for r in report.records] == (
+            ["base lambda: Lanczos on the base graph failed: injected"] * cfg.trials)
+    assert len({experiment_report_text(r) for r in reports}) == 1
+    assert len({experiment_report_csv(r) for r in reports}) == 1
 
 
 @pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs")

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg as sla
-from scipy.sparse import issparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -189,6 +188,20 @@ def test_root_radii_match_the_dense_half_roots(n, d, k, lanczos, monkeypatch):
     assert dtypes == ([] if lanczos else stacks)
 
 
+@pytest.mark.parametrize("limit", [STACKED, 0], ids=["stacked", "lanczos"])
+@pytest.mark.parametrize("k", [8, 16])
+def test_a_bound_met_exactly_counts_as_met(k, limit, monkeypatch):
+    # on K_4, 3 * lambda = 3 = d bounds every new eigenvalue, and lifts with
+    # lambda_new = d exactly land on either side of it by their last bits:
+    # with no slack this fraction read 0.9425 to 0.9875 on these campaigns
+    monkeypatch.setattr(characterization, "_STACKED_MAX_N", limit)
+    cfg = ll.ExperimentConfig("complete 4", k, 400, 1, (3.0,), "shift_lift")
+    report = ll.run_lift_trials(cfg, threads=2)
+    assert report.failed == 0 and report.lam == pytest.approx(1.0, abs=1e-12)
+    assert any(abs(r.lambda_new - 3.0) <= 1e-12 for r in report.records)
+    assert report.frac_multiplicative == ((3.0, 1.0),)
+
+
 def test_exact_checks_import_no_scipy():
     # scipy in the small exact path raised the exact_small peak RSS from 48
     # to 73 MB; the dense assemblers must not pull it in
@@ -254,30 +267,40 @@ class TestOneValueSolve:
         assert seen == {False, True}
 
 
+def _counted(op, counter):
+    """op as a LinearOperator that adds one to counter[0] per product."""
+    inner = sla.aslinearoperator(op)
+
+    def matvec(x):
+        counter[0] += 1
+        return inner.matvec(x)
+
+    return sla.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+
+
 def test_one_trial_asks_for_one_value(monkeypatch):
-    # one k = 4 trial: roots j = 1, 2 and the fiber check, 433 matvecs in
-    # all; asking for two values took 758
-    real = sla.eigsh
-    asked, matvecs = [], [0]
+    # one k = 4 trial: roots j = 1, 2 and the fiber check. Each Lanczos step
+    # applies the squared operator once, two sparse-matrix products: 253
+    # applications and 506 products in all. Lanczos on the operator itself
+    # took 433 of each, and asking it for two values 758
+    real_eigsh, real_radius = sla.eigsh, characterization._lanczos_radius
+    asked, applied, products = [], [0], [0]
 
     def counting(op, *args, **kwargs):
         asked.append(kwargs.get("k"))
-        inner = sla.aslinearoperator(op)
-
-        def matvec(x):
-            matvecs[0] += 1
-            return inner.matvec(x)
-
-        return real(sla.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype),
-                    *args, **kwargs)
+        return real_eigsh(_counted(op, applied), *args, **kwargs)
 
     monkeypatch.setattr(sla, "eigsh", counting)
+    monkeypatch.setattr(characterization, "_lanczos_radius",
+                        lambda op, *args: real_radius(_counted(op, products), *args))
     cfg = ll.ExperimentConfig("random_regular 500 6 2", 4, 1, 0, (1.0,), "shift_lift")
     g = ll.resolve_base_graph(cfg)
     record = experiments._run_one_trial(g, cfg, 0)
     assert record.error is None and len(record.root_radii) == 3
     assert asked == [1, 1, 1]
-    assert matvecs[0] <= 600, matvecs[0]
+    assert products[0] == 2 * applied[0]
+    assert products[0] <= 600, products[0]
+    assert applied[0] <= 300, applied[0]
     # the base lambda, plain and with -d dropped
     ll.lambda_nontrivial_sparse(g)
     ll.lambda_nontrivial_sparse(ll.disjoint_copies(ll.complete_bipartite(6), 2),
@@ -371,17 +394,29 @@ def test_growth_solves_nothing_densely(k, monkeypatch):
     assert [r.n for r in traj.records] == [g.n * k**level for level in range(3)]
 
 
-def test_root_lanczos_failure_is_a_named_failed_trial(monkeypatch, tmp_path, lanczos_roots):
-    real = sla.eigsh
-    n = 40
+def _fail_lanczos_on(monkeypatch, failing):
+    """Make eigsh fail on each solve whose _lanczos_radius label `what`
+    satisfies failing(what). Every operator reaches eigsh squared, as a
+    LinearOperator, so only the label tells the solves apart."""
+    real_eigsh, real_radius = sla.eigsh, characterization._lanczos_radius
+    label = [None]
 
-    def fail_on_roots(op, *args, **kwargs):
-        # root matrices are CSR; the base and fiber operators are projected
-        if issparse(op):
+    def labelled(op, what, *args):
+        label[0] = what
+        return real_radius(op, what, *args)
+
+    def eigsh(op, *args, **kwargs):
+        if failing(label[0]):
             raise sla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-        return real(op, *args, **kwargs)
+        return real_eigsh(op, *args, **kwargs)
 
-    monkeypatch.setattr(sla, "eigsh", fail_on_roots)
+    monkeypatch.setattr(characterization, "_lanczos_radius", labelled)
+    monkeypatch.setattr(sla, "eigsh", eigsh)
+
+
+def test_root_lanczos_failure_is_a_named_failed_trial(monkeypatch, tmp_path, lanczos_roots):
+    n = 40
+    _fail_lanczos_on(monkeypatch, lambda what: what.startswith("root "))
     cfg = ll.ExperimentConfig(f"random_regular {n} 3 2", 4, 3, 5, (3.0,), "shift_lift")
     report = ll.run_lift_trials(cfg)
     assert report.failed == cfg.trials
@@ -529,15 +564,8 @@ def test_dense_report_bytes_do_not_depend_on_blas_below_the_documented_size(tmp_
 
 
 def test_base_lambda_failure_fails_every_trial(monkeypatch, tmp_path):
-    real = sla.eigsh
     n = 40
-
-    def fail_on_base(op, *args, **kwargs):
-        if not issparse(op) and op.shape[0] == n:  # the fiber operator has order k*n
-            raise sla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-        return real(op, *args, **kwargs)
-
-    monkeypatch.setattr(sla, "eigsh", fail_on_base)
+    _fail_lanczos_on(monkeypatch, lambda what: what == "the base graph")
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(f"base = random_regular {n} 3 2\nmode = shift_lift\n"
                         "k = 3\ntrials = 2\nseed = 5\n")
