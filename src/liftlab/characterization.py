@@ -204,37 +204,62 @@ def _lanczos_radius(op, what: str, project=None) -> float:
     commutes with op, and project(y) applies it to a fresh product y, which
     it may overwrite.
 
-    Solved by ARPACK's symmetric Lanczos for the one largest eigenvalue theta
-    of the squared operator x -> op(op(x)), from a seeded start vector, so
-    reruns give the same bytes; the radius is sqrt(theta). With a projection
-    the square is x -> P(op(op(x))), which equals (P op)(P op) x, so each
-    squared product is projected once. The square is positive semidefinite
-    and merges the two ends of the spectrum, so a +-lambda tie (a bipartite
-    lift) is one eigenvalue lambda^2 and the top gap is relatively wider:
-    about half the Lanczos steps of a largest-magnitude solve on op itself.
-    ARPACK stops once the Ritz residual is below tol * theta, which bounds
-    theta's distance to lambda^2 and so the radius error by about
-    tol * lambda / 2. Operators of order <= 2 (K_2's) are solved densely.
-    An ARPACK failure raises NumericalError naming `what`.
+    Solved by a plain three-term Lanczos for the largest eigenvalue theta of
+    the squared operator x -> op(op(x)), from a seeded start vector, so reruns
+    give the same bytes; the radius is sqrt(theta). With a projection the
+    square is x -> P(op(op(x))), which equals (P op)(P op) x, so each squared
+    product is projected once. The square is positive semidefinite and merges
+    the two ends of the spectrum, so a +-lambda tie (a bipartite lift) is one
+    eigenvalue lambda^2 and the top gap is relatively wider: about half the
+    steps of a largest-magnitude solve on op itself.
+
+    No basis is stored or reorthogonalized against: lost orthogonality makes
+    ghost copies of converged Ritz values but does not move the extreme one
+    (Paige 1980), so every 5 steps the top pair (theta, s) of the tridiagonal
+    T_j is taken from LAPACK dstemr, and the solve stops once the Ritz
+    residual bound beta_j * |s_j| is below tol * theta. That bounds theta's
+    distance to lambda^2 and so the radius error by about tol * lambda / 2.
+    A beta_j below tol times the largest diagonal entry of T_j (at most
+    theta) passes that test whatever s_j is, and means the Krylov space is
+    invariant: the solve stops there at any step. Without
+    reorthogonalization T_size need not hold the top eigenvalue, so step
+    `size` is not a stop; 10 * size steps raise NumericalError naming `what`,
+    as does a dstemr failure. Inner products and norms are numpy reductions,
+    not BLAS dot products, whose last bits depend on the BLAS thread count at
+    large sizes. Operators of order <= 2 (K_2's) are solved densely.
     """
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+    from scipy.linalg.lapack import dstemr
 
     size = op.shape[0]
     project = project or (lambda y: y)
     if size <= 2:
         return spectral_radius(project(op @ np.eye(size)))
-    # the same seeded generator also draws any restart vector ARPACK asks
-    # for when the Krylov space becomes invariant (few distinct eigenvalues)
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(size)
-    squared = LinearOperator((size, size), dtype=float,
-                             matvec=lambda x: project(op @ (op @ x)))
-    try:
-        vals = eigsh(squared, k=1, which="LM", v0=v0, tol=1e-10, rng=rng,
-                     return_eigenvectors=False)
-    except ArpackError as exc:
-        raise NumericalError(f"Lanczos on {what} failed: {exc}") from exc
-    return math.sqrt(max(float(vals[0]), 0.0))
+    tol, cap = 1e-10, 10 * size
+    q = project(np.random.default_rng(0).standard_normal(size))
+    q /= math.sqrt(np.add.reduce(q * q))
+    q_prev, beta, top = np.zeros(size), 0.0, 0.0
+    alphas, betas = [], []
+    for step in range(1, cap + 1):
+        w = project(op @ (op @ q))
+        alpha = float(np.add.reduce(q * w))
+        w -= alpha * q
+        w -= beta * q_prev
+        beta = math.sqrt(np.add.reduce(w * w))
+        alphas.append(alpha)
+        betas.append(beta)
+        top = max(top, alpha)
+        invariant = beta <= tol * top
+        if invariant or step % 5 == 0:
+            # dstemr overwrites its off-diagonal argument, which needs one
+            # trailing entry of workspace: a fresh array each call
+            _, theta, vec, info = dstemr(np.array(alphas), np.array(betas), 2,
+                                         0.0, 0.0, step, step)
+            if info != 0:
+                raise NumericalError(f"Lanczos on {what} failed: dstemr info {info}")
+            if invariant or beta * abs(vec[-1, 0]) <= tol * theta[0]:
+                return math.sqrt(max(float(theta[0]), 0.0))
+        q_prev, q = q, w / beta
+    raise NumericalError(f"Lanczos on {what} did not converge in {cap} steps")
 
 
 def _mean_free_radius(a, blocks: int, what: str) -> float:
@@ -288,7 +313,9 @@ def lambda_nontrivial_sparse(g: RegularGraph, bipartite: bool = False) -> float:
                              "the bipartite graph")
 
 
-_STACKED_MAX_N = 128  # dense root stacks up to this base order; Lanczos is faster from about 192
+# dense root stacks up to this base order; for one shift row Lanczos is
+# faster from about 150 (k = 4) to 180 (k = 2)
+_STACKED_MAX_N = 128
 
 
 def _root_radii(g: RegularGraph, k: int, shifts: np.ndarray):
@@ -297,9 +324,9 @@ def _root_radii(g: RegularGraph, k: int, shifts: np.ndarray):
     is solved on its real part. Up to base order _STACKED_MAX_N, one eigvalsh
     call per root solves the (r, n, n) stack. Above it each row is one
     symmetric_csr solved by _lanczos_radius, a complex M_j through its real
-    symmetric embedding [[Re, -Im], [Im, Re]] (each eigenvalue doubled), since
-    ARPACK's complex path gives last digits that depend on the BLAS thread
-    count. A failed solve raises NumericalError naming the root.
+    symmetric embedding [[Re, -Im], [Im, Re]] (each eigenvalue doubled), so
+    every sparse solve is the one real Lanczos. A failed solve raises
+    NumericalError naming the root.
     """
     n, (eu, ev), roots = g.n, edge_endpoints(g), _root_values(k)
     # w = a + ib on (u, v): a at (u, v) and (n+u, n+v), -b at (u, n+v), b at (v, n+u)

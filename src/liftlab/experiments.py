@@ -297,7 +297,8 @@ def run_lift_trials(
     lambda_nontrivial_sparse, so no step builds a dense matrix above base
     order _STACKED_MAX_N; if it fails, every trial fails with the reason.
     Fractions are over successful trials only, each trial compared with its
-    bound plus the absolute slack BOUND_SLACK.
+    bound plus the absolute slack BOUND_SLACK; so is lambda in the regime
+    flags (lambda > sqrt(d), lambda <= d / log2(d)).
 
     `threads` (default: default_threads()) counts the processes that run
     trials, this one included, capped by pool_size; without os.fork it is 1.
@@ -328,7 +329,7 @@ def run_lift_trials(
         (name, float(np.quantile(ok, q)) if ok.size else math.nan)
         for q, name in QUANTILE_LEVELS
     )
-    moderately = (lam <= g.d / math.log2(g.d)) if g.d >= 2 else None
+    moderately = (lam <= g.d / math.log2(g.d) + BOUND_SLACK) if g.d >= 2 else None
     return ExperimentReport(
         config=cfg,
         n=g.n,
@@ -339,7 +340,7 @@ def run_lift_trials(
         frac_additive=frac_add,
         frac_multiplicative=frac_mult,
         quantiles=quantiles,
-        lambda_above_sqrt_d=lam > sqrt_d,
+        lambda_above_sqrt_d=lam > sqrt_d + BOUND_SLACK,
         moderately_expanding=moderately,
         workers=workers,
     )

@@ -338,6 +338,30 @@ def dense_split_lambda_new(g, sa) -> float:
     ).lambda_new
 
 
+def arpack_radius(op, what: str, project=None) -> float:
+    """characterization._lanczos_radius as ARPACK solves it: eigsh (k = 1,
+    tol 1e-10, default ncv, full reorthogonalization) for the largest
+    eigenvalue of x -> P(op(op x)) from the same seeded start vector, with
+    that generator drawing any restart vector; order <= 2 densely. The
+    campaign path before the plain Lanczos, and a drop-in for it."""
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    size = op.shape[0]
+    project = project or (lambda y: y)
+    if size <= 2:
+        return ll.spectral_radius(project(op @ np.eye(size)))
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(size)
+    squared = LinearOperator((size, size), dtype=float,
+                             matvec=lambda x: project(op @ (op @ x)))
+    try:
+        vals = eigsh(squared, k=1, which="LM", v0=v0, tol=1e-10, rng=rng,
+                     return_eigenvectors=False)
+    except ArpackError as exc:
+        raise ll.NumericalError(f"Lanczos on {what} failed: {exc}") from exc
+    return math.sqrt(max(float(vals[0]), 0.0))
+
+
 def dense_scored_growth(g0, levels: int, samples_per_level: int, k: int, seed: int) -> list:
     """greedy_lift_growth scored the way it was before the root path: every
     candidate lift is built and solved densely, lambda_new comes from

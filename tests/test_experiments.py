@@ -4,6 +4,7 @@ import math
 import re
 import time
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -154,6 +155,30 @@ class TestRunLiftTrials:
         assert abs(hit - expected) <= 3 * se
 
 
+def _petersen_line_graph():
+    """The line graph of the Petersen graph: 15 vertices, 4-regular, with
+    spectrum {4, 2^5, -1^4, -2^5}, so lambda = 2 = sqrt(d) = d / log2(d)."""
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    edges = sorted((a, b) for a, b in combinations(range(15), 2)
+                   if set(petersen[a]) & set(petersen[b]))
+    return ll.RegularGraph(15, 4, edges)
+
+
+@pytest.mark.parametrize("lam", [math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0)])
+def test_regime_flags_compare_with_the_stated_slack(lam, monkeypatch):
+    # lambda = sqrt(d) = d / log2(d) = 2 exactly: a solver's last bit must
+    # not decide either flag
+    g = _petersen_line_graph()
+    assert abs(ll.lambda_nontrivial_sparse(g) - 2.0) <= 1e-12
+    monkeypatch.setattr(experiments, "lambda_nontrivial_sparse", lambda graph: lam)
+    cfg = ll.ExperimentConfig("complete 5", 2, 1, 0, (1.0,), "two_lift")  # base unused
+    report = ll.run_lift_trials(cfg, graph=g, threads=1)
+    assert report.lam == lam and report.failed == 0
+    assert report.lambda_above_sqrt_d is False
+    assert report.moderately_expanding is True
+
+
 def trial_assignment(g, cfg, index):
     """The shift assignment a campaign trial samples, rebuilt from its seed."""
     seed = ll.trial_seed(cfg.base_seed, index)
@@ -270,18 +295,32 @@ class TestLoudFailures:
             assert float(record.error.split()[-1]) == pytest.approx(3.0, abs=1e-9)
 
     def test_lanczos_non_convergence_is_a_failed_trial(self, monkeypatch):
-        import scipy.sparse.linalg as sla
+        # a top Ritz vector whose last entry is 1 never passes the stop test,
+        # so every solve runs to its step cap of 10 * order
+        import scipy.linalg.lapack as lapack
 
-        def no_convergence(*args, **kwargs):
-            raise sla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+        real = lapack.dstemr
 
-        monkeypatch.setattr(sla, "eigsh", no_convergence)
+        def unconverged(*args, **kwargs):
+            found, w, z, info = real(*args, **kwargs)
+            z[-1, 0] = 1.0
+            return found, w, z, info
+
+        monkeypatch.setattr(lapack, "dstemr", unconverged)
         cfg = ll.ExperimentConfig("random_regular 40 3 2", 4, 2, 5, (3.0,),
                                   "shift_lift")
         report = ll.run_lift_trials(cfg)
         assert report.failed == 2
-        assert all("Lanczos" in r.error and "No convergence" in r.error
-                   for r in report.records)
+        assert [r.error for r in report.records] == [
+            "base lambda: Lanczos on the base graph did not converge in 400 steps"] * 2
+        # the trial alone: roots from a dense stack (order 40), then the
+        # fiber check; with every root solved by Lanczos, root 1 first
+        g = ll.resolve_base_graph(cfg)
+        assert experiments._run_one_trial(g, cfg, 0).error == (
+            "Lanczos on the fiber-sum-zero operator did not converge in 1600 steps")
+        monkeypatch.setattr(characterization, "_STACKED_MAX_N", 0)
+        assert experiments._run_one_trial(g, cfg, 0).error == (
+            "Lanczos on root 1 did not converge in 800 steps")
 
 
 class TestSpotChecks:

@@ -157,6 +157,14 @@ def test_shift_file_replay_bytes(tmp_path):
 # 3.340125366733687 -> 3.340125366733685 (max_ratio unchanged), lemma3
 # max_ratio 0.03269512311947215 -> 0.032695123119472154; at most 1.8e-15.
 #
+# The `complete 5` `eml` and the MID `eml --method sampled` and `lemma3`
+# digests were re-recorded when the Lanczos radius moved from ARPACK to a
+# plain three-term Lanczos (no stored basis): complete 5 lambda
+# 1.0000000000000002 -> 1.0, MID lambda 3.340125366733685 ->
+# 3.340125366733686 (max_ratio unchanged), lemma3 max_ratio
+# 0.032695123119472154 -> 0.03269512311947215; at most 8.9e-16. Only these
+# lines moved.
+#
 # The RR24 and RR18 `cheeger` digests were recorded from the byte-table cut
 # scan, before the per-hi cut grid replaced it. Both scans read vertices past
 # 16, the top mask byte (h = 5/11 and 8/9).
@@ -180,7 +188,7 @@ REPORT_CASES = {
         (0, "38498737880caef21fc1a27db9b585f9b771c93b5059a237afb607e7347b8e82",
          "18d7c5e7c71919e6922ca11f9aa7dcef10448601a73cc258a8d345ffa7f4421f"),
     ("complete --m 5", "eml"):
-        (0, "5f02286ae759c3d1cf00322b850c5297090384512f86a829a7528f26b6d1bd39",
+        (0, "55c0821feb40bb4f802342734762e6d621c0e64dbe13ca0ae7319f256de72a62",
          "3022745ef0f0b3b737d4aeb31a0941e93042b1e5164cf1745e632323ee099ccc"),
     (K33, "cheeger"):
         (0, "1d3b661a96bfe4d1d6cc9c6c466946e40ca5cb206bf4a3f17016ec45aee9d0b7",
@@ -216,10 +224,10 @@ REPORT_CASES = {
         (0, "c155e40afd64724df262ceb7b151a78a92ceaee8be552fe383d22be447ba8a11",
          "f1e6a8c530c11bb01be8cac6d159faff4daad21849ae9fb645b7271d669e1685"),
     (MID, "eml --method sampled --samples 300 --seed 2"):
-        (0, "7aa9e4d3be7d32e89a4d930916fc7f69070b1520a8f45ffc14ddc6894e0d7648",
+        (0, "c765d46d331b320294918cc67d08dd943e62e8698ca2c77d16233f84eb8c1dd4",
          "df6118c17452dd81e2dac2e0320452fa81bbeb4d4cd80f400b88edc78f6081d4"),
     (MID, "lemma-check --which lemma3 --trials 300 --seed 1"):
-        (0, "3f115ae61d5810c6c72eef01c10ac4fbbe2bc3c500039afee13bcbe38741a13e",
+        (0, "8159c8b625f10c5c4f2beb681770ea1998fcfe5a52ac3d1c32192665930df960",
          "56653c354dc9a7d8249a6ac029ff886d2a5f44f965e534111c4bd1f6d257974f"),
     (MID, "lemma-check --which lemma4 --trials 300 --seed 1"):
         (0, "38541918585a016c9023094af5a2d459e5b6b31a5bd82c3d71adaec72236bccc",
@@ -251,6 +259,10 @@ REPORT_CASES = {
 # to the squared operator: only the lambda line moved, 3.2298841914542944 ->
 # 3.229884191454286 (8.4e-15); its roots come from dense stacks, and the CSV
 # did not change.
+#
+# It was re-recorded again when the Lanczos radius moved from ARPACK to a
+# plain three-term Lanczos: only the lambda line moved, 3.229884191454286 ->
+# 3.229884191454287 (8.9e-16), and the CSV did not change.
 MC_CASES = {
     "base = complete 4\ncopies = 3\nmode = two_lift\ntrials = 6\nseed = 2\n"
     "constants = 0.5,1,2\n": (
@@ -258,7 +270,7 @@ MC_CASES = {
         "7e70aff816974c055bb07a719eb557e20c950ea0e0dd80710511c25ba44fa152",
     ),
     "base = random_regular 40 4 3\nmode = shift_lift\nk = 3\ntrials = 5\nseed = 11\n": (
-        "50765337379fb0af5da98d59cd622d2792a9c3e998ca3cfa431d692e23827c6c",
+        "f5bd9d53a23d32146772a8dca923d44cd2eb772ae5cf0ae9d0e56237b5943af7",
         "8f3c4aba5e4502626afdc7e9ca36661d9b8b59b81c978a92031bc75626facea9",
     ),
 }
@@ -338,13 +350,19 @@ def test_converse_mixing_report_bytes(case):
 # 2.58308222240392; at most 1.3e-15. Every level builds the same lift as
 # before (a spy on build_shift_lift), and the K_4 and C_7 bytes did not
 # change.
+#
+# The K_{3,3} and C_7 digests were re-recorded when the Lanczos radius moved
+# from ARPACK to a plain three-term Lanczos. Only the level-0 lambda moved,
+# and the levels that carry it: K_{3,3} 2.9999999999999996 -> 3.0 (levels 0
+# and 1), C_7 1.8019377358048385 -> 1.801937735804838; at most 4.4e-16. The
+# K_4 and SMALL bytes did not change.
 GROW_CASES = {
     ("complete --m 4", "--levels 5 --samples 50 --k 2 --seed 3"):
         "9d8806b4f83203849c1e613cbd3343cbc0d59a1970e14765ddae899700c2644d",
     (K33, "--levels 1 --samples 512 --k 2 --seed 0"):
-        "0543880f68b77b7cdeb12f52d1682459af6871854745af405ac6de091ebe7248",
+        "d5b9673df9ac1112bceb7e1033fad04c887e55efa2363cbf0a85ac9181a0837f",
     ("cycle --n 7", "--levels 2 --samples 25 --k 3 --seed 2"):
-        "9519422557cc4a9e7f0bddc34bc8ce033533ea755e5cc93cb770d79560ec996a",
+        "b9ba812be11e7d7c0168ca30e55caba1fe7b34d559f3efda2b25bb8bbca785eb",
     (SMALL, "--levels 2 --samples 10 --k 4 --seed 1"):
         "1be2ace99ea824ab75fbaf72522f8c1a237917bda74453150878b636a8e1e926",
 }

@@ -15,7 +15,6 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +22,8 @@ import liftlab as ll
 from liftlab import characterization, cli, expansion, experiments, fileio, graphs, lifts, spectra
 from liftlab.cli import dispatch
 
-from oracles import (bfs_components, bmat_root_operators, dense_half_root_radii,
-                     dense_root_radii, dense_split_lambda_new)
+from oracles import (arpack_radius, bfs_components, bmat_root_operators,
+                     dense_half_root_radii, dense_root_radii, dense_split_lambda_new)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 STACKED = characterization._STACKED_MAX_N
@@ -92,6 +91,18 @@ class TestRootRadiiOracle:
         assert abs(ll.lambda_nontrivial_sparse(g) - dense) <= 1e-12
         _check_bipartite_lambda(g)
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=shift_lifts())
+    def test_plain_lanczos_matches_arpack(self, case):
+        _check_plain_lanczos_against_arpack(*case)
+
+    @pytest.mark.parametrize("base,k", [("random_regular 500 6 2", 4),
+                                        ("random_regular 300 5 4", 6),
+                                        ("random_regular 1000 3 1", 16)])
+    def test_plain_lanczos_matches_arpack_at_campaign_sizes(self, base, k):
+        g = ll.resolve_base_graph(ll.ExperimentConfig(base, k, 1, 0, (1.0,), "shift_lift"))
+        _check_plain_lanczos_against_arpack(g, ll.random_shift_lift(g, k, 3))
+
     @pytest.mark.parametrize("g", [
         *(pytest.param(ll.complete_bipartite(m), id=f"K{m},{m}") for m in range(1, 9)),
         *(pytest.param(ll.disjoint_copies(ll.complete_graph(2), c), id=f"{c}xK2")
@@ -128,6 +139,29 @@ class TestRootRadiiOracle:
         assert np.max(np.abs(np.subtract(radii, dense_half_root_radii(g, sa)))) <= 1e-12
 
 
+def _sparse_radii(g, sa) -> list[float]:
+    """Every sparse radius of one shift lift: the k-1 root radii with every
+    root solved by Lanczos, the fiber-projected radius, the base lambda and,
+    for a bipartite base, lambda with -d dropped too."""
+    with mock.patch.object(characterization, "_STACKED_MAX_N", 0):
+        radii = list(ll.lambda_new_from_roots(g, sa)[1])
+    radii += [ll.lambda_new_from_fibers(g, sa), ll.lambda_nontrivial_sparse(g)]
+    try:
+        radii.append(ll.lambda_nontrivial_sparse(g, bipartite=True))
+    except ll.InvalidParameterError:
+        pass
+    return radii
+
+
+def _check_plain_lanczos_against_arpack(g, sa):
+    """Every sparse radius of the shift lift of g by sa, from the plain
+    Lanczos and from ARPACK, agrees within 1e-12."""
+    plain = _sparse_radii(g, sa)
+    with mock.patch.object(characterization, "_lanczos_radius", arpack_radius):
+        arpack = _sparse_radii(g, sa)
+    assert np.max(np.abs(np.subtract(plain, arpack))) <= 1e-12
+
+
 def _operator_bases():
     fixed = [ll.disjoint_copies(ll.complete_graph(2), 3), ll.complete_bipartite(3),
              ll.cycle_graph(8), ll.disjoint_copies(ll.complete_graph(4), 5)]
@@ -142,7 +176,7 @@ def _operator_bases():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8])
 def test_root_operators_match_the_bmat_oracle_byte_for_byte(k, monkeypatch, lanczos_roots):
-    # ARPACK sees the same matvecs only if the operator bytes are the same;
+    # Lanczos sees the same products only if the operator bytes are the same;
     # the conjugate embedding (b and -b swapped) has the same spectrum, so
     # no radius test can tell it apart
     seen = []
@@ -267,45 +301,50 @@ class TestOneValueSolve:
         assert seen == {False, True}
 
 
-def _counted(op, counter):
-    """op as a LinearOperator that adds one to counter[0] per product."""
-    inner = sla.aslinearoperator(op)
+class _Counted:
+    """op with a matrix product that adds one to counter[0] per call."""
 
-    def matvec(x):
-        counter[0] += 1
-        return inner.matvec(x)
+    def __init__(self, op, counter):
+        self.op, self.counter, self.shape = op, counter, op.shape
 
-    return sla.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+    def __matmul__(self, x):
+        self.counter[0] += 1
+        return self.op @ x
 
 
 def test_one_trial_asks_for_one_value(monkeypatch):
     # one k = 4 trial: roots j = 1, 2 and the fiber check. Each Lanczos step
-    # applies the squared operator once, two sparse-matrix products: 253
-    # applications and 506 products in all. Lanczos on the operator itself
-    # took 433 of each, and asking it for two values 758
-    real_eigsh, real_radius = sla.eigsh, characterization._lanczos_radius
-    asked, applied, products = [], [0], [0]
+    # applies the squared operator once, two sparse-matrix products: 240
+    # steps and 480 products in all (85, 70 and 85 steps). ARPACK on the
+    # same squared operators took 253 applications, and on the operator
+    # itself 433. Each stop test, one per 5 steps, asks dstemr for the top
+    # eigenpair of T_j only: range by index (2), from index j to j
+    real_dstemr, real_radius = scipy.linalg.lapack.dstemr, characterization._lanczos_radius
+    asked, solves, products = [], [], [0]
 
-    def counting(op, *args, **kwargs):
-        asked.append(kwargs.get("k"))
-        return real_eigsh(_counted(op, applied), *args, **kwargs)
+    def counting(d, e, which, vl, vu, il, iu, *args, **kwargs):
+        asked.append((which, il, iu, d.size))
+        return real_dstemr(d, e, which, vl, vu, il, iu, *args, **kwargs)
 
-    monkeypatch.setattr(sla, "eigsh", counting)
-    monkeypatch.setattr(characterization, "_lanczos_radius",
-                        lambda op, *args: real_radius(_counted(op, products), *args))
+    def radius(op, what, *args):
+        solves.append(what)
+        return real_radius(_Counted(op, products), what, *args)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstemr", counting)
+    monkeypatch.setattr(characterization, "_lanczos_radius", radius)
     cfg = ll.ExperimentConfig("random_regular 500 6 2", 4, 1, 0, (1.0,), "shift_lift")
     g = ll.resolve_base_graph(cfg)
     record = experiments._run_one_trial(g, cfg, 0)
     assert record.error is None and len(record.root_radii) == 3
-    assert asked == [1, 1, 1]
-    assert products[0] == 2 * applied[0]
-    assert products[0] <= 600, products[0]
-    assert applied[0] <= 300, applied[0]
+    assert solves == ["root 1", "root 2", "the fiber-sum-zero operator"]
+    assert products[0] % 2 == 0 and products[0] <= 500, products[0]
+    assert len(asked) == products[0] // 2 // 5
     # the base lambda, plain and with -d dropped
     ll.lambda_nontrivial_sparse(g)
     ll.lambda_nontrivial_sparse(ll.disjoint_copies(ll.complete_bipartite(6), 2),
                                 bipartite=True)
-    assert asked == [1] * 5
+    assert len(solves) == 5
+    assert all(which == 2 and il == iu == size for which, il, iu, size in asked)
 
 
 def _check_bipartite_lambda(g):
@@ -395,23 +434,22 @@ def test_growth_solves_nothing_densely(k, monkeypatch):
 
 
 def _fail_lanczos_on(monkeypatch, failing):
-    """Make eigsh fail on each solve whose _lanczos_radius label `what`
-    satisfies failing(what). Every operator reaches eigsh squared, as a
-    LinearOperator, so only the label tells the solves apart."""
-    real_eigsh, real_radius = sla.eigsh, characterization._lanczos_radius
+    """Make dstemr fail (info 1) on each solve whose _lanczos_radius label
+    `what` satisfies failing(what). Every solve reaches dstemr with its
+    tridiagonal only, so only the label tells the solves apart."""
+    real_dstemr, real_radius = scipy.linalg.lapack.dstemr, characterization._lanczos_radius
     label = [None]
 
     def labelled(op, what, *args):
         label[0] = what
         return real_radius(op, what, *args)
 
-    def eigsh(op, *args, **kwargs):
-        if failing(label[0]):
-            raise sla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-        return real_eigsh(op, *args, **kwargs)
+    def dstemr(*args, **kwargs):
+        found, w, z, info = real_dstemr(*args, **kwargs)
+        return found, w, z, 1 if failing(label[0]) else info
 
     monkeypatch.setattr(characterization, "_lanczos_radius", labelled)
-    monkeypatch.setattr(sla, "eigsh", eigsh)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstemr", dstemr)
 
 
 def test_root_lanczos_failure_is_a_named_failed_trial(monkeypatch, tmp_path, lanczos_roots):
@@ -421,8 +459,7 @@ def test_root_lanczos_failure_is_a_named_failed_trial(monkeypatch, tmp_path, lan
     report = ll.run_lift_trials(cfg)
     assert report.failed == cfg.trials
     for record in report.records:
-        assert record.error.startswith("Lanczos on root 1 failed: ")
-        assert "No convergence" in record.error
+        assert record.error == "Lanczos on root 1 failed: dstemr info 1"
 
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(f"base = random_regular {n} 3 2\nmode = two_lift\n"
@@ -479,7 +516,7 @@ def test_stacked_root_failure_is_a_named_failed_trial(monkeypatch, tmp_path):
 
 def test_restart_vectors_are_seeded(lanczos_roots):
     # random_regular(16, 3) has few distinct eigenvalues: the Krylov space of
-    # root 1's embedding turns invariant and ARPACK asks for a fresh vector
+    # root 1's embedding turns invariant, and the solve stops at that step
     cfg = ll.ExperimentConfig("random_regular 16 3 2", 4, 10, 42, (1.0,), "shift_lift")
     g = ll.resolve_base_graph(cfg)
     sa = ll.random_shift_lift(g, 4, ll.trial_seed(42, 8))
@@ -536,6 +573,25 @@ def test_report_bytes_do_not_depend_on_threads_or_blas(tmp_path):
     assert {name: len(outputs) for name, outputs in seen.items()} == dict.fromkeys(seen, 1)
     for name in configs:
         assert b"failed = 0" in next(iter(seen[name]))[0]
+
+
+def test_sparse_report_bytes_do_not_depend_on_blas_threads_at_large_order(tmp_path):
+    # OpenBLAS splits a dot product over its threads above a length of about
+    # 20000, and the split moves its last bits. Every sparse radius of this
+    # trial has order 30000 or more. ARPACK, which reorthogonalizes through
+    # BLAS, wrote line 11 (lambda) of the two reports differently
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("base = random_regular 30000 3 1\nmode = two_lift\nk = 2\n"
+                   "trials = 1\nseed = 5\n")
+    reports = set()
+    for blas in ("1", "2"):
+        out = tmp_path / f"report_{blas}"
+        subprocess.run([sys.executable, "-m", "liftlab.cli", "mc", "--config", str(cfg),
+                        "--threads", "1", "--out", str(out)],
+                       env=_cli_env(blas), check=True, capture_output=True)
+        reports.add(out.read_bytes())
+    assert len(reports) == 1
+    assert b"failed = 0" in reports.pop()
 
 
 def test_dense_report_bytes_do_not_depend_on_blas_below_the_documented_size(tmp_path):
