@@ -2,13 +2,9 @@
 
 from .characterization import (
     CharacterizationReport,
-    RootOfUnity,
     lambda_new_from_fibers,
     lambda_new_from_roots,
     lambda_nontrivial_sparse,
-    lift_eigenvector,
-    roots_of_unity,
-    shift_matrix,
     verify_characterization,
 )
 from .errors import (
@@ -67,12 +63,10 @@ from .lifts import (
     assignment_to_signing,
     build_lift,
     build_shift_lift,
-    fiber,
     random_k_lift,
     random_shift_lift,
     random_signing,
     shift_to_assignment,
-    shift_to_signing,
     signed_adjacency,
     signing_to_assignment,
     signing_to_shifts,
@@ -84,7 +78,6 @@ from .spectra import (
     eig_symmetric,
     lambda_nontrivial,
     max_multiset_mismatch,
-    rayleigh_quotient,
     spectral_radius,
     split_old_new,
 )

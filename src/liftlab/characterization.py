@@ -24,25 +24,13 @@ import numpy as np
 from .errors import CharacterizationError, InvalidParameterError, NumericalError
 from .graphs import RegularGraph, edge_endpoints, edge_matrix, symmetric_csr
 from .lifts import ShiftAssignment, _check_per_edge, lift_endpoints, shift_to_assignment
-from .spectra import (Spectrum, _check_dense_dim, eig_stack, eig_symmetric,
-                      max_multiset_mismatch, spectral_radius)
-
-
-def _root_value(k: int, m: int) -> complex:
-    """exp(2*pi*i*m/k), with components snapped onto exact 0 and +-1."""
-    ang = 2.0 * math.pi * (m % k) / k
-    re, im = math.cos(ang), math.sin(ang)
-    for target in (0.0, 1.0, -1.0):
-        if abs(re - target) < 1e-15:
-            re = target
-        if abs(im - target) < 1e-15:
-            im = target
-    return complex(re, im)
+from .spectra import (Spectrum, _check_dense_dim, _check_nonnegative, eig_stack,
+                      eig_symmetric, max_multiset_mismatch, spectral_radius)
 
 
 def _root_values(k: int) -> np.ndarray:
-    """The k values _root_value(k, m), bit for bit: the same angle expression
-    and snapping, on arrays; t_j**s is entry (j*s) mod k, as in RootOfUnity.power."""
+    """The k values exp(2*pi*i*m/k), components within 1e-15 of 0 or +-1
+    snapped onto them; t_j**s is entry (j*s) mod k, an exact index."""
     ang = 2.0 * math.pi * np.arange(k) / k
     values = np.empty(k, dtype=complex)
     np.cos(ang, out=values.real)
@@ -51,61 +39,6 @@ def _root_values(k: int) -> np.ndarray:
         for part in (values.real, values.imag):
             part[np.abs(part - target) < 1e-15] = target
     return values
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """The j-th of the k complex k-th roots of unity."""
-
-    k: int
-    j: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidParameterError("k must be positive")
-        if not 0 <= self.j < self.k:
-            raise InvalidParameterError(f"j must lie in [0,{self.k})")
-
-    @property
-    def value(self) -> complex:
-        return _root_value(self.k, self.j)
-
-    def power(self, m: int) -> complex:
-        """self.value ** m, computed through the exact index (j*m mod k)."""
-        return _root_value(self.k, (self.j * m) % self.k)
-
-
-def roots_of_unity(k: int) -> tuple[RootOfUnity, ...]:
-    """All k-th roots ordered by exponent j = 0..k-1 (j=0 is 1)."""
-    return tuple(RootOfUnity(k, j) for j in range(k))
-
-
-def shift_matrix(g: RegularGraph, sa: ShiftAssignment, t: RootOfUnity) -> np.ndarray:
-    """Hermitian matrix with entry t**shift on each stored edge direction.
-
-    Entry (u, v) of a stored edge (u < v, shift s) is t**s and entry (v, u)
-    is the conjugate t**(-s); at t = 1 this is exactly the adjacency matrix.
-    """
-    _check_per_edge(g, sa.shift_array, "assignment", "shifts")
-    if t.k != sa.k:
-        raise InvalidParameterError("root order and assignment degree disagree")
-    return edge_matrix(g.n, *edge_endpoints(g), _root_values(sa.k)[t.j * sa.shift_array % sa.k])
-
-
-def lift_eigenvector(v: np.ndarray, t: RootOfUnity, k: int) -> np.ndarray:
-    """Transport a base-level eigenvector of the root-t matrix to the lift.
-
-    Component (x, i) of the output is t**i * v[x] under the fiber-contiguous
-    index x*k + i, so the squared norm scales by exactly k.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1:
-        raise InvalidParameterError("eigenvector must be 1-d")
-    if t.k != k:
-        raise InvalidParameterError("root order and lift degree disagree")
-    if not np.any(v):
-        raise InvalidParameterError("zero vector is not an eigenvector")
-    return (v[:, None] * _root_values(k)[t.j * np.arange(k) % k][None, :]).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +78,7 @@ def verify_characterization(
     negative threshold raises InvalidParameterError: a NaN one would pass
     every instance, a negative one none.
     """
-    for name, value in (("tol", tol), ("window", window), ("ortho_tol", ortho_tol)):
-        if not value >= 0:
-            raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+    _check_nonnegative(tol=tol, window=window, ortho_tol=ortho_tol)
     _check_per_edge(g, sa.shift_array, "assignment", "shifts")
     k, n = sa.k, g.n
     _check_dense_dim(k * n)  # before the (kn)^2 lift matrix is allocated

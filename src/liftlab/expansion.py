@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
 from .graphs import RegularGraph, _as_seed, _incidences, adjacency_matrix, edge_endpoints
-from .spectra import BOUND_SLACK, eig_symmetric
+from .spectra import BOUND_SLACK, _check_nonnegative, eig_symmetric
 
 H_EXHAUSTIVE_CAP = 24
 PAIR_EXHAUSTIVE_CAP = 12
@@ -229,7 +229,9 @@ def combinatorial_expansion(
 
 
 def cheeger_check(g: RegularGraph, slack: float = BOUND_SLACK) -> CheegerReport:
-    """Verify (d - lambda2)/2 <= h <= sqrt(d*(d - lambda2)) with exhaustive h."""
+    """Verify (d - lambda2)/2 <= h <= sqrt(d*(d - lambda2)) with exhaustive h.
+    A NaN or negative slack raises InvalidParameterError."""
+    _check_nonnegative(slack=slack)
     report = combinatorial_expansion(g, method="exhaustive")
     passed = (
         report.cheeger_lower - slack <= report.h <= report.cheeger_upper + slack
@@ -306,8 +308,12 @@ def eml_check(
     ordered incidences, so an edge inside the intersection contributes 2.
     The caller chooses the lam convention: passing max_{i>=2}|lambda_i| (no
     bipartite exclusion) makes the bound hold for every graph, bipartite
-    ones included.
+    ones included. A lam that is not finite and >= 0, or a NaN or negative
+    slack, raises InvalidParameterError.
     """
+    if not 0 <= lam < math.inf:
+        raise InvalidParameterError(f"lam must be finite and >= 0, got {lam}")
+    _check_nonnegative(slack=slack)
     _check_method(method, samples, seed)
     if method == "exhaustive":
         if g.n > PAIR_EXHAUSTIVE_CAP:

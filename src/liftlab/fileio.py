@@ -321,6 +321,8 @@ def read_spectrum(path: str) -> Spectrum:
                 vals.append(float(ln))
             except ValueError:
                 raise FormatError(f"expected a number, got {ln!r}", line=no) from None
+            if not np.isfinite(vals[-1]):
+                raise FormatError(f"expected a finite number, got {ln!r}", line=no)
     return Spectrum(np.asarray(vals))
 
 

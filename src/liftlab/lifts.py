@@ -166,13 +166,6 @@ def shift_to_assignment(sa: ShiftAssignment) -> LiftAssignment:
     return LiftAssignment._trusted(sa.k, images)
 
 
-def shift_to_signing(sa: ShiftAssignment) -> Signing:
-    """For k=2, shift 0 is the +1 (identity) edge and shift 1 the -1 (swap)."""
-    if sa.k != 2:
-        raise InvalidParameterError("shift/sign correspondence requires k=2")
-    return Signing(np.where(sa.shift_array == 0, 1, -1))
-
-
 def _check_per_edge(g: RegularGraph, arr: np.ndarray, owner: str, what: str) -> None:
     """InvalidParameterError unless `arr` has one row per base edge of g."""
     if arr.shape[0] != g.num_edges:
@@ -243,10 +236,3 @@ def two_lift_block_matrix(a: np.ndarray, a_s: np.ndarray) -> np.ndarray:
     plus = (a + a_s) / 2.0
     minus = (a - a_s) / 2.0
     return np.block([[plus, minus], [minus, plus]])
-
-
-def fiber(lg: LiftedGraph, x: int) -> frozenset:
-    """The k lift vertices sitting over base vertex x."""
-    if not 0 <= x < lg.base.n:
-        raise InvalidParameterError(f"vertex {x} out of range [0,{lg.base.n})")
-    return frozenset(range(x * lg.k, x * lg.k + lg.k))

@@ -36,6 +36,8 @@ class Spectrum:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1:
             raise InvalidParameterError("spectrum values must be a 1-d array")
+        if not np.isfinite(vals).all():
+            raise InvalidParameterError("spectrum values must be finite")
         if vals.size > 1 and np.any(np.diff(vals) > 0):
             raise InvalidParameterError("spectrum values must be sorted descending")
 
@@ -53,6 +55,13 @@ class OldNewSplit:
     window: float
 
 
+def _check_nonnegative(**thresholds: float) -> None:
+    """InvalidParameterError naming the first threshold that is NaN or negative."""
+    for name, value in thresholds.items():
+        if not value >= 0:
+            raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+
+
 def _check_dense_dim(size: int) -> None:
     """SizeLimitError if a dense solve of order `size` exceeds the cap."""
     if size > MAX_DENSE_DIM:
@@ -61,12 +70,14 @@ def _check_dense_dim(size: int) -> None:
 
 def _hermitian(m, ndim: int) -> np.ndarray:
     """(M + M^H) / 2 of a float or complex `ndim`-d array whose last two
-    axes are square; M - M^H above 1e-12 anywhere is rejected."""
+    axes are square; a non-finite entry or M - M^H above 1e-12 is rejected."""
     m = np.asarray(m)
     if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         raise InvalidParameterError("matrix must be square")
     _check_dense_dim(m.shape[-1])
     m = np.asarray(m, dtype=np.result_type(m.dtype, np.float64))
+    if not np.isfinite(m).all():
+        raise InvalidParameterError("matrix has a non-finite entry")
     mh = m.conj().swapaxes(-1, -2)
     asym = float(np.max(np.abs(m - mh))) if m.size else 0.0
     if asym > 1e-12:
@@ -81,8 +92,9 @@ def eig_stack(ms, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     Returns values (r, n), rows descending, and vectors (r, n, n) with the
     aligned orthonormal eigenvectors as columns. Inputs are checked as in
     eig_symmetric; a pair with ||M_i v - w v||_2 > tol * ||M_i||_F raises
-    NumericalError.
+    NumericalError; a NaN or negative tol raises InvalidParameterError.
     """
+    _check_nonnegative(tol=tol)
     ms = _hermitian(ms, 3)
     try:
         w, v = np.linalg.eigh(ms)
@@ -135,7 +147,9 @@ def split_old_new(
     unused lift eigenvalue (first index on ties). Any base eigenvalue left
     without a partner inside `window` raises MatchingError: either the lift
     spectrum does not come from a lift of this base, or the solver misbehaved.
+    A NaN or negative window raises InvalidParameterError.
     """
+    _check_nonnegative(window=window)
     n = len(base)
     if len(lift) != k * n:
         raise InvalidParameterError(
@@ -169,8 +183,9 @@ def lambda_nontrivial(
     The input must be the adjacency spectrum of a connected-or-not d-regular
     graph: its top value has to equal d within tol. With bipartite=True the
     spectrum must be symmetric about 0 within tol, which holds exactly when
-    the graph is bipartite.
+    the graph is bipartite. A NaN or negative tol raises InvalidParameterError.
     """
+    _check_nonnegative(tol=tol)
     vals = s.values
     if not vals.size:
         raise InvalidParameterError("empty spectrum")
@@ -183,16 +198,6 @@ def lambda_nontrivial(
             "bipartite flag set but the spectrum is not symmetric about 0"
         )
     return float(np.max(np.abs(vals[1 : vals.size - bipartite]), initial=0.0))
-
-
-def rayleigh_quotient(m, x) -> float:
-    """|x* M x| / (x* x) for a nonzero real or complex vector x."""
-    x = np.asarray(x)
-    denom = float(np.real(np.vdot(x, x)))
-    if denom == 0.0:
-        raise InvalidParameterError("Rayleigh quotient of the zero vector")
-    num = abs(complex(np.vdot(x, np.asarray(m) @ x)))
-    return num / denom
 
 
 def max_multiset_mismatch(a, b) -> float:

@@ -12,12 +12,38 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 import liftlab as ll
 from liftlab.errors import FormatError, InvalidParameterError
+
+
+def _root_value(k: int, m: int) -> complex:
+    """exp(2*pi*i*m/k), with components snapped onto exact 0 and +-1: the
+    scalar reference that characterization._root_values matches bit for bit."""
+    ang = 2.0 * math.pi * (m % k) / k
+    re, im = math.cos(ang), math.sin(ang)
+    for target in (0.0, 1.0, -1.0):
+        if abs(re - target) < 1e-15:
+            re = target
+        if abs(im - target) < 1e-15:
+            im = target
+    return complex(re, im)
+
+
+@dataclass(frozen=True)
+class RootOfUnity:
+    """The j-th of the k complex k-th roots of unity, one scalar at a time."""
+
+    k: int
+    j: int
+
+    def power(self, m: int) -> complex:
+        """t_j ** m, computed through the exact index (j*m mod k)."""
+        return _root_value(self.k, (self.j * m) % self.k)
 
 
 def circulant_cycle_spectrum(n: int) -> np.ndarray:
@@ -281,7 +307,7 @@ def per_root_characterization(g, sa) -> ll.CharacterizationReport:
     normalized_lifted = []
     max_resid = 0.0
     for j in range(k):
-        t = ll.RootOfUnity(k, j)
+        t = RootOfUnity(k, j)
         m = loop_shift_matrix(n, g.edges, sa.shifts, t)
         (values,), (vecs,) = ll.spectra.eig_stack(m[None])
         per_root.append(ll.Spectrum(values))
@@ -312,7 +338,8 @@ def dense_root_radii(g, sa) -> list[float]:
     complex Hermitian matrix."""
     radii = []
     for j in range(1, sa.k):
-        vals = ll.eig_symmetric(ll.shift_matrix(g, sa, ll.RootOfUnity(sa.k, j))).values
+        m = loop_shift_matrix(g.n, g.edges, sa.shifts, RootOfUnity(sa.k, j))
+        vals = ll.eig_symmetric(m).values
         radii.append(max(abs(vals[0]), abs(vals[-1])))
     return radii
 
@@ -323,7 +350,7 @@ def dense_half_root_radii(g, sa) -> tuple[float, ...]:
     k = sa.k
     half = []
     for j in range(1, k // 2 + 1):
-        m = ll.shift_matrix(g, sa, ll.RootOfUnity(k, j))
+        m = loop_shift_matrix(g.n, g.edges, sa.shifts, RootOfUnity(k, j))
         half.append(ll.spectral_radius(m.real if 2 * j == k else m))
     return tuple(half[min(j, k - j) - 1] for j in range(1, k))
 
@@ -574,7 +601,7 @@ def bmat_root_operators(g, sa) -> list:
     indptr = np.arange(0, rows.size + 1, g.d)
     ops = []
     for j in range(1, k // 2 + 1):
-        w = np.array([ll.RootOfUnity(k, j).power(s) for s in sa.shifts], dtype=complex)
+        w = np.array([RootOfUnity(k, j).power(s) for s in sa.shifts], dtype=complex)
         m = csr_matrix((np.concatenate([w, w.conj()])[order], cols[order], indptr),
                        shape=(n, n))
         if 2 * j == k:

@@ -8,29 +8,22 @@ from liftlab import characterization, fileio
 from liftlab.errors import CharacterizationError, InvalidParameterError
 
 from conftest import random_base
-from oracles import circulant_cycle_spectrum, per_root_characterization
+from oracles import RootOfUnity, circulant_cycle_spectrum, per_root_characterization
 
 
 class TestRootOfUnity:
     def test_power_k_is_one(self):
         for k in range(1, 12):
-            for j in range(k):
-                assert abs(ll.RootOfUnity(k, j).value ** k - 1) <= 1e-12
+            assert np.max(np.abs(characterization._root_values(k) ** k - 1)) <= 1e-12
 
     def test_zeroth_root_is_exactly_one(self):
-        assert ll.RootOfUnity(7, 0).value == 1.0 + 0.0j
+        assert characterization._root_values(7)[0] == 1.0 + 0.0j
 
     def test_k2_root_is_exactly_minus_one(self):
-        assert ll.RootOfUnity(2, 1).value == -1.0 + 0.0j
+        assert characterization._root_values(2)[1] == -1.0 + 0.0j
 
     def test_roots_listing(self):
-        roots = ll.roots_of_unity(4)
-        assert [r.j for r in roots] == [0, 1, 2, 3]
-        assert roots[1].value == 1j
-
-    def test_bad_exponent(self):
-        with pytest.raises(InvalidParameterError):
-            ll.RootOfUnity(3, 3)
+        assert np.array_equal(characterization._root_values(4), [1, 1j, -1, -1j])
 
     def test_power_table_is_scalar_power_bit_for_bit(self):
         # the root path reads t_j**s as entry (j*s) mod k of the k root
@@ -39,84 +32,9 @@ class TestRootOfUnity:
         for k in [*range(1, 65), 97, 1024, 4096, 4097, 4099, 65536, 65537]:
             roots, s = characterization._root_values(k), np.arange(k)
             for j in range(k) if k <= 12 else {1, 2, 3 * k // 7, k // 2, k - 1}:
-                t = ll.RootOfUnity(k, j)
+                t = RootOfUnity(k, j)
                 want = np.array([t.power(int(i)) for i in s])
                 assert np.array_equal(roots[j * s % k].view(np.int64), want.view(np.int64))
-
-
-class TestShiftMatrix:
-    def test_root_one_equals_adjacency_exactly(self, rng):
-        g = random_base(rng)
-        sa = ll.random_shift_lift(g, 6, 1)
-        h = ll.shift_matrix(g, sa, ll.RootOfUnity(6, 0))
-        assert np.array_equal(h, ll.adjacency_matrix(g).astype(complex))
-
-    def test_k2_matches_signed_adjacency_exactly(self, rng):
-        g = random_base(rng)
-        sa = ll.random_shift_lift(g, 2, 9)
-        h = ll.shift_matrix(g, sa, ll.RootOfUnity(2, 1))
-        signed = ll.signed_adjacency(g, ll.shift_to_signing(sa))
-        assert np.array_equal(h, signed.astype(complex))
-
-    def test_entries_and_hermitian_structure(self):
-        g = ll.cycle_graph(3)
-        sa = ll.ShiftAssignment(4, (1, 2, 3))
-        h = ll.shift_matrix(g, sa, ll.RootOfUnity(4, 1))
-        assert h[0, 1] == 1j and h[1, 0] == -1j        # shift 1 at t=i
-        assert h[0, 2] == -1.0 and h[2, 0] == -1.0     # shift 2
-        assert h[1, 2] == -1j and h[2, 1] == 1j        # shift 3
-        assert np.array_equal(np.diag(h), np.zeros(3))
-
-    def test_mismatched_assignment_rejected(self, k4):
-        with pytest.raises(InvalidParameterError):
-            ll.shift_matrix(k4, ll.ShiftAssignment(3, (0, 1)), ll.RootOfUnity(3, 1))
-        with pytest.raises(InvalidParameterError):
-            ll.shift_matrix(k4, ll.ShiftAssignment(3, (0,) * 6), ll.RootOfUnity(4, 1))
-
-    @pytest.mark.parametrize("k", [4096, 4099])
-    def test_entries_are_scalar_powers_at_large_k(self, k):
-        g = ll.random_regular(20, 3, 1)
-        sa = ll.random_shift_lift(g, k, 7)
-        eu, ev = ll.edge_endpoints(g)
-        for j in (1, k // 3, k - 1):
-            t = ll.RootOfUnity(k, j)
-            h = ll.shift_matrix(g, sa, t)
-            want = np.array([t.power(int(s)) for s in sa.shift_array])
-            assert np.array_equal(h[eu, ev].view(np.int64), want.view(np.int64))
-
-
-class TestLiftEigenvector:
-    def test_root_one_duplicates_per_fiber(self):
-        v = np.array([1.0, 2.0, 3.0])
-        out = ll.lift_eigenvector(v, ll.RootOfUnity(2, 0), 2)
-        # fiber-contiguous encoding: component (x, i) sits at row x*k + i
-        assert np.array_equal(out, np.array([1, 1, 2, 2, 3, 3], dtype=complex))
-
-    def test_component_formula(self, rng):
-        v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        t = ll.RootOfUnity(4, 3)
-        out = ll.lift_eigenvector(v, t, 4)
-        for x in range(5):
-            for i in range(4):
-                assert out[x * 4 + i] == pytest.approx(t.value**i * v[x], abs=1e-12)
-
-    def test_norm_scales_by_k(self, rng):
-        v = rng.standard_normal(6)
-        out = ll.lift_eigenvector(v, ll.RootOfUnity(3, 1), 3)
-        assert np.vdot(out, out).real == pytest.approx(3 * np.dot(v, v), abs=1e-9)
-
-    def test_matches_scalar_powers_bit_for_bit(self, rng):
-        v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        for j in range(6):
-            t = ll.RootOfUnity(6, j)
-            powers = np.array([t.power(i) for i in range(6)])
-            want = (v[:, None] * powers[None, :]).reshape(-1)
-            got = ll.lift_eigenvector(v, t, 6)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            ll.lift_eigenvector(np.zeros(4), ll.RootOfUnity(2, 1), 2)
 
 
 class TestRootPathMemory:
@@ -148,15 +66,6 @@ class TestRootPathMemory:
         g = lift[0]
         ll.lambda_new_from_roots(g, ll.random_shift_lift(g, 4, 0))  # scipy imports, untraced
         assert self._peak(lambda: ll.lambda_new_from_roots(*lift)) <= self.LIMIT
-
-    def test_shift_matrix(self, lift):
-        t = ll.RootOfUnity(self.K, 5)
-        assert self._peak(lambda: ll.shift_matrix(*lift, t)) <= self.LIMIT
-
-    def test_lift_eigenvector(self):
-        t = ll.RootOfUnity(self.K, 5)
-        v = np.linspace(1.0, 2.0, 20)
-        assert self._peak(lambda: ll.lift_eigenvector(v, t, self.K)) <= self.LIMIT
 
     def test_verify_refuses_a_lift_over_the_dense_cap_before_building_it(self):
         # k*n = 5200: the (kn)^2 lift matrix alone would be 216 MB
@@ -246,7 +155,6 @@ class TestVerifyCharacterization:
 
     @pytest.mark.parametrize("call", [
         lambda g, sa: ll.verify_characterization(g, sa),
-        lambda g, sa: ll.shift_matrix(g, sa, ll.RootOfUnity(sa.k, 1)),
         lambda g, sa: ll.lambda_new_from_roots(g, sa),
         lambda g, sa: ll.lambda_new_from_fibers(g, sa),
     ])

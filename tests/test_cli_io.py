@@ -103,6 +103,13 @@ class TestSpectrumFormat:
         with pytest.raises(FormatError, match="line 3"):
             fileio.read_spectrum(str(path))
 
+    @pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_line_is_a_format_error(self, tmp_path, bad):
+        path = tmp_path / "s.spec"
+        path.write_text(f"3\n{bad}\n-3\n")
+        with pytest.raises(FormatError, match=f"^line 2: expected a finite number, got '{bad}'$"):
+            fileio.read_spectrum(str(path))
+
 
 class TestConfigFormat:
     def test_parse_and_defaults(self):

@@ -291,6 +291,12 @@ class TestCheeger:
         assert report.lower == pytest.approx(0.0, abs=1e-9)
         assert report.h == 0.0
 
+    @pytest.mark.parametrize("slack", [math.nan, -1.0])
+    def test_nan_or_negative_slack_is_rejected(self, k4, slack):
+        # either one would report passed = False for K_4
+        with pytest.raises(InvalidParameterError, match="^slack must be >= 0, got "):
+            ll.cheeger_check(k4, slack=slack)
+
     def test_holds_across_small_corpus(self, rng):
         graphs = [
             ll.complete_graph(6),
@@ -382,6 +388,21 @@ class TestMixing:
         assert sampled.max_ratio <= exact.max_ratio + 1e-12
 
 
+    @pytest.mark.parametrize("lam,slack,match", [
+        (math.nan, 1e-9, "^lam must be finite and >= 0, got nan$"),
+        (-1.0, 1e-9, "^lam must be finite and >= 0, got -1.0$"),
+        (math.inf, 1e-9, "^lam must be finite and >= 0, got inf$"),
+        (1.0, math.nan, "^slack must be >= 0, got nan$"),
+        (1.0, -1.0, "^slack must be >= 0, got -1.0$"),
+    ])
+    def test_bad_lam_or_slack_is_rejected(self, k4, lam, slack, match):
+        # NaN and negative ones would report passed = False, an infinite lam
+        # passed = True
+        for method in ({}, {"method": "sampled", "samples": 5, "seed": 1}):
+            with pytest.raises(InvalidParameterError, match=match):
+                ll.eml_check(k4, lam, slack=slack, **method)
+
+
 class TestConverseMixing:
     def test_alpha_never_exceeds_lambda(self):
         for g in [ll.complete_graph(5), ll.random_regular(10, 3, 6)]:
@@ -393,3 +414,9 @@ class TestConverseMixing:
         report = ll.converse_eml_alpha(k5, base_lambda(k5))
         assert report.alpha <= 1.0 + 1e-9
         assert report.diagnostic >= 0
+
+    @pytest.mark.parametrize("lam", [math.nan, -1.0, math.inf])
+    def test_bad_lam_is_rejected(self, k4, lam):
+        # the report would carry a NaN lam through
+        with pytest.raises(InvalidParameterError, match="^lam must be finite and >= 0, got "):
+            ll.converse_eml_alpha(k4, lam)

@@ -6,8 +6,8 @@ from liftlab.errors import InvalidParameterError
 from liftlab.graphs import edge_matrix, symmetric_csr
 
 from conftest import random_base
-from oracles import (bfs_components, circulant_cycle_spectrum, indicator_edge_count,
-                     loop_adjacency, loop_shift_matrix)
+from oracles import (RootOfUnity, bfs_components, circulant_cycle_spectrum,
+                     indicator_edge_count, loop_adjacency, loop_shift_matrix)
 
 
 def spectrum_of(g):
@@ -176,7 +176,7 @@ class TestEdgeMatrix:
     def test_root_weights_give_a_hermitian_complex_matrix(self, rng):
         g = random_base(rng)
         sa = ll.random_shift_lift(g, 5, 2)
-        t = ll.RootOfUnity(5, 2)
+        t = RootOfUnity(5, 2)
         m = edge_matrix(g.n, *ll.edge_endpoints(g), [t.power(s) for s in sa.shifts])
         assert m.dtype == np.complex128
         assert np.array_equal(m, m.conj().T)

@@ -102,11 +102,6 @@ class TestConversions:
         # and the inverse is the shift by -s mod k
         assert inverse == tuple((i - 4) % k for i in range(k))
 
-    def test_shift_sign_correspondence(self):
-        sa = ll.ShiftAssignment(2, (0, 1, 1))
-        assert ll.shift_to_signing(sa).signs == (1, -1, -1)
-        with pytest.raises(InvalidParameterError):
-            ll.shift_to_signing(ll.ShiftAssignment(3, (0, 1, 1)))
 
 
 class TestBuildLift:
@@ -248,25 +243,3 @@ class TestTwoLiftBlockMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidParameterError):
             ll.two_lift_block_matrix(np.zeros((3, 3)), np.zeros((4, 4)))
-
-
-class TestFiber:
-    def test_fiber_indices(self, k4):
-        lifted = ll.build_lift(k4, ll.random_k_lift(k4, 2, 0))
-        assert ll.fiber(lifted, 0) == frozenset({0, 1})
-
-    def test_fibers_partition_lift_vertices(self, rng):
-        g = random_base(rng)
-        lifted = ll.build_lift(g, ll.random_k_lift(g, 3, 1))
-        union = set()
-        for x in range(g.n):
-            f = ll.fiber(lifted, x)
-            assert len(f) == 3
-            assert not (union & f)
-            union |= f
-        assert union == set(range(3 * g.n))
-
-    def test_out_of_range(self, k4):
-        lifted = ll.build_lift(k4, ll.random_k_lift(k4, 2, 0))
-        with pytest.raises(InvalidParameterError):
-            ll.fiber(lifted, 4)

@@ -14,19 +14,19 @@ PUBLIC_NAMES = [
     "ConverseMixingReport", "DyadicDecomposition", "ExpansionReport", "ExperimentConfig",
     "ExperimentReport", "FormatError", "GenerationError", "GrowthTrajectory",
     "InvalidParameterError", "LiftAssignment", "LiftLabError", "LiftedGraph", "MatchingError",
-    "MixingReport", "NumericalError", "OldNewSplit", "RegularGraph", "RootOfUnity",
+    "MixingReport", "NumericalError", "OldNewSplit", "RegularGraph",
     "SearchError", "ShiftAssignment", "Signing", "SigningSearchResult", "SizeLimitError",
     "Spectrum", "SpotCheckReport", "TrialRecord", "adjacency_matrix", "assignment_to_signing",
     "build_lift", "build_shift_lift", "cheeger_check", "combinatorial_expansion",
     "complete_bipartite", "complete_graph", "converse_eml_alpha", "cycle_graph", "discretize",
     "discretize_pair", "disjoint_copies", "dyadic_decompose", "dyadic_round", "edge_endpoints",
-    "edges_between", "eig_symmetric", "eml_check", "exhaustive_signing_search", "fiber",
+    "edges_between", "eig_symmetric", "eml_check", "exhaustive_signing_search",
     "geometric_log_sum_bound", "greedy_lift_growth", "lambda_new_from_fibers",
     "lambda_new_from_roots", "lambda_nontrivial", "lambda_nontrivial_sparse",
-    "lemma_inequality_spot_check", "lift_eigenvector", "max_multiset_mismatch", "random_k_lift",
-    "random_regular", "random_shift_lift", "random_signing", "rayleigh_quotient",
-    "resolve_base_graph", "roots_of_unity", "run_lift_trials", "shift_matrix",
-    "shift_to_assignment", "shift_to_signing", "sign_sum_stats", "signed_adjacency",
+    "lemma_inequality_spot_check", "max_multiset_mismatch", "random_k_lift",
+    "random_regular", "random_shift_lift", "random_signing",
+    "resolve_base_graph", "run_lift_trials",
+    "shift_to_assignment", "sign_sum_stats", "signed_adjacency",
     "signing_to_assignment", "signing_to_shifts", "spectral_radius", "split_old_new",
     "splitmix64", "support", "trial_seed", "two_lift_block_matrix", "verify_characterization",
 ]

@@ -6,9 +6,11 @@ from liftlab.errors import InvalidParameterError, MatchingError, NumericalError
 
 from conftest import random_base
 from oracles import (
+    RootOfUnity,
     charpoly_spectrum,
     circulant_cycle_spectrum,
     doubled_real_embedding_spectrum,
+    loop_shift_matrix,
 )
 
 
@@ -28,6 +30,15 @@ class TestEigSymmetric:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidParameterError):
             ll.eig_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_a_non_finite_entry(self, entry):
+        # NaN - NaN is NaN and `NaN > 1e-12` is false, so the symmetry test
+        # alone would let a NaN matrix through; inf - inf warns
+        m = np.array([[0.0, entry], [entry, 0.0]])
+        for solve in (ll.eig_symmetric, lambda m: ll.spectra.eig_stack(m[None])):
+            with pytest.raises(InvalidParameterError, match="^matrix has a non-finite entry$"):
+                solve(m)
 
     def test_residuals_and_orthonormality(self, rng):
         m = rng.standard_normal((40, 40))
@@ -63,7 +74,7 @@ class TestEigHermitian:
     def test_root_one_matrix_equals_adjacency_spectrum(self, rng):
         g = random_base(rng)
         sa = ll.random_shift_lift(g, 4, 7)
-        h = ll.shift_matrix(g, sa, ll.RootOfUnity(4, 0))
+        h = loop_shift_matrix(g.n, g.edges, sa.shifts, RootOfUnity(4, 0))
         assert np.array_equal(h.real, ll.adjacency_matrix(g))
         spec = ll.eig_symmetric(h)
         base = ll.eig_symmetric(ll.adjacency_matrix(g))
@@ -81,7 +92,7 @@ class TestEigHermitian:
         # zeta, i.e. {2, -1, -1}.
         g = ll.cycle_graph(3)
         sa = ll.ShiftAssignment(3, (1, 2, 1))
-        spec = ll.eig_symmetric(ll.shift_matrix(g, sa, ll.RootOfUnity(3, 1)))
+        spec = ll.eig_symmetric(loop_shift_matrix(g.n, g.edges, sa.shifts, RootOfUnity(3, 1)))
         omega = np.exp(2j * np.pi / 3)
         expected = np.sort([2 * (omega * zeta).real for zeta in omega ** np.arange(3)])[::-1]
         assert np.allclose(spec.values, expected, atol=1e-9)
@@ -93,14 +104,14 @@ class TestEigHermitian:
         # {2 cos(2 pi (3j+1)/9)} rather than the triangle spectrum.
         g = ll.cycle_graph(3)
         sa = ll.ShiftAssignment(3, (1, 1, 1))
-        spec = ll.eig_symmetric(ll.shift_matrix(g, sa, ll.RootOfUnity(3, 1)))
+        spec = ll.eig_symmetric(loop_shift_matrix(g.n, g.edges, sa.shifts, RootOfUnity(3, 1)))
         expected = np.sort([2 * np.cos(2 * np.pi * m / 9) for m in (1, 4, 7)])[::-1]
         assert np.allclose(spec.values, expected, atol=1e-9)
 
     def test_agrees_with_doubled_real_embedding(self, rng):
         g = random_base(rng)
         sa = ll.random_shift_lift(g, 5, 3)
-        h = ll.shift_matrix(g, sa, ll.RootOfUnity(5, 2))
+        h = loop_shift_matrix(g.n, g.edges, sa.shifts, RootOfUnity(5, 2))
         assert ll.max_multiset_mismatch(
             ll.eig_symmetric(h).values, doubled_real_embedding_spectrum(h)
         ) <= 1e-9
@@ -143,6 +154,21 @@ class TestEigStack:
         ms = np.stack([np.eye(3), m + m.T])
         with pytest.raises(NumericalError, match="of matrix 1 "):
             ll.spectra.eig_stack(ms, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0])
+    def test_nan_or_negative_tol_is_rejected(self, tol):
+        # with a NaN bound the residual check would pass every pair
+        with pytest.raises(InvalidParameterError, match="^tol must be >= 0, got "):
+            ll.spectra.eig_stack(np.eye(3)[None], tol=tol)
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_value(self, bad):
+        # NaN passes the sortedness test, and a mismatch against it is NaN,
+        # which `mismatch > window` would let through
+        with pytest.raises(InvalidParameterError, match="^spectrum values must be finite$"):
+            ll.Spectrum([1.0, bad])
 
 
 class TestSpectralRadius:
@@ -200,6 +226,12 @@ class TestSplitOldNew:
         with pytest.raises(InvalidParameterError):
             ll.split_old_new(base, base, 2)
 
+    @pytest.mark.parametrize("window", [np.nan, -1.0])
+    def test_nan_or_negative_window_is_rejected(self, window):
+        # a NaN window would match these unrelated spectra
+        with pytest.raises(InvalidParameterError, match="^window must be >= 0, got "):
+            ll.split_old_new(ll.Spectrum([3, 1]), ll.Spectrum([9, 8, 7, 6]), 2, window=window)
+
 
 class TestLambdaNontrivial:
     def test_k5(self, k5):
@@ -215,6 +247,12 @@ class TestLambdaNontrivial:
         spec = ll.eig_symmetric(ll.adjacency_matrix(ll.complete_graph(2)))
         assert ll.lambda_nontrivial(spec, 1) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0])
+    def test_nan_or_negative_tol_is_rejected(self, tol):
+        # a NaN tol would let a top eigenvalue of 5 pass for d = 3
+        with pytest.raises(InvalidParameterError, match="^tol must be >= 0, got "):
+            ll.lambda_nontrivial(ll.Spectrum([5, 1]), 3, tol=tol)
+
     def test_wrong_degree_rejected(self, k5):
         spec = ll.eig_symmetric(ll.adjacency_matrix(k5))
         with pytest.raises(InvalidParameterError):
@@ -229,30 +267,3 @@ class TestLambdaNontrivial:
                 ll.lambda_nontrivial(spec, g.d, bipartite=True)
             with pytest.raises(InvalidParameterError):
                 ll.lambda_nontrivial_sparse(g, bipartite=True)
-
-
-class TestRayleighQuotient:
-    def test_eigenvector_gives_abs_eigenvalue(self, k4):
-        a = ll.adjacency_matrix(k4)
-        (values,), (vecs,) = ll.spectra.eig_stack(a[None])
-        for c in range(4):
-            assert ll.rayleigh_quotient(a, vecs[:, c]) == pytest.approx(
-                abs(values[c]), abs=1e-9
-            )
-
-    def test_all_ones_gives_degree(self, rng):
-        g = random_base(rng)
-        assert ll.rayleigh_quotient(ll.adjacency_matrix(g), np.ones(g.n)) == \
-            pytest.approx(g.d, abs=1e-9)
-
-    def test_never_exceeds_radius(self, rng):
-        g = random_base(rng)
-        a = ll.adjacency_matrix(g)
-        radius = ll.spectral_radius(a)
-        for _ in range(25):
-            x = rng.standard_normal(g.n)
-            assert ll.rayleigh_quotient(a, x) <= radius + 1e-9
-
-    def test_zero_vector_rejected(self, k4):
-        with pytest.raises(InvalidParameterError):
-            ll.rayleigh_quotient(ll.adjacency_matrix(k4), np.zeros(4))
