@@ -20,12 +20,8 @@ from .errors import (
 )
 from .expansion import (
     CheegerReport,
-    ConverseMixingReport,
-    ExpansionReport,
     MixingReport,
     cheeger_check,
-    combinatorial_expansion,
-    converse_eml_alpha,
     eml_check,
 )
 from .experiments import (
@@ -52,7 +48,6 @@ from .graphs import (
     cycle_graph,
     disjoint_copies,
     edge_endpoints,
-    edges_between,
     random_regular,
 )
 from .lifts import (
@@ -60,7 +55,6 @@ from .lifts import (
     LiftedGraph,
     ShiftAssignment,
     Signing,
-    assignment_to_signing,
     build_lift,
     build_shift_lift,
     random_k_lift,

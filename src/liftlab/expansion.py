@@ -1,14 +1,14 @@
 """Combinatorial expansion, the Cheeger inequality, and mixing diagnostics.
 
 The exhaustive checks take exact shortcuts instead of full scans, with the
-same floats and witnesses as the full scans. The expansion scan uses
-cut(S) = cut(V\\S) to visit only the 2^(n-1) masks without vertex n-1, and
-cut(S) = d|S| - 1_S^T A 1_S to count their cuts in one int32 grid per value
-of the top mask byte, ranked by exact integer ratio keys. The mixing scan
-takes, for each S and size t, the t largest and t smallest entries of A 1_S
-(sorted prefix sums), which bound E(S, T) over all T of size t, so no subset
-pair is enumerated. The caps stay n <= 24 for the expansion constant and
-n <= 12 for the mixing scan.
+same floats (and, for mixing, the same witnesses) as the full scans. The
+expansion scan uses cut(S) = cut(V\\S) to visit only the 2^(n-1) masks
+without vertex n-1, and cut(S) = d|S| - 1_S^T A 1_S to count their cuts in
+one int32 grid per value of the top mask byte, ranked by exact integer
+ratio keys. The mixing scan takes, for each S and size t, the t largest and
+t smallest entries of A 1_S (sorted prefix sums), which bound E(S, T) over
+all T of size t, so no subset pair is enumerated. The caps stay n <= 24 for
+the expansion constant and n <= 12 for the mixing scan.
 """
 from __future__ import annotations
 
@@ -24,18 +24,6 @@ from .spectra import BOUND_SLACK, _check_nonnegative, eig_symmetric
 
 H_EXHAUSTIVE_CAP = 24
 PAIR_EXHAUSTIVE_CAP = 12
-
-
-@dataclass(frozen=True)
-class ExpansionReport:
-    """Edge expansion h = min E(S, V\\S)/|S| over nonempty S with |S| <= n/2."""
-
-    h: float
-    argmin_subset: frozenset
-    method: str
-    lambda2: float
-    cheeger_lower: float
-    cheeger_upper: float
 
 
 @dataclass(frozen=True)
@@ -64,27 +52,14 @@ class MixingReport:
         return self.max_ratio <= self.lam + self.slack
 
 
-@dataclass(frozen=True)
-class ConverseMixingReport:
-    """Observed deviation ratio alpha next to the qualitative bound shape.
-
-    diagnostic = alpha * (1 + log2(d/alpha)); no constant is asserted, the
-    two numbers are reported side by side.
-    """
-
-    alpha: float
-    lam: float
-    diagnostic: float
-    method: str
-
-
 def _mask_to_subset(mask: int, n: int) -> frozenset:
     return frozenset(x for x in range(n) if (mask >> x) & 1)
 
 
-def _cut_blocks(g: RegularGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cut_blocks(g: RegularGraph, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(fixed, cols, rows) with cut(S) = fixed[b1, b0] + cols[hi, b1] + rows[hi, b0]
-    for the mask (hi << 16) | (b1 << 8) | b0 of a set S without vertex n-1.
+    for the mask (hi << 16) | (b1 << 8) | b0 of a set S without vertex n-1,
+    from the adjacency matrix `a` of g.
 
     cut(S) = d|S| - 1_S^T A 1_S, with A the adjacency matrix without vertex
     n-1, zero-padded to 24 vertices. With B the 256 x 8 bit matrix, the form
@@ -94,8 +69,7 @@ def _cut_blocks(g: RegularGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     m = g.n - 1
     width = [1 << min(max(0, m - 8 * x), 8) for x in range(3)]
-    a = np.zeros((24, 24))
-    a[:m, :m] = adjacency_matrix(g)[:m, :m]
+    a = np.pad(a[:m, :m], (0, 24 - m))
     bits = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(float)  # B^T
 
     def form(x: int, y: int) -> np.ndarray:
@@ -116,27 +90,26 @@ def _cut_grid(blocks: tuple, hi: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exhaustive_expansion(g: RegularGraph) -> tuple[float, int]:
-    """(h, witness mask) from the 2^(n-1) - 1 nonempty masks without vertex n-1.
+def _exhaustive_expansion(g: RegularGraph, a: np.ndarray) -> float:
+    """h from the 2^(n-1) - 1 nonempty masks without vertex n-1.
 
     cut(S) = cut(V\\S), so each scanned mask stands for the one of S, V\\S with
-    at most n/2 vertices (its canonical mask), with ratio cut/k for
-    k = min(|S|, n-|S|). Each grid of `_cut_grid` is scaled in place to the
-    exact key cut * (L // k), L = lcm(1..n//2), below 276 * 27720 < 2^31 at
-    n = 24. The grids run by popcount of hi, so one int16 grid of L // k
-    serves each run. The witness is the smallest canonical mask with the
-    least key, the first minimum of a scan over all 2^n - 1 masks, and h is
-    computed once from it as cut / k.
+    at most n/2 vertices, with ratio cut/k for k = min(|S|, n-|S|). Each grid
+    of `_cut_grid` is scaled in place to the exact key cut * (L // k),
+    L = lcm(1..n//2), below 276 * 27720 < 2^31 at n = 24. The grids run by
+    popcount of hi, so one int16 grid of L // k serves each run. As k
+    divides L, min key / L is the rational cut/k of the minimum, and one
+    correctly rounded int/int division gives the float of cut/k.
     """
     n = g.n
-    blocks = _cut_blocks(g)
+    blocks = _cut_blocks(g, a)
     lcm = math.lcm(*range(1, n // 2 + 1))
     k = np.minimum(np.arange(n), n - np.arange(n))
     size_mult = (lcm // np.maximum(k, 1)).astype(np.int16)
     pop = np.bitwise_count(np.arange(256, dtype=np.uint8))
     grid = np.empty(blocks[0].shape, dtype=np.int32)
     low_pop = pop[:grid.shape[0], None] + pop[:grid.shape[1]]
-    best, best_mask = np.iinfo(np.int32).max, 0
+    best = np.iinfo(np.int32).max
     his = sorted(range(len(blocks[1])), key=int.bit_count)
     for hi_pop, run in groupby(his, key=int.bit_count):
         mult = size_mult[low_pop + hi_pop]
@@ -145,24 +118,8 @@ def _exhaustive_expansion(g: RegularGraph) -> tuple[float, int]:
             grid *= mult
             if hi == 0:
                 grid[0, 0] = best  # the empty set; hi = 0 runs first
-            low = int(grid.min())
-            # a tie cannot lower a direct witness that lies below this grid
-            if low > best or (low == best and best_mask < hi << 16):
-                continue
-            tied = (hi << 16) | np.flatnonzero(grid == low)
-            canon = int(np.where(2 * np.bitwise_count(tied) <= n, tied,
-                                 ((1 << n) - 1) ^ tied).min())
-            if low < best or canon < best_mask:
-                best, best_mask = low, canon
-    size = best_mask.bit_count()
-    return best // (lcm // size) / size, best_mask
-
-
-def _spectral_context(g: RegularGraph) -> tuple[float, float, float]:
-    spec = eig_symmetric(adjacency_matrix(g))
-    lam2 = float(spec.values[1])
-    gap = max(0.0, g.d - lam2)
-    return lam2, gap / 2.0, math.sqrt(g.d * gap)
+            best = min(best, int(grid.min()))
+    return best / lcm
 
 
 def _check_method(method: str, samples: int | None, seed: int | None) -> None:
@@ -177,68 +134,25 @@ def _check_method(method: str, samples: int | None, seed: int | None) -> None:
         raise InvalidParameterError("sampled mode needs samples >= 1 and a seed")
 
 
-def combinatorial_expansion(
-    g: RegularGraph,
-    method: str = "exhaustive",
-    samples: int | None = None,
-    seed: int | None = None,
-) -> ExpansionReport:
-    """Edge expansion of g, exhaustively (n <= 24) or by random subsets.
+def cheeger_check(g: RegularGraph, slack: float = BOUND_SLACK) -> CheegerReport:
+    """Verify (d - lambda2)/2 <= h <= sqrt(d*(d - lambda2)) with exhaustive h.
 
-    The exhaustive mode scans each complementary pair S, V\\S once, through
-    the 2^(n-1) - 1 nonempty masks without vertex n-1, with the ratio
-    cut/min(|S|, n - |S|). Its witness is the first minimum in mask order
-    over all sets with |S| <= n/2, as a scan of all 2^n - 1 masks finds it.
-    The sampled mode draws each vertex with probability 1/2 (empty draws and
-    full-vertex draws are rediscarded, oversized draws replaced by their
-    complements) and returns the best ratio seen, which is only an upper
-    bound on h and is flagged as method="sampled". The method, the cap and
-    the parameters (none but the method for exhaustive mode) are checked
-    before the dense lambda2 solve.
+    h = min E(S, V\\S)/|S| over nonempty S with |S| <= n/2, scanned by
+    `_exhaustive_expansion` for n <= 24. A NaN or negative slack raises
+    InvalidParameterError and a larger n SizeLimitError, both before the
+    dense lambda2 solve.
     """
-    _check_method(method, samples, seed)
-    if method == "exhaustive" and g.n > H_EXHAUSTIVE_CAP:
+    _check_nonnegative(slack=slack)
+    if g.n > H_EXHAUSTIVE_CAP:
         raise SizeLimitError(
             f"exhaustive expansion capped at n={H_EXHAUSTIVE_CAP}, got {g.n}"
         )
-    lam2, lower, upper = _spectral_context(g)
-    if method == "exhaustive":
-        best, best_mask = _exhaustive_expansion(g)
-        return ExpansionReport(
-            best, _mask_to_subset(best_mask, g.n), "exhaustive", lam2, lower, upper
-        )
-    rng = np.random.default_rng(_as_seed(seed))
-    eu, ev = edge_endpoints(g)
-    best = math.inf
-    best_subset: frozenset = frozenset()
-    done = 0
-    while done < samples:
-        bits = rng.integers(0, 2, size=g.n)
-        size = int(bits.sum())
-        if size == 0 or size == g.n:
-            continue
-        if 2 * size > g.n:
-            bits = 1 - bits
-            size = g.n - size
-        done += 1
-        ratio = int(np.count_nonzero(bits[eu] != bits[ev])) / size
-        if ratio < best:
-            best = ratio
-            best_subset = frozenset(np.flatnonzero(bits).tolist())
-    return ExpansionReport(best, best_subset, "sampled", lam2, lower, upper)
-
-
-def cheeger_check(g: RegularGraph, slack: float = BOUND_SLACK) -> CheegerReport:
-    """Verify (d - lambda2)/2 <= h <= sqrt(d*(d - lambda2)) with exhaustive h.
-    A NaN or negative slack raises InvalidParameterError."""
-    _check_nonnegative(slack=slack)
-    report = combinatorial_expansion(g, method="exhaustive")
-    passed = (
-        report.cheeger_lower - slack <= report.h <= report.cheeger_upper + slack
-    )
-    return CheegerReport(
-        passed, report.h, report.lambda2, report.cheeger_lower, report.cheeger_upper, slack
-    )
+    a = adjacency_matrix(g)
+    lam2 = float(eig_symmetric(a).values[1])
+    gap = max(0.0, g.d - lam2)
+    lower, upper = gap / 2.0, math.sqrt(g.d * gap)
+    h = _exhaustive_expansion(g, a)
+    return CheegerReport(lower - slack <= h <= upper + slack, h, lam2, lower, upper, slack)
 
 
 def _lowest_extreme_masks(rows: np.ndarray, t: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -350,21 +264,3 @@ def eml_check(
                 frozenset(np.flatnonzero(t_bits).tolist()),
             )
     return MixingReport(best, *best_pair_sets, lam, slack, "sampled")
-
-
-def converse_eml_alpha(
-    g: RegularGraph,
-    lam: float,
-    method: str = "exhaustive",
-    samples: int | None = None,
-    seed: int | None = None,
-) -> ConverseMixingReport:
-    """Observed deviation ratio alpha, juxtaposed with alpha*(1 + log2(d/alpha)).
-
-    Purely diagnostic: the converse direction only pins lam up to an
-    unspecified constant, so nothing quantitative is asserted here.
-    """
-    report = eml_check(g, lam, method=method, samples=samples, seed=seed)
-    alpha = report.max_ratio
-    diagnostic = alpha * (1.0 + math.log2(g.d / alpha)) if alpha > 0 else 0.0
-    return ConverseMixingReport(alpha, lam, diagnostic, method)

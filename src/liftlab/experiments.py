@@ -128,8 +128,8 @@ class ExperimentConfig:
         if self.copies < 1:
             raise InvalidParameterError("copies must be >= 1")
         object.__setattr__(self, "constants", tuple(float(c) for c in self.constants))
-        if not all(c >= 0 for c in self.constants):  # NaN fails c >= 0
-            raise InvalidParameterError("bound constants must be nonnegative")
+        if not all(0 <= c < math.inf for c in self.constants):  # NaN fails both
+            raise InvalidParameterError("bound constants must be finite and nonnegative")
 
 
 def resolve_base_graph(cfg: ExperimentConfig) -> RegularGraph:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .characterization import CharacterizationReport
 from .errors import FormatError, InvalidParameterError
-from .expansion import CheegerReport, ConverseMixingReport, MixingReport
+from .expansion import CheegerReport, MixingReport
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -38,7 +38,9 @@ def _lines(text: str) -> list[str]:
 
 
 def _header(text: str, names: str) -> tuple[int, int, str]:
-    """The two integers of the header line, and the body after it."""
+    """The two integers of the header line, and the body after it. Header
+    tokens take the body's decimal grammar; their range is left to the
+    callers' own checks, such as the lift order cap."""
     header, _, body = text.partition("\n")
     header = header.rstrip("\r")
     if not header.strip():
@@ -46,10 +48,9 @@ def _header(text: str, names: str) -> tuple[int, int, str]:
     parts = header.split()
     if len(parts) != 2:
         raise FormatError(f"expected '{names}', got {header!r}", line=1)
-    try:
-        return int(parts[0]), int(parts[1]), body
-    except ValueError:
-        raise FormatError(f"non-integer header {header!r}", line=1) from None
+    if not all(_INT64.fullmatch(part) for part in parts):
+        raise FormatError(f"non-integer header {header!r}", line=1)
+    return int(parts[0]), int(parts[1]), body
 
 
 def _table(lines, dtype: np.dtype) -> np.ndarray:
@@ -150,12 +151,6 @@ def _write_int_lines(fh, header: str, prefix: str, values: np.ndarray) -> None:
         fh.write(buf.translate(None, b"\0"))
 
 
-def _int_text(header: str, prefix: str, values: np.ndarray) -> str:
-    out = io.BytesIO()
-    _write_int_lines(out, header, prefix, values)
-    return out.getvalue().decode("ascii")
-
-
 # --------------------------------------------------------------------------
 # Edge lists
 # --------------------------------------------------------------------------
@@ -163,10 +158,6 @@ def _int_text(header: str, prefix: str, values: np.ndarray) -> str:
 
 def _graph_lines(g: RegularGraph) -> tuple[str, str, np.ndarray]:
     return f"{g.n} {g.d}\n", "", g.edge_array
-
-
-def graph_to_text(g: RegularGraph) -> str:
-    return _int_text(*_graph_lines(g))
 
 
 def _check_edge_line(parts: list[str], ln: str, no: int) -> None:
@@ -215,10 +206,6 @@ def _assignment_lines(a: ShiftAssignment | LiftAssignment) -> tuple[str, str, np
     else:
         raise InvalidParameterError(f"not an assignment: {type(a).__name__}")
     return f"{a.k} {values.shape[0]}\n", prefix, values
-
-
-def assignment_to_text(a: ShiftAssignment | LiftAssignment) -> str:
-    return _int_text(*_assignment_lines(a))
 
 
 def _keyword_rows(lines, keyword: str, width: int) -> np.ndarray:
@@ -304,26 +291,6 @@ def spectrum_to_text(s: Spectrum) -> str:
     # so those few are written in full and do not read back as inf
     return "".join(f"{v:.15g}\n" if abs(v) < 1.79769313486231e308 else f"{float(v)!r}\n"
                    for v in s.values)
-
-
-def write_spectrum(s: Spectrum, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(spectrum_to_text(s))
-
-
-def read_spectrum(path: str) -> Spectrum:
-    with open(path, "r", newline="") as fh:
-        lines = _lines(fh.read())
-    vals = []
-    for no, ln in enumerate(lines, start=1):
-        if ln.strip():
-            try:
-                vals.append(float(ln))
-            except ValueError:
-                raise FormatError(f"expected a number, got {ln!r}", line=no) from None
-            if not np.isfinite(vals[-1]):
-                raise FormatError(f"expected a finite number, got {ln!r}", line=no)
-    return Spectrum(np.asarray(vals))
 
 
 # --------------------------------------------------------------------------
@@ -473,13 +440,6 @@ def cheeger_report_text(r: CheegerReport) -> str:
     return _report("cheeger_check", [
         ("h", r.h), ("lambda2", r.lambda2), ("lower", r.lower), ("upper", r.upper),
         ("passed", r.passed),
-    ])
-
-
-def converse_mixing_report_text(r: ConverseMixingReport) -> str:
-    return _report("converse_mixing", [
-        ("method", r.method), ("alpha", r.alpha), ("lambda", r.lam),
-        ("alpha_log_shape", r.diagnostic),
     ])
 
 

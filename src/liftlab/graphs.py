@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -248,30 +247,9 @@ def random_regular(n: int, d: int, seed: int) -> RegularGraph:
     )
 
 
-def _check_subset(g: RegularGraph, s: Iterable[int]) -> frozenset:
-    out = frozenset(int(x) for x in s)
-    for x in out:
-        if not (0 <= x < g.n):
-            raise InvalidParameterError(f"vertex {x} out of range [0,{g.n})")
-    return out
-
-
-def edges_between(g: RegularGraph, s: Iterable[int], t: Iterable[int]) -> int:
-    """Number of ordered incidences (u in S, v in T) over edges {u,v}.
-
-    An edge with both endpoints in the intersection of S and T counts twice;
-    this is the convention under which E(S,S) equals the sum of degrees inside
-    S and the mixing bound is stated.
-    """
-    in_s = np.zeros(g.n, dtype=bool)
-    in_t = np.zeros(g.n, dtype=bool)
-    in_s[list(_check_subset(g, s))] = True
-    in_t[list(_check_subset(g, t))] = True
-    return _incidences(*edge_endpoints(g), in_s, in_t)
-
-
 def _incidences(u: np.ndarray, v: np.ndarray, in_s: np.ndarray, in_t: np.ndarray) -> int:
-    """edges_between for the edges (u, v) and 0/1 membership masks of S and T."""
+    """Ordered incidences (u in S, v in T) over the edges (u, v), for 0/1
+    membership masks of S and T: an edge inside both counts twice."""
     return int(np.count_nonzero(in_s[u] & in_t[v]) + np.count_nonzero(in_s[v] & in_t[u]))
 
 

@@ -151,13 +151,6 @@ def signing_to_shifts(s: Signing) -> ShiftAssignment:
     return ShiftAssignment(2, (1 - s.sign_array) // 2)
 
 
-def assignment_to_signing(a: LiftAssignment) -> Signing:
-    """Inverse of signing_to_assignment (k must be 2)."""
-    if a.k != 2:
-        raise InvalidParameterError("only k=2 assignments correspond to signings")
-    return Signing(np.where(a.perm_array[:, 0] == 0, 1, -1))
-
-
 def shift_to_assignment(sa: ShiftAssignment) -> LiftAssignment:
     """Each shift s becomes the permutation i -> (i + s) mod k, that is i + s
     less k where it reaches k, since both lie in [0, k)."""

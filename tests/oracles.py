@@ -11,6 +11,7 @@ replaced.
 from __future__ import annotations
 
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
@@ -86,19 +87,14 @@ def indicator_edge_count(a: np.ndarray, s, t) -> int:
     return int(round(float(ind_s @ a @ ind_t)))
 
 
-def brute_force_expansion(n: int, edges) -> tuple[float, frozenset]:
+def brute_force_expansion(n: int, edges) -> float:
     """min over nonempty S, |S| <= n/2, of E(S, V\\S)/|S| by direct iteration."""
     best = math.inf
-    best_set = frozenset()
     for size in range(1, n // 2 + 1):
         for subset in combinations(range(n), size):
             s = set(subset)
-            cut = sum(1 for u, v in edges if (u in s) != (v in s))
-            ratio = cut / size
-            if ratio < best:
-                best = ratio
-                best_set = frozenset(s)
-    return best, best_set
+            best = min(best, sum(1 for u, v in edges if (u in s) != (v in s)) / size)
+    return best
 
 
 def per_edge_cut_sizes(masks: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
@@ -146,13 +142,11 @@ def cut_sizes(masks: np.ndarray, tables: list[tuple[int, int, int, np.ndarray]])
     return cut
 
 
-def full_mask_expansion(g) -> tuple[float, frozenset]:
-    """(h, argmin subset) by the full scan of all 2^n - 1 nonempty masks with
-    the byte-table cut count: the first mask in mask order with 2|S| <= n
-    whose float ratio cut/|S| is the minimum."""
+def full_mask_expansion(g) -> float:
+    """h by the full scan of all 2^n - 1 nonempty masks with the byte-table
+    cut count: the least float ratio cut/|S| over the masks with 2|S| <= n."""
     tables = cut_tables(g.n, *ll.edge_endpoints(g))
     best = math.inf
-    best_mask = 0
     for lo in range(1, 1 << g.n, 1 << 16):
         masks = np.arange(lo, min(lo + (1 << 16), 1 << g.n), dtype=np.int64)
         pop = np.bitwise_count(masks).astype(np.int64)
@@ -160,36 +154,8 @@ def full_mask_expansion(g) -> tuple[float, frozenset]:
         if not valid.any():
             continue
         ratios = np.where(valid, cut_sizes(masks, tables) / np.maximum(pop, 1), math.inf)
-        idx = int(np.argmin(ratios))
-        if ratios[idx] < best:
-            best = float(ratios[idx])
-            best_mask = int(masks[idx])
-    return best, frozenset(x for x in range(g.n) if (best_mask >> x) & 1)
-
-
-def sampled_expansion(g, samples: int, seed: int) -> tuple[float, frozenset]:
-    """combinatorial_expansion's sampled draws, each cut counted one edge at a
-    time on the draw's mask: (best ratio, first subset reaching it)."""
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-    eu, ev = ll.edge_endpoints(g)
-    best = math.inf
-    best_subset = frozenset()
-    done = 0
-    while done < samples:
-        bits = rng.integers(0, 2, size=g.n)
-        size = int(bits.sum())
-        if size == 0 or size == g.n:
-            continue
-        if 2 * size > g.n:
-            bits = 1 - bits
-            size = g.n - size
-        done += 1
-        mask = np.array([sum(int(b) << x for x, b in enumerate(bits))], dtype=np.int64)
-        ratio = int(per_edge_cut_sizes(mask, eu, ev)[0]) / size
-        if ratio < best:
-            best = ratio
-            best_subset = frozenset(x for x in range(g.n) if bits[x])
-    return best, best_subset
+        best = min(best, float(ratios.min()))
+    return best
 
 
 def pair_scan_mixing(g) -> tuple[float, frozenset, frozenset]:
@@ -656,6 +622,18 @@ def _text_lines(text: str) -> list[str]:
     return [ln.rstrip("\r") for ln in text.split("\n")]
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(token: str, int64: bool = True) -> int:
+    """int(token) for a token of the file grammar, ASCII digits after an
+    optional sign, within int64 unless `int64` is False; else ValueError.
+    int() alone also takes '3_0' and non-ASCII digits."""
+    if _DECIMAL.fullmatch(token) is None or (int64 and not -(2**63) <= int(token) < 2**63):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _text_header(lines: list[str], names: str) -> tuple[int, int]:
     if not lines or not lines[0].strip():
         raise FormatError(f"missing header '{names}'", line=1)
@@ -663,7 +641,7 @@ def _text_header(lines: list[str], names: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise FormatError(f"expected '{names}', got {lines[0]!r}", line=1)
     try:
-        return int(parts[0]), int(parts[1])
+        return _decimal(parts[0], int64=False), _decimal(parts[1], int64=False)
     except ValueError:
         raise FormatError(f"non-integer header {lines[0]!r}", line=1) from None
 
@@ -680,7 +658,7 @@ def line_graph_from_text(text: str) -> tuple:
         if len(parts) != 2:
             raise FormatError(f"expected 'u v', got {ln!r}", line=no)
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((_decimal(parts[0]), _decimal(parts[1])))
         except ValueError:
             raise FormatError(f"non-integer edge {ln!r}", line=no) from None
     return n, d, check_regular_edges(n, d, edges)
@@ -701,7 +679,7 @@ def line_assignment_from_text(text: str) -> tuple:
         count += 1
         if parts[0] == "shift" and len(parts) == 2:
             try:
-                s = int(parts[1])
+                s = _decimal(parts[1])
             except ValueError:
                 raise FormatError(f"non-integer entry in {ln!r}", line=no) from None
             shifts.append(s)
@@ -709,7 +687,7 @@ def line_assignment_from_text(text: str) -> tuple:
         elif parts[0] == "perm" and len(parts) == k + 1:
             saw_perm = True
             try:
-                perms.append(tuple(int(x) for x in parts[1:]))
+                perms.append(tuple(_decimal(x) for x in parts[1:]))
             except ValueError:
                 raise FormatError(f"non-integer entry in {ln!r}", line=no) from None
         else:

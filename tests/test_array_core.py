@@ -264,7 +264,6 @@ def test_signing_conversions_match_the_sign_tuples(g, seed):
     assert perms == tuple((0, 1) if x == 1 else (1, 0) for x in s.signs)
     shifts = ll.signing_to_shifts(s)
     assert shifts.shifts == tuple(0 if x == 1 else 1 for x in s.signs)
-    assert ll.assignment_to_signing(ll.signing_to_assignment(s)) == s
     assert hash(ll.Signing(list(s.signs))) == hash(s)
 
 
@@ -303,34 +302,46 @@ def _assignment_value(text):
     return "perm", a.k, a.perms
 
 
+def _line_text(a) -> str:
+    """The text of a graph or an assignment by the line writers of oracles.py."""
+    if isinstance(a, ll.RegularGraph):
+        return oracles.line_graph_to_text(a.n, a.d, a.edges)
+    kind, rows = ("shift", a.shifts) if isinstance(a, ll.ShiftAssignment) else ("perm", a.perms)
+    return oracles.line_assignment_to_text(a.k, kind, rows)
+
+
+def _written(a, path) -> str:
+    """The file that write_graph or write_assignment makes of `a`, as text."""
+    write = fileio.write_graph if isinstance(a, ll.RegularGraph) else fileio.write_assignment
+    write(a, str(path))
+    return path.read_bytes().decode()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), g=graphs())
-def test_round_trips_and_writer_bytes(data, g):
-    text = fileio.graph_to_text(g)
-    assert text == oracles.line_graph_to_text(g.n, g.d, g.edges)
+def test_round_trips_and_writer_bytes(tmp_path_factory, data, g):
+    path = tmp_path_factory.getbasetemp() / "round_trip"
+    text = _written(g, path)
+    assert text == _line_text(g)
     assert fileio.graph_from_text(text) == g
     a = data.draw(assignments(g))
-    text = fileio.assignment_to_text(a)
-    kind, rows = ("shift", a.shifts) if isinstance(a, ll.ShiftAssignment) else ("perm", a.perms)
-    assert text == oracles.line_assignment_to_text(a.k, kind, rows)
+    text = _written(a, path)
+    assert text == _line_text(a)
     assert fileio.assignment_from_text(text) == a
-    assert fileio.assignment_to_text(fileio.assignment_from_text(text)) == text
+    assert _written(fileio.assignment_from_text(text), path) == text
 
 
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
 @example(values=[-1.7976931348623157e308, 1.7976931348623101e308, 0.30000000000000004])
-def test_spectrum_file_round_trip(tmp_path_factory, values):
+def test_spectrum_file_round_trip(values):
     # 15 significant digits: reading back is not bit-exact, but within
     # 5e-15 relative plus the parse rounding, and writing again is
-    path = tmp_path_factory.getbasetemp() / "round_trip.spec"
     spec = ll.Spectrum(np.sort(np.array(values, dtype=float))[::-1])
-    fileio.write_spectrum(spec, str(path))
-    text = path.read_text()
-    back = fileio.read_spectrum(str(path))
+    text = fileio.spectrum_to_text(spec)
+    back = ll.Spectrum(np.array([float(ln) for ln in text.splitlines()]))
     np.testing.assert_allclose(back.values, spec.values, rtol=6e-15, atol=0)
-    fileio.write_spectrum(back, str(path))
-    assert path.read_text() == text
+    assert fileio.spectrum_to_text(back) == text
 
 
 _TEXT_FAULTS = ["missing", "extra", "non_integer", "value", "blank", "crlf", "count", "mixed"]
@@ -348,7 +359,9 @@ def mutated(draw, text: str, assignment: bool):
         elif fault == "extra":
             lines[i] += " " + draw(st.sampled_from(["7", "0", "x"]))
         elif fault == "non_integer" and parts:
-            parts[-1] = draw(st.sampled_from(["x", "1.5", "0x1", "--1", "shift"]))
+            # int() takes the last four; the file grammar does not
+            parts[-1] = draw(st.sampled_from(["x", "1.5", "0x1", "--1", "shift", "1_0",
+                                              "\u0661", "\uff11", str(2**63)]))
             lines[i] = " ".join(parts)
         elif fault == "value" and parts:
             parts[-1] = str(draw(st.integers(-2, 8)))
@@ -371,15 +384,38 @@ def mutated(draw, text: str, assignment: bool):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), g=graphs(max_n=8))
 def test_malformed_graph_text_matches_line_parser(data, g):
-    text = data.draw(mutated(fileio.graph_to_text(g), assignment=False))
+    text = data.draw(mutated(_line_text(g), assignment=False))
     assert _outcome(_graph_value, text) == _outcome(oracles.line_graph_from_text, text)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), g=graphs(max_n=8))
 def test_malformed_assignment_text_matches_line_parser(data, g):
-    text = data.draw(mutated(fileio.assignment_to_text(data.draw(assignments(g))), assignment=True))
+    text = data.draw(mutated(_line_text(data.draw(assignments(g))), assignment=True))
     assert _outcome(_assignment_value, text) == _outcome(oracles.line_assignment_from_text, text)
+
+
+_NON_GRAMMAR_TOKENS = {"underscore": "0_1", "arabic-indic": "\u0661", "fullwidth": "\uff11",
+                       "devanagari": "\u0967", "beyond int64": str(2**63 + 1)}
+_TOKEN_BODIES = {
+    "edge": (_graph_value, oracles.line_graph_from_text, "4 3\n0 {}\n0 2\n0 3\n1 2\n1 3\n2 3\n"),
+    "shift": (_assignment_value, oracles.line_assignment_from_text, "3 2\nshift {}\nshift 2\n"),
+    "perm": (_assignment_value, oracles.line_assignment_from_text,
+             "3 2\nperm 0 {} 2\nshift 2\n"),
+}
+
+
+@pytest.mark.parametrize("body, token", [(b, t) for b in _TOKEN_BODIES for t in _NON_GRAMMAR_TOKENS],
+                         ids=[f"{b} {t}" for b in _TOKEN_BODIES for t in _NON_GRAMMAR_TOKENS])
+def test_line_parsers_agree_on_body_tokens_outside_the_grammar(body, token):
+    # each token stands for 1, or for a value past int64; the line parsers
+    # once read the first four with int() and the last as a vertex or shift
+    parse, line_parse, template = _TOKEN_BODIES[body]
+    text = template.format(_NON_GRAMMAR_TOKENS[token])
+    assert _outcome(parse, text) == _outcome(line_parse, text)
+    assert _outcome(parse, text)[:2] == ("FormatError", f"line 2: non-integer "
+                                         f"{'edge' if body == 'edge' else 'entry in'} "
+                                         f"{text.splitlines()[1]!r}")
 
 
 @pytest.mark.parametrize("text", [
@@ -437,10 +473,7 @@ def _first_mismatch(got: str, want: str):
 @pytest.mark.parametrize("name", sorted(WIDE_GRAPHS))
 def test_graph_writer_bytes_across_digit_widths(tmp_path, name):
     g = WIDE_GRAPHS[name]()
-    want = oracles.line_graph_to_text(g.n, g.d, g.edges)
-    assert _first_mismatch(fileio.graph_to_text(g), want) is None
-    fileio.write_graph(g, str(tmp_path / "g"))
-    assert _first_mismatch((tmp_path / "g").read_bytes().decode(), want) is None
+    assert _first_mismatch(_written(g, tmp_path / "g"), _line_text(g)) is None
 
 
 WIDE_ASSIGNMENTS = {
@@ -458,13 +491,10 @@ WIDE_ASSIGNMENTS = {
 @pytest.mark.parametrize("name", sorted(WIDE_ASSIGNMENTS))
 def test_assignment_writer_bytes_across_digit_widths(tmp_path, name):
     a = WIDE_ASSIGNMENTS[name]()
-    kind, rows = ("shift", a.shifts) if isinstance(a, ll.ShiftAssignment) else ("perm", a.perms)
-    want = oracles.line_assignment_to_text(a.k, kind, rows)
-    assert _first_mismatch(fileio.assignment_to_text(a), want) is None
-    fileio.write_assignment(a, str(tmp_path / "a"))
-    assert _first_mismatch((tmp_path / "a").read_bytes().decode(), want) is None
+    want = _line_text(a)
+    assert _first_mismatch(_written(a, tmp_path / "a"), want) is None
     # an empty perm file reads back as an empty shift file, with the same text
-    assert fileio.assignment_to_text(fileio.read_assignment(str(tmp_path / "a"))) == want
+    assert _written(fileio.read_assignment(str(tmp_path / "a")), tmp_path / "b") == want
 
 
 def test_huge_shift_file_writer_memory_follows_the_value_count(tmp_path):
@@ -489,18 +519,9 @@ def _block_rows(prefix_words: int, words_per_row: int) -> int:
 
 
 def _assert_writes(a, tmp_path):
-    """`a` (a graph or an assignment) as text and as a file, against the
-    line writers of oracles.py."""
-    if isinstance(a, ll.RegularGraph):
-        want = oracles.line_graph_to_text(a.n, a.d, a.edges)
-        got, write = fileio.graph_to_text(a), fileio.write_graph
-    else:
-        kind, rows = ("shift", a.shifts) if isinstance(a, ll.ShiftAssignment) else ("perm", a.perms)
-        want = oracles.line_assignment_to_text(a.k, kind, rows)
-        got, write = fileio.assignment_to_text(a), fileio.write_assignment
-    assert _first_mismatch(got, want) is None
-    write(a, str(tmp_path / "out"))
-    assert _first_mismatch((tmp_path / "out").read_bytes().decode(), want) is None
+    """`a` (a graph or an assignment) as a file, against the line writers of
+    oracles.py."""
+    assert _first_mismatch(_written(a, tmp_path / "out"), _line_text(a)) is None
 
 
 # Each maker takes a row count and gives a file with that many body lines,

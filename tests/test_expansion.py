@@ -16,9 +16,9 @@ from oracles import (
     cut_sizes,
     cut_tables,
     full_mask_expansion,
+    indicator_edge_count,
     pair_scan_mixing,
     per_edge_cut_sizes,
-    sampled_expansion,
 )
 
 
@@ -82,21 +82,13 @@ LARGE_CUTS = [
 
 class TestCombinatorialExpansion:
     def test_k4_exhaustive(self, k4):
-        report = ll.combinatorial_expansion(k4)
-        assert report.h == pytest.approx(2.0)
-        assert report.method == "exhaustive"
+        assert ll.cheeger_check(k4).h == pytest.approx(2.0)
 
     def test_c4_exhaustive(self):
-        assert ll.combinatorial_expansion(ll.cycle_graph(4)).h == pytest.approx(1.0)
+        assert ll.cheeger_check(ll.cycle_graph(4)).h == pytest.approx(1.0)
 
     def test_disconnected_graph_has_zero_expansion(self, k4):
-        g = ll.disjoint_copies(k4, 2)
-        report = ll.combinatorial_expansion(g)
-        assert report.h == 0.0
-        # the argmin witness really is a zero-boundary cut
-        cut = ll.edges_between(g, report.argmin_subset,
-                               set(range(g.n)) - report.argmin_subset)
-        assert cut == 0
+        assert ll.cheeger_check(ll.disjoint_copies(k4, 2)).h == 0.0
 
     def test_matches_brute_force_oracle(self, rng):
         graphs = [
@@ -107,41 +99,12 @@ class TestCombinatorialExpansion:
             ll.random_regular(10, 4, 22),
         ]
         for g in graphs:
-            report = ll.combinatorial_expansion(g)
-            oracle_h, _ = brute_force_expansion(g.n, g.edges)
-            assert report.h == pytest.approx(oracle_h, abs=1e-12)
-
-    def test_argmin_subset_achieves_h(self, rng):
-        g = ll.random_regular(12, 3, 4)
-        report = ll.combinatorial_expansion(g)
-        s = report.argmin_subset
-        cut = sum(1 for u, v in g.edges if (u in s) != (v in s))
-        assert cut / len(s) == pytest.approx(report.h)
+            assert ll.cheeger_check(g).h == pytest.approx(brute_force_expansion(g.n, g.edges),
+                                                          abs=1e-12)
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
-            ll.combinatorial_expansion(ll.random_regular(26, 3, 0))
-
-    def test_sampled_upper_bounds_exhaustive(self, rng):
-        g = ll.random_regular(14, 3, 9)
-        exact = ll.combinatorial_expansion(g)
-        sampled = ll.combinatorial_expansion(g, method="sampled", samples=200, seed=3)
-        assert sampled.method == "sampled"
-        assert sampled.h >= exact.h - 1e-12
-
-    @pytest.mark.parametrize("g, samples, seed", [
-        (ll.random_regular(14, 3, 9), 200, 3),
-        (ll.random_regular(40, 5, 1), 500, 11),
-        (ll.disjoint_copies(ll.complete_graph(4), 3), 100, 0),
-        (ll.cycle_graph(9), 50, 2**63 + 5),
-    ], ids=["rr14_3", "rr40_5", "3xK4", "C9"])
-    def test_sampled_matches_per_edge_oracle(self, g, samples, seed):
-        report = ll.combinatorial_expansion(g, method="sampled", samples=samples, seed=seed)
-        assert (report.h, report.argmin_subset) == sampled_expansion(g, samples, seed)
-
-    def test_sampled_needs_parameters(self, k4):
-        with pytest.raises(InvalidParameterError):
-            ll.combinatorial_expansion(k4, method="sampled")
+            ll.cheeger_check(ll.random_regular(26, 3, 0))
 
     def test_parameters_are_checked_before_the_dense_solve(self, k4, monkeypatch):
         def refuse(*args, **kwargs):
@@ -149,12 +112,9 @@ class TestCombinatorialExpansion:
 
         monkeypatch.setattr(expansion, "eig_symmetric", refuse)
         with pytest.raises(SizeLimitError):
-            ll.cheeger_check(ll.random_regular(3000, 3, 1))
+            ll.cheeger_check(ll.random_regular(26, 3, 0))
         with pytest.raises(InvalidParameterError):
-            ll.combinatorial_expansion(k4, method="spectral")
-        for samples, seed in ((None, 1), (0, 1), (10, None)):
-            with pytest.raises(InvalidParameterError):
-                ll.combinatorial_expansion(k4, "sampled", samples, seed)
+            ll.cheeger_check(k4, slack=math.nan)
 
 
 class TestCutKernel:
@@ -175,7 +135,7 @@ class TestCutKernel:
     def test_cut_grid_matches_per_edge_oracle(self, g):
         # every mask the scan reads: one grid per value of the top byte hi
         eu, ev = ll.edge_endpoints(g)
-        blocks = _cut_blocks(g)
+        blocks = _cut_blocks(g, ll.adjacency_matrix(g))
         grid = np.empty(blocks[0].shape, dtype=np.int32)
         assert len(blocks[1]) * grid.size == 1 << (g.n - 1)
         low = np.arange(grid.size, dtype=np.int32)
@@ -207,15 +167,13 @@ class TestCutKernel:
 
 class TestExhaustiveOracles:
     """The complement-halved cut scan and the prefix-sum mixing maximum
-    against the full scans they replace: equal floats and equal witnesses."""
+    against the full scans they replace: equal floats, and for mixing equal
+    witnesses."""
 
     @pytest.mark.parametrize("g", [g for _, g, _ in TIE_CORPUS] + [g for _, g in LARGE_CUTS],
                              ids=[i for i, _, _ in TIE_CORPUS] + [i for i, _ in LARGE_CUTS])
     def test_expansion_matches_full_mask_scan(self, g):
-        report = ll.combinatorial_expansion(g)
-        h, subset = full_mask_expansion(g)
-        assert report.h.hex() == h.hex()
-        assert report.argmin_subset == subset
+        assert ll.cheeger_check(g).h.hex() == full_mask_expansion(g).hex()
 
     @pytest.mark.parametrize("g, lam", [(g, lam) for _, g, lam in TIE_CORPUS],
                              ids=[i for i, _, _ in TIE_CORPUS])
@@ -327,7 +285,7 @@ class TestMixing:
     def test_whole_vertex_set_has_zero_deviation(self, k5):
         # E(V,V) counts both incidences of each edge: d*n exactly
         everything = set(range(5))
-        assert ll.edges_between(k5, everything, everything) == 5 * 4
+        assert indicator_edge_count(ll.adjacency_matrix(k5), everything, everything) == 5 * 4
         report = ll.eml_check(k5, base_lambda(k5))
         # the maximizing pair is never (V, V) since that deviation is 0
         assert report.max_ratio > 0
@@ -351,7 +309,7 @@ class TestMixing:
     def test_worst_pair_achieves_ratio(self):
         g = ll.random_regular(8, 3, 17)
         report = ll.eml_check(g, base_lambda(g))
-        count = ll.edges_between(g, report.worst_s, report.worst_t)
+        count = indicator_edge_count(ll.adjacency_matrix(g), report.worst_s, report.worst_t)
         dev = abs(count - g.d * len(report.worst_s) * len(report.worst_t) / g.n)
         assert dev / math.sqrt(len(report.worst_s) * len(report.worst_t)) == \
             pytest.approx(report.max_ratio, abs=1e-12)
@@ -368,17 +326,12 @@ class TestMixing:
         assert report.passed
 
     def test_exhaustive_mode_rejects_sampled_parameters(self, k4):
-        # eml_check, converse_eml_alpha (through it) and combinatorial_expansion
-        # name the dropped parameter instead of ignoring it
+        # eml_check names the dropped parameter instead of ignoring it
         lam = base_lambda(k4)
         for samples, seed, named in ((5, None, "samples"), (None, 3, "seed"),
                                      (5, 3, "samples or seed"), (0, 0, "samples or seed")):
-            message = f"^exhaustive mode takes no {named}$"
-            for check in (lambda: ll.eml_check(k4, lam, "exhaustive", samples, seed),
-                          lambda: ll.converse_eml_alpha(k4, lam, "exhaustive", samples, seed),
-                          lambda: ll.combinatorial_expansion(k4, "exhaustive", samples, seed)):
-                with pytest.raises(InvalidParameterError, match=message):
-                    check()
+            with pytest.raises(InvalidParameterError, match=f"^exhaustive mode takes no {named}$"):
+                ll.eml_check(k4, lam, "exhaustive", samples, seed)
 
     def test_sampled_never_exceeds_exhaustive(self):
         g = ll.random_regular(10, 3, 12)
@@ -401,22 +354,3 @@ class TestMixing:
         for method in ({}, {"method": "sampled", "samples": 5, "seed": 1}):
             with pytest.raises(InvalidParameterError, match=match):
                 ll.eml_check(k4, lam, slack=slack, **method)
-
-
-class TestConverseMixing:
-    def test_alpha_never_exceeds_lambda(self):
-        for g in [ll.complete_graph(5), ll.random_regular(10, 3, 6)]:
-            lam = base_lambda(g)
-            report = ll.converse_eml_alpha(g, lam)
-            assert report.alpha <= lam + 1e-9
-
-    def test_k5_alpha_at_most_one(self, k5):
-        report = ll.converse_eml_alpha(k5, base_lambda(k5))
-        assert report.alpha <= 1.0 + 1e-9
-        assert report.diagnostic >= 0
-
-    @pytest.mark.parametrize("lam", [math.nan, -1.0, math.inf])
-    def test_bad_lam_is_rejected(self, k4, lam):
-        # the report would carry a NaN lam through
-        with pytest.raises(InvalidParameterError, match="^lam must be finite and >= 0, got "):
-            ll.converse_eml_alpha(k4, lam)

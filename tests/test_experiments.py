@@ -57,10 +57,12 @@ class TestExperimentConfig:
         with pytest.raises(InvalidParameterError):
             ll.ExperimentConfig("complete 4", 2, 0, 0, (1.0,), "two_lift")
 
-    @pytest.mark.parametrize("constants", [(float("nan"),), (1.0, float("nan")), (-0.5,)])
-    def test_nan_or_negative_constants_rejected(self, constants):
+    @pytest.mark.parametrize("constants", [(float("nan"),), (1.0, float("nan")), (-0.5,),
+                                           (float("inf"),), (1.0, float("inf"))])
+    def test_nan_negative_or_infinite_constants_rejected(self, constants):
         # a NaN constant once wrote `lambda + nan*sqrt(d) = 0.0` into the report
-        with pytest.raises(InvalidParameterError, match="bound constants must be nonnegative"):
+        with pytest.raises(InvalidParameterError,
+                           match="^bound constants must be finite and nonnegative$"):
             ll.ExperimentConfig("complete 4", 2, 10, 0, constants, "two_lift")
 
     def test_resolve_base_specs(self):

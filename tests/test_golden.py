@@ -1,14 +1,13 @@
 """Golden bytes of the CLI artifacts and reports.
 
-Each digest is the sha256 of a file written by the CLI (or of a report text
-built through the library). The `gen` and `lift` digests were recorded from
-the per-edge-loop implementation that the array-backed graphs, lifts and
-fileio replaced; the report digests were recorded from the hand-written
-report writers and the separate real and complex dense eigensolvers, before
-one `key = value` emitter and one eigensolver took their place. Criterion 11
-only checks that a rerun gives the same bytes; these digests check that the
-bytes agree across implementations, so a refactor must reproduce them
-exactly.
+Each digest is the sha256 of a file or of the stdout written by the CLI.
+The `gen` and `lift` digests were recorded from the per-edge-loop
+implementation that the array-backed graphs, lifts and fileio replaced;
+the report digests were recorded from the hand-written report writers and
+the separate real and complex dense eigensolvers, before one `key = value`
+emitter and one eigensolver took their place. Criterion 11 only checks that
+a rerun gives the same bytes; these digests check that the bytes agree
+across implementations, so a refactor must reproduce them exactly.
 """
 from __future__ import annotations
 
@@ -275,15 +274,6 @@ MC_CASES = {
     ),
 }
 
-# converse_mixing_report_text of (graph, method) with lambda from the spectrum
-CONVERSE_CASES = {
-    ("complete 5", "exhaustive"):
-        "caf63816b3b34e31cf09b1f10a6b8b769d1945f69cfc2ecffc947a33711cc0d6",
-    ("random_regular 60 4 15", "sampled"):
-        "344eb199e603721febfb02727ba15878d888e3fb200c0d4ecd981cc00edbfbcf",
-}
-
-
 def _report_case_id(case):
     return f"{case[0]} | {case[1]}"
 
@@ -311,19 +301,6 @@ def test_mc_report_and_csv_bytes(tmp_path, config):
     cfg.write_text(config)
     _cli("mc", "--config", str(cfg), "--threads", "1", "--out", str(out), "--csv", str(csv))
     assert (_sha256(out), _sha256(csv)) == MC_CASES[config]
-
-
-@pytest.mark.parametrize("case", sorted(CONVERSE_CASES), ids=_report_case_id)
-def test_converse_mixing_report_bytes(case):
-    spec, method = case
-    family, *args = spec.split()
-    make, _ = ll.experiments.FAMILIES[family]
-    g = make(*map(int, args))
-    lam = ll.lambda_nontrivial(ll.eig_symmetric(ll.adjacency_matrix(g)), g.d)
-    sampled = {"samples": 200, "seed": 4} if method == "sampled" else {}
-    report = ll.converse_eml_alpha(g, lam, method=method, **sampled)
-    text = fileio.converse_mixing_report_text(report)
-    assert hashlib.sha256(text.encode()).hexdigest() == CONVERSE_CASES[case]
 
 
 # `grow` report digests, recorded after grow moved to root scoring with the

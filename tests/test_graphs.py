@@ -6,8 +6,8 @@ from liftlab.errors import InvalidParameterError
 from liftlab.graphs import edge_matrix, symmetric_csr
 
 from conftest import random_base
-from oracles import (RootOfUnity, bfs_components, circulant_cycle_spectrum,
-                     indicator_edge_count, loop_adjacency, loop_shift_matrix)
+from oracles import (RootOfUnity, bfs_components, circulant_cycle_spectrum, loop_adjacency,
+                     loop_shift_matrix)
 
 
 def spectrum_of(g):
@@ -104,37 +104,6 @@ class TestRandomRegular:
         assert len(comps) == 1
         lam = ll.lambda_nontrivial(ll.eig_symmetric(ll.adjacency_matrix(g)), 6)
         assert lam < 6
-
-
-class TestEdgesBetween:
-    def test_disjoint_sets_in_k4(self, k4):
-        assert ll.edges_between(k4, {0, 1}, {2, 3}) == 4
-
-    def test_empty_set(self, k4):
-        assert ll.edges_between(k4, set(), {0, 1, 2}) == 0
-
-    def test_overlap_counts_twice(self, k4):
-        # the single edge {0,1} inside S = T contributes both incidences
-        assert ll.edges_between(k4, {0, 1}, {0, 1}) == 2
-
-    def test_matches_indicator_bilinear_form(self, rng):
-        for _ in range(20):
-            g = ll.random_regular(10, 3, int(rng.integers(0, 2**63)))
-            a = ll.adjacency_matrix(g)
-            s = set(rng.choice(10, size=rng.integers(1, 10), replace=False).tolist())
-            t = set(rng.choice(10, size=rng.integers(1, 10), replace=False).tolist())
-            assert ll.edges_between(g, s, t) == indicator_edge_count(a, s, t)
-
-    def test_handshake_against_whole_vertex_set(self, rng):
-        g = ll.random_regular(12, 4, 5)
-        everything = set(range(12))
-        for _ in range(10):
-            s = set(rng.choice(12, size=rng.integers(1, 13), replace=False).tolist())
-            assert ll.edges_between(g, s, everything) == g.d * len(s)
-
-    def test_out_of_range_vertex(self, k4):
-        with pytest.raises(InvalidParameterError):
-            ll.edges_between(k4, {0, 7}, {1})
 
 
 class TestAdjacencyMatrix:

@@ -82,11 +82,6 @@ class TestConversions:
         a = ll.signing_to_assignment(ll.Signing((-1,)))
         assert a.perms == ((1, 0),)
 
-    def test_signing_round_trip(self, rng):
-        g = random_base(rng)
-        s = ll.random_signing(g, 11)
-        assert ll.assignment_to_signing(ll.signing_to_assignment(s)) == s
-
     def test_shift_to_assignment_values(self):
         sa = ll.ShiftAssignment(3, (0, 1))
         a = ll.shift_to_assignment(sa)

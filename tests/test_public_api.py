@@ -1,7 +1,9 @@
 """The public surface of liftlab, pinned: exported names, the attributes of the
 four value types, the CLI options and the environment variables. A change that
-adds or drops any of them has to change this file too."""
+adds or drops any of them has to change this file too. So does one that adds
+a top-level library definition that only tests call."""
 import argparse
+import ast
 import re
 import types
 from pathlib import Path
@@ -10,26 +12,35 @@ import liftlab as ll
 from liftlab import cli
 
 PUBLIC_NAMES = [
-    "CharacterizationError", "CharacterizationReport", "CheegerReport",
-    "ConverseMixingReport", "DyadicDecomposition", "ExpansionReport", "ExperimentConfig",
-    "ExperimentReport", "FormatError", "GenerationError", "GrowthTrajectory",
-    "InvalidParameterError", "LiftAssignment", "LiftLabError", "LiftedGraph", "MatchingError",
-    "MixingReport", "NumericalError", "OldNewSplit", "RegularGraph",
-    "SearchError", "ShiftAssignment", "Signing", "SigningSearchResult", "SizeLimitError",
-    "Spectrum", "SpotCheckReport", "TrialRecord", "adjacency_matrix", "assignment_to_signing",
-    "build_lift", "build_shift_lift", "cheeger_check", "combinatorial_expansion",
-    "complete_bipartite", "complete_graph", "converse_eml_alpha", "cycle_graph", "discretize",
-    "discretize_pair", "disjoint_copies", "dyadic_decompose", "dyadic_round", "edge_endpoints",
-    "edges_between", "eig_symmetric", "eml_check", "exhaustive_signing_search",
-    "geometric_log_sum_bound", "greedy_lift_growth", "lambda_new_from_fibers",
-    "lambda_new_from_roots", "lambda_nontrivial", "lambda_nontrivial_sparse",
-    "lemma_inequality_spot_check", "max_multiset_mismatch", "random_k_lift",
-    "random_regular", "random_shift_lift", "random_signing",
-    "resolve_base_graph", "run_lift_trials",
-    "shift_to_assignment", "sign_sum_stats", "signed_adjacency",
-    "signing_to_assignment", "signing_to_shifts", "spectral_radius", "split_old_new",
-    "splitmix64", "support", "trial_seed", "two_lift_block_matrix", "verify_characterization",
+    "CharacterizationError", "CharacterizationReport", "CheegerReport", "DyadicDecomposition",
+    "ExperimentConfig", "ExperimentReport", "FormatError", "GenerationError",
+    "GrowthTrajectory", "InvalidParameterError", "LiftAssignment", "LiftLabError",
+    "LiftedGraph", "MatchingError", "MixingReport", "NumericalError", "OldNewSplit",
+    "RegularGraph", "SearchError", "ShiftAssignment", "Signing", "SigningSearchResult",
+    "SizeLimitError", "Spectrum", "SpotCheckReport", "TrialRecord", "adjacency_matrix",
+    "build_lift", "build_shift_lift", "cheeger_check", "complete_bipartite", "complete_graph",
+    "cycle_graph", "discretize", "discretize_pair", "disjoint_copies", "dyadic_decompose",
+    "dyadic_round", "edge_endpoints", "eig_symmetric", "eml_check",
+    "exhaustive_signing_search", "geometric_log_sum_bound", "greedy_lift_growth",
+    "lambda_new_from_fibers", "lambda_new_from_roots", "lambda_nontrivial",
+    "lambda_nontrivial_sparse", "lemma_inequality_spot_check", "max_multiset_mismatch",
+    "random_k_lift", "random_regular", "random_shift_lift", "random_signing",
+    "resolve_base_graph", "run_lift_trials", "shift_to_assignment", "sign_sum_stats",
+    "signed_adjacency", "signing_to_assignment", "signing_to_shifts", "spectral_radius",
+    "split_old_new", "splitmix64", "support", "trial_seed", "two_lift_block_matrix",
+    "verify_characterization",
 ]
+
+# Top-level library definitions that no library module and no bench script
+# names, each with the acceptance criterion or test file that calls it.
+TEST_ONLY_DEFINITIONS = {
+    "two_lift_block_matrix": "criterion 2",
+    "dyadic_decompose": "criterion 9 and test_toolkit.py",
+    "discretize": "criterion 9 and test_toolkit.py",
+    "discretize_pair": "criterion 9 and test_toolkit.py",
+    "geometric_log_sum_bound": "criterion 9 and test_toolkit.py",
+    "sign_sum_stats": "criterion 10",
+}
 
 VALUE_TYPE_ATTRIBUTES = {
     "RegularGraph": ["d", "edge_array", "edges", "n", "num_edges"],
@@ -83,3 +94,24 @@ def test_environment_variables_are_pinned():
     names = {name for path in src.glob("*.py")
              for name in re.findall(r"\bLIFTLAB_[A-Z0-9_]+", path.read_text())}
     assert sorted(names) == ["LIFTLAB_THREADS"]
+
+
+def test_no_other_library_definition_is_test_only():
+    src = Path(ll.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    defined, named = set(), set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined |= {node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for path in [*src.glob("*.py"), *bench.glob("*.py")]:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named |= {alias.name for alias in node.names}
+    assert defined - named == set(TEST_ONLY_DEFINITIONS)
