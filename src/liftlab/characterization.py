@@ -24,8 +24,8 @@ import numpy as np
 from .errors import CharacterizationError, InvalidParameterError, NumericalError
 from .graphs import RegularGraph, edge_endpoints, edge_matrix, symmetric_csr
 from .lifts import ShiftAssignment, _check_per_edge, lift_endpoints, shift_to_assignment
-from .spectra import (Spectrum, _check_dense_dim, _check_nonnegative, eig_stack,
-                      eig_symmetric, max_multiset_mismatch, spectral_radius)
+from .spectra import (Spectrum, _check_dense_dim, eig_stack, eig_symmetric,
+                      max_multiset_mismatch, spectral_radius)
 
 
 def _root_values(k: int) -> np.ndarray:
@@ -74,11 +74,13 @@ def verify_characterization(
           products at most ortho_tol.
 
     Raises CharacterizationError naming the worst offender if any check
-    fails; a failure indicates a bug, never a counterexample. A NaN or
-    negative threshold raises InvalidParameterError: a NaN one would pass
-    every instance, a negative one none.
+    fails; a failure indicates a bug, never a counterexample. A threshold
+    that is not finite and >= 0 raises InvalidParameterError: a NaN or
+    infinite one would pass every instance, a negative one none.
     """
-    _check_nonnegative(tol=tol, window=window, ortho_tol=ortho_tol)
+    for name, value in (("tol", tol), ("window", window), ("ortho_tol", ortho_tol)):
+        if not 0 <= value < math.inf:
+            raise InvalidParameterError(f"{name} must be finite and >= 0, got {value}")
     _check_per_edge(g, sa.shift_array, "assignment", "shifts")
     k, n = sa.k, g.n
     _check_dense_dim(k * n)  # before the (kn)^2 lift matrix is allocated
@@ -213,8 +215,7 @@ def _mean_free_radius(a, blocks: int, what: str) -> float:
 
 def lambda_nontrivial_sparse(g: RegularGraph, bipartite: bool = False) -> float:
     """lambda of a d-regular graph: the largest |eigenvalue| once one copy of
-    d (and of -d if bipartite) is dropped, as lambda_nontrivial gives it from
-    the full spectrum.
+    d (and of -d if bipartite) is dropped.
 
     The constant vector is an eigenvector for d and A maps its orthogonal
     complement to itself, so lambda is the spectral radius of A on the

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
 from .graphs import RegularGraph, _as_seed, _incidences, adjacency_matrix, edge_endpoints
-from .spectra import BOUND_SLACK, _check_nonnegative, eig_symmetric
+from .spectra import BOUND_SLACK, eig_symmetric
 
 H_EXHAUSTIVE_CAP = 24
 PAIR_EXHAUSTIVE_CAP = 12
@@ -134,15 +134,14 @@ def _check_method(method: str, samples: int | None, seed: int | None) -> None:
         raise InvalidParameterError("sampled mode needs samples >= 1 and a seed")
 
 
-def cheeger_check(g: RegularGraph, slack: float = BOUND_SLACK) -> CheegerReport:
-    """Verify (d - lambda2)/2 <= h <= sqrt(d*(d - lambda2)) with exhaustive h.
+def cheeger_check(g: RegularGraph) -> CheegerReport:
+    """Verify (d - lambda2)/2 <= h <= sqrt(d*(d - lambda2)) with exhaustive h,
+    each side within BOUND_SLACK.
 
     h = min E(S, V\\S)/|S| over nonempty S with |S| <= n/2, scanned by
-    `_exhaustive_expansion` for n <= 24. A NaN or negative slack raises
-    InvalidParameterError and a larger n SizeLimitError, both before the
-    dense lambda2 solve.
+    `_exhaustive_expansion` for n <= 24. A larger n raises SizeLimitError
+    before the dense lambda2 solve.
     """
-    _check_nonnegative(slack=slack)
     if g.n > H_EXHAUSTIVE_CAP:
         raise SizeLimitError(
             f"exhaustive expansion capped at n={H_EXHAUSTIVE_CAP}, got {g.n}"
@@ -152,7 +151,8 @@ def cheeger_check(g: RegularGraph, slack: float = BOUND_SLACK) -> CheegerReport:
     gap = max(0.0, g.d - lam2)
     lower, upper = gap / 2.0, math.sqrt(g.d * gap)
     h = _exhaustive_expansion(g, a)
-    return CheegerReport(lower - slack <= h <= upper + slack, h, lam2, lower, upper, slack)
+    passed = lower - BOUND_SLACK <= h <= upper + BOUND_SLACK
+    return CheegerReport(passed, h, lam2, lower, upper, BOUND_SLACK)
 
 
 def _lowest_extreme_masks(rows: np.ndarray, t: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -208,9 +208,9 @@ def eml_check(
     method: str = "exhaustive",
     samples: int | None = None,
     seed: int | None = None,
-    slack: float = BOUND_SLACK,
 ) -> MixingReport:
-    """Worst-case mixing deviation ratio against the spectral bound lam.
+    """Worst-case mixing deviation ratio against the spectral bound lam, within
+    BOUND_SLACK.
 
     Exhaustive mode (n <= 12) finds the maximum over all ordered pairs of
     nonempty subsets without enumerating them: for each S it sorts A 1_S
@@ -222,12 +222,11 @@ def eml_check(
     ordered incidences, so an edge inside the intersection contributes 2.
     The caller chooses the lam convention: passing max_{i>=2}|lambda_i| (no
     bipartite exclusion) makes the bound hold for every graph, bipartite
-    ones included. A lam that is not finite and >= 0, or a NaN or negative
-    slack, raises InvalidParameterError.
+    ones included. A lam that is not finite and >= 0 raises
+    InvalidParameterError.
     """
     if not 0 <= lam < math.inf:
         raise InvalidParameterError(f"lam must be finite and >= 0, got {lam}")
-    _check_nonnegative(slack=slack)
     _check_method(method, samples, seed)
     if method == "exhaustive":
         if g.n > PAIR_EXHAUSTIVE_CAP:
@@ -240,7 +239,7 @@ def eml_check(
             _mask_to_subset(s_mask, g.n),
             _mask_to_subset(t_mask, g.n),
             lam,
-            slack,
+            BOUND_SLACK,
             "exhaustive",
         )
     rng = np.random.default_rng(_as_seed(seed))
@@ -263,4 +262,4 @@ def eml_check(
                 frozenset(np.flatnonzero(s_bits).tolist()),
                 frozenset(np.flatnonzero(t_bits).tolist()),
             )
-    return MixingReport(best, *best_pair_sets, lam, slack, "sampled")
+    return MixingReport(best, *best_pair_sets, lam, BOUND_SLACK, "sampled")

@@ -55,13 +55,6 @@ class OldNewSplit:
     window: float
 
 
-def _check_nonnegative(**thresholds: float) -> None:
-    """InvalidParameterError naming the first threshold that is NaN or negative."""
-    for name, value in thresholds.items():
-        if not value >= 0:
-            raise InvalidParameterError(f"{name} must be >= 0, got {value}")
-
-
 def _check_dense_dim(size: int) -> None:
     """SizeLimitError if a dense solve of order `size` exceeds the cap."""
     if size > MAX_DENSE_DIM:
@@ -85,16 +78,15 @@ def _hermitian(m, ndim: int) -> np.ndarray:
     return (m + mh) / 2.0
 
 
-def eig_stack(ms, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_stack(ms) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a (r, n, n) stack of symmetric or Hermitian matrices.
 
     One LAPACK call solves each matrix exactly as it would be solved alone.
     Returns values (r, n), rows descending, and vectors (r, n, n) with the
     aligned orthonormal eigenvectors as columns. Inputs are checked as in
-    eig_symmetric; a pair with ||M_i v - w v||_2 > tol * ||M_i||_F raises
-    NumericalError; a NaN or negative tol raises InvalidParameterError.
+    eig_symmetric; a pair with ||M_i v - w v||_2 > DEFAULT_TOL * ||M_i||_F
+    raises NumericalError.
     """
-    _check_nonnegative(tol=tol)
     ms = _hermitian(ms, 3)
     try:
         w, v = np.linalg.eigh(ms)
@@ -103,12 +95,12 @@ def eig_stack(ms, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     w = np.ascontiguousarray(w[:, ::-1])
     v = np.ascontiguousarray(v[:, :, ::-1])
     worst = np.linalg.norm(ms @ v - v * w[:, None, :], axis=1).max(axis=1, initial=0.0)
-    bound = tol * np.linalg.norm(ms, axis=(1, 2))
+    bound = DEFAULT_TOL * np.linalg.norm(ms, axis=(1, 2))
     i = int(np.argmax(worst - bound))
     if worst[i] > bound[i]:
         raise NumericalError(
             f"eigenpair residual {worst[i]:.3e} of matrix {i} exceeds "
-            f"{tol:.1e} * ||M||_F = {bound[i]:.3e}"
+            f"{DEFAULT_TOL:.1e} * ||M||_F = {bound[i]:.3e}"
         )
     return w, v
 
@@ -135,21 +127,15 @@ def spectral_radius(m) -> float:
     return float(np.max(np.abs(eig_symmetric(m).values), initial=0.0))
 
 
-def split_old_new(
-    base: Spectrum,
-    lift: Spectrum,
-    k: int,
-    window: float = DEFAULT_MATCH_WINDOW,
-) -> OldNewSplit:
+def split_old_new(base: Spectrum, lift: Spectrum, k: int) -> OldNewSplit:
     """Greedily match each base eigenvalue to a lift eigenvalue; rest is new.
 
     Base eigenvalues are processed in descending order; each takes the nearest
     unused lift eigenvalue (first index on ties). Any base eigenvalue left
-    without a partner inside `window` raises MatchingError: either the lift
-    spectrum does not come from a lift of this base, or the solver misbehaved.
-    A NaN or negative window raises InvalidParameterError.
+    without a partner within DEFAULT_MATCH_WINDOW raises MatchingError: either
+    the lift spectrum does not come from a lift of this base, or the solver
+    misbehaved.
     """
-    _check_nonnegative(window=window)
     n = len(base)
     if len(lift) != k * n:
         raise InvalidParameterError(
@@ -162,42 +148,33 @@ def split_old_new(
         diffs = np.abs(lift_vals - b)
         diffs[used] = np.inf
         idx = int(np.argmin(diffs))
-        if diffs[idx] > window:
+        if diffs[idx] > DEFAULT_MATCH_WINDOW:
             raise MatchingError(
                 f"base eigenvalue {b!r} has no unused lift partner within "
-                f"{window:g} (closest differs by {diffs[idx]:.3e})"
+                f"{DEFAULT_MATCH_WINDOW:g} (closest differs by {diffs[idx]:.3e})"
             )
         used[idx] = True
         matched.append(idx)
     old = np.sort(lift_vals[matched])[::-1]
     new = np.sort(lift_vals[~used])[::-1]
     lam_new = float(np.max(np.abs(new))) if new.size else 0.0
-    return OldNewSplit(old, new, lam_new, window)
+    return OldNewSplit(old, new, lam_new, DEFAULT_MATCH_WINDOW)
 
 
-def lambda_nontrivial(
-    s: Spectrum, d: int, bipartite: bool = False, tol: float = 1e-6
-) -> float:
-    """Largest |eigenvalue| after dropping one copy of d (and of -d if bipartite).
+def lambda_nontrivial(s: Spectrum, d: int) -> float:
+    """Largest |eigenvalue| after dropping one copy of d.
 
     The input must be the adjacency spectrum of a connected-or-not d-regular
-    graph: its top value has to equal d within tol. With bipartite=True the
-    spectrum must be symmetric about 0 within tol, which holds exactly when
-    the graph is bipartite. A NaN or negative tol raises InvalidParameterError.
+    graph: its top value has to equal d within 1e-6.
     """
-    _check_nonnegative(tol=tol)
     vals = s.values
     if not vals.size:
         raise InvalidParameterError("empty spectrum")
-    if abs(vals[0] - d) > tol:
+    if abs(vals[0] - d) > 1e-6:
         raise InvalidParameterError(
-            f"top eigenvalue {vals[0]!r} differs from d={d} by more than {tol:g}"
+            f"top eigenvalue {vals[0]!r} differs from d={d} by more than 1e-06"
         )
-    if bipartite and np.max(np.abs(vals + vals[::-1])) > tol:
-        raise InvalidParameterError(
-            "bipartite flag set but the spectrum is not symmetric about 0"
-        )
-    return float(np.max(np.abs(vals[1 : vals.size - bipartite]), initial=0.0))
+    return float(np.max(np.abs(vals[1:]), initial=0.0))
 
 
 def max_multiset_mismatch(a, b) -> float:

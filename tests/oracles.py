@@ -321,6 +321,18 @@ def dense_half_root_radii(g, sa) -> tuple[float, ...]:
     return tuple(half[min(j, k - j) - 1] for j in range(1, k))
 
 
+def dense_lambda_nontrivial(g, bipartite: bool = False) -> float:
+    """lambda of a d-regular graph from its full dense spectrum: the largest
+    |eigenvalue| once one copy of d (and of -d if bipartite) is dropped. With
+    bipartite=True the spectrum has to be symmetric about 0 within 1e-6, which
+    holds exactly when g is bipartite; otherwise InvalidParameterError."""
+    vals = ll.eig_symmetric(ll.adjacency_matrix(g)).values
+    assert abs(vals[0] - g.d) <= 1e-6
+    if bipartite and np.max(np.abs(vals + vals[::-1])) > 1e-6:
+        raise InvalidParameterError("the spectrum is not symmetric about 0")
+    return float(np.max(np.abs(vals[1:vals.size - bipartite]), initial=0.0))
+
+
 def dense_split_lambda_new(g, sa) -> float:
     """lambda_new of the built lift by the dense old/new split."""
     lifted = ll.build_shift_lift(g, sa)

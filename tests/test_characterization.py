@@ -145,12 +145,14 @@ class TestVerifyCharacterization:
             ll.verify_characterization(g, sa, ortho_tol=0.0)
 
     @pytest.mark.parametrize("name", ["tol", "window", "ortho_tol"])
-    @pytest.mark.parametrize("value", [float("nan"), -1.0, -1e-300])
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, -1e-300, float("inf")])
     def test_nan_or_negative_threshold_is_rejected(self, k4, name, value):
         # every comparison with NaN is false, so a NaN threshold passed any
-        # instance; a negative one failed every instance as a check failure
+        # instance, as an infinite one did; a negative one failed every
+        # instance as a check failure
         sa = ll.random_shift_lift(k4, 3, 1)
-        with pytest.raises(InvalidParameterError, match=f"^{name} must be >= 0, got "):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{name} must be finite and >= 0, got {value}$"):
             ll.verify_characterization(k4, sa, **{name: value})
 
     @pytest.mark.parametrize("call", [

@@ -169,6 +169,9 @@ class TestConfigFormat:
         # an infinite constant once wrote `lambda + inf*sqrt(d) = 1.0` and exited 0
         ("constants = inf,1e400\n", "error: bad config value: bound constants must be "
                                      "finite and nonnegative\n"),
+        # k = 2**63 once ended in a ValueError traceback from the root values, exit 1
+        ("mode = shift_lift\nk = 9223372036854775808\n",
+         f"error: lift order k*n = {4 * 2**63} exceeds 2**31\n"),
     ])
     def test_mc_rejects_bad_configs_before_any_trial(self, tmp_path, capsys, extra, message):
         cfg, out = tmp_path / "exp.cfg", tmp_path / "report"
@@ -612,15 +615,16 @@ class TestCliExtraBranches:
         assert dispatch(["verify-shift", "--graph", str(g_path),
                          "--assignment", str(a_path)]) == 0
 
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_verify_shift_nan_or_negative_tol_is_a_usage_error(self, tmp_path, capsys, tol):
-        # --tol nan once printed "characterization holds", --tol -1 "FAILED"
+        # --tol nan or inf once printed "characterization holds", --tol -1 "FAILED"
         g_path, out = tmp_path / "c3.graph", tmp_path / "report"
         dispatch(["gen", "--family", "cycle", "--n", "3", "--out", str(g_path)])
         capsys.readouterr()
         assert dispatch(["verify-shift", "--graph", str(g_path), "--k", "3", "--shifts",
                          "1,0,0", "--tol", tol, "--out", str(out)]) == 2
-        assert capsys.readouterr() == ("", f"error: tol must be >= 0, got {float(tol)}\n")
+        assert capsys.readouterr() == ("", f"error: tol must be finite and >= 0, "
+                                           f"got {float(tol)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["eml"], ["cheeger"], ["search-signing"],

@@ -439,9 +439,26 @@ class TestSigningSearch:
         assert result.min_radius == pytest.approx(oracle, abs=1e-12)
         assert result.min_radius == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
-    def test_size_cap(self):
-        with pytest.raises(SizeLimitError):
-            ll.exhaustive_signing_search(ll.random_regular(18, 3, 0))
+    def test_size_cap(self, monkeypatch):
+        # 34 edges, 17 vertices, one component: 2**18 classes, one over the cap
+        def refuse(*args, **kwargs):
+            raise AssertionError("a class was scored before the cap was checked")
+
+        monkeypatch.setattr(experiments, "_root_radii", refuse)
+        with pytest.raises(SizeLimitError, match=r"^exhaustive signing search capped at "
+                                                 r"2\*\*17 switching classes, got 2\*\*18$"):
+            ll.exhaustive_signing_search(ll.random_regular(17, 4, 0))
+
+    def test_more_edges_than_the_old_edge_cap(self):
+        # 30 edges but 2**11 classes: refused while the cap was |E| <= 24
+        g = ll.random_regular(20, 3, 1)
+        result = ll.exhaustive_signing_search(g)
+        assert (result.num_signings, result.num_classes) == (2**30, 2**11)
+        radius = ll.spectral_radius(ll.signed_adjacency(g, result.best))
+        assert radius == pytest.approx(result.min_radius, abs=1e-12)
+        for seed in range(16):
+            signing = ll.random_signing(g, seed)
+            assert ll.spectral_radius(ll.signed_adjacency(g, signing)) >= result.min_radius - 1e-12
 
     @pytest.mark.parametrize("g", [
         ll.cycle_graph(5),
@@ -476,7 +493,7 @@ class TestSigningSearch:
 
     def test_search_at_the_edge_cap(self):
         g = ll.random_regular(16, 3, 4)
-        assert g.num_edges == experiments.SIGNING_SEARCH_CAP
+        assert g.num_edges == 24 and 24 - 16 + 1 <= experiments.SIGNING_SEARCH_CAP
         start = time.perf_counter()
         result = ll.exhaustive_signing_search(g)
         assert time.perf_counter() - start < 2.0
@@ -754,7 +771,7 @@ def test_best_class_matches_dense_root_radii_over_every_class(base, k):
     lowest = min(radii)
 
     def kept_code(tol):
-        best, radius, count = experiments._best_class(g, k, tol)
+        best, radius, count = experiments._best_class(g, k, tol, free)
         assert count == total
         assert abs(radius - lowest) <= 1e-9
         assert not np.delete(best, free).any()

@@ -1,9 +1,11 @@
 """The public surface of liftlab, pinned: exported names, the attributes of the
 four value types, the CLI options and the environment variables. A change that
 adds or drops any of them has to change this file too. So does one that adds
-a top-level library definition that only tests call."""
+a top-level library definition that only tests call, or a defaulted parameter
+that only tests set."""
 import argparse
 import ast
+import math
 import re
 import types
 from pathlib import Path
@@ -115,3 +117,35 @@ def test_no_other_library_definition_is_test_only():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 named |= {alias.name for alias in node.names}
     assert defined - named == set(TEST_ONLY_DEFINITIONS)
+
+
+def test_no_library_default_is_set_only_by_tests():
+    # a defaulted parameter that no library or bench call passes has one value
+    # in use, so it is a constant; a test that needs another monkeypatches it
+    src = Path(ll.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    defaulted = {}  # function -> [(position, or None if keyword-only, name)]
+    for path in src.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name not in TEST_ONLY_DEFINITIONS:
+                a = node.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                first = len(positional) - len(a.defaults)
+                defaulted[node.name] = list(enumerate(positional))[first:] + [
+                    (None, p.arg) for p, default in zip(a.kwonlyargs, a.kw_defaults) if default]
+    most = {}  # callee name -> the most positional arguments of one call
+    keywords = set()  # (callee name, keyword); keyword None: a ** mapping
+    for path in [*src.glob("*.py"), *bench.glob("*.py")]:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                most[name] = max(most.get(name, 0), math.inf if starred else len(node.args))
+                keywords |= {(name, kw.arg) for kw in node.keywords}
+    unset = [f"{func}({param})" for func, params in sorted(defaulted.items())
+             for i, param in params
+             if not ((i is not None and i < most.get(func, 0))
+                     or {(func, param), (func, None)} & keywords)]
+    assert unset == []

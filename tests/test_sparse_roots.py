@@ -23,8 +23,8 @@ from liftlab import characterization, cli, expansion, experiments, fileio, graph
 from liftlab.cli import dispatch
 
 from oracles import (RootOfUnity, arpack_radius, bfs_components, bmat_root_operators,
-                     dense_half_root_radii, dense_root_radii, dense_split_lambda_new,
-                     loop_shift_matrix)
+                     dense_half_root_radii, dense_lambda_nontrivial, dense_root_radii,
+                     dense_split_lambda_new, loop_shift_matrix)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 STACKED = characterization._STACKED_MAX_N
@@ -353,9 +353,8 @@ def _check_bipartite_lambda(g):
     """lambda with -d dropped from both paths: both raise InvalidParameterError
     (g is not bipartite) and return None, or they agree within 1e-12 and the
     value is returned."""
-    spec = ll.eig_symmetric(ll.adjacency_matrix(g))
     try:
-        dense = ll.lambda_nontrivial(spec, g.d, bipartite=True)
+        dense = dense_lambda_nontrivial(g, bipartite=True)
     except ll.InvalidParameterError:
         with pytest.raises(ll.InvalidParameterError):
             ll.lambda_nontrivial_sparse(g, bipartite=True)

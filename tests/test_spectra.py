@@ -9,6 +9,7 @@ from oracles import (
     RootOfUnity,
     charpoly_spectrum,
     circulant_cycle_spectrum,
+    dense_lambda_nontrivial,
     doubled_real_embedding_spectrum,
     loop_shift_matrix,
 )
@@ -149,17 +150,12 @@ class TestEigStack:
         with pytest.raises(InvalidParameterError, match="square"):
             ll.spectra.eig_stack(np.zeros((4, 4)))
 
-    def test_residual_contract_names_the_matrix(self, rng):
+    def test_residual_contract_names_the_matrix(self, rng, monkeypatch):
         m = rng.standard_normal((3, 3))
         ms = np.stack([np.eye(3), m + m.T])
+        monkeypatch.setattr(ll.spectra, "DEFAULT_TOL", 0.0)
         with pytest.raises(NumericalError, match="of matrix 1 "):
-            ll.spectra.eig_stack(ms, tol=0.0)
-
-    @pytest.mark.parametrize("tol", [np.nan, -1.0])
-    def test_nan_or_negative_tol_is_rejected(self, tol):
-        # with a NaN bound the residual check would pass every pair
-        with pytest.raises(InvalidParameterError, match="^tol must be >= 0, got "):
-            ll.spectra.eig_stack(np.eye(3)[None], tol=tol)
+            ll.spectra.eig_stack(ms)
 
 
 class TestSpectrum:
@@ -226,32 +222,15 @@ class TestSplitOldNew:
         with pytest.raises(InvalidParameterError):
             ll.split_old_new(base, base, 2)
 
-    @pytest.mark.parametrize("window", [np.nan, -1.0])
-    def test_nan_or_negative_window_is_rejected(self, window):
-        # a NaN window would match these unrelated spectra
-        with pytest.raises(InvalidParameterError, match="^window must be >= 0, got "):
-            ll.split_old_new(ll.Spectrum([3, 1]), ll.Spectrum([9, 8, 7, 6]), 2, window=window)
-
 
 class TestLambdaNontrivial:
     def test_k5(self, k5):
         spec = ll.eig_symmetric(ll.adjacency_matrix(k5))
         assert ll.lambda_nontrivial(spec, 4) == pytest.approx(1.0, abs=1e-9)
 
-    def test_bipartite_flag_drops_minus_d(self):
-        spec = ll.eig_symmetric(ll.adjacency_matrix(ll.complete_bipartite(3)))
-        assert ll.lambda_nontrivial(spec, 3, bipartite=True) == pytest.approx(0.0, abs=1e-9)
-        assert ll.lambda_nontrivial(spec, 3) == pytest.approx(3.0, abs=1e-9)
-
     def test_k2(self):
         spec = ll.eig_symmetric(ll.adjacency_matrix(ll.complete_graph(2)))
         assert ll.lambda_nontrivial(spec, 1) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("tol", [np.nan, -1.0])
-    def test_nan_or_negative_tol_is_rejected(self, tol):
-        # a NaN tol would let a top eigenvalue of 5 pass for d = 3
-        with pytest.raises(InvalidParameterError, match="^tol must be >= 0, got "):
-            ll.lambda_nontrivial(ll.Spectrum([5, 1]), 3, tol=tol)
 
     def test_wrong_degree_rejected(self, k5):
         spec = ll.eig_symmetric(ll.adjacency_matrix(k5))
@@ -262,8 +241,7 @@ class TestLambdaNontrivial:
         # C_3 + C_4 has -2 in its spectrum (from C_4) but is not bipartite
         c3_c4 = ll.RegularGraph(7, 2, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 6), (4, 5), (5, 6)])
         for g in (k5, c3_c4):
-            spec = ll.eig_symmetric(ll.adjacency_matrix(g))
             with pytest.raises(InvalidParameterError):
-                ll.lambda_nontrivial(spec, g.d, bipartite=True)
+                dense_lambda_nontrivial(g, bipartite=True)
             with pytest.raises(InvalidParameterError):
                 ll.lambda_nontrivial_sparse(g, bipartite=True)
