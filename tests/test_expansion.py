@@ -243,6 +243,14 @@ class TestCheeger:
         assert report.lower == pytest.approx(0.0, abs=1e-9)
         assert report.h == 0.0
 
+    def test_compares_with_bound_slack(self, k4):
+        # K_4 is tight on the lower side (h = (d - lambda2)/2 = 2), so it
+        # passes only through the slack, which is BOUND_SLACK for every graph
+        report = ll.cheeger_check(k4)
+        assert report.slack == ll.spectra.BOUND_SLACK == 1e-9
+        assert report.passed
+        assert report.lower - report.slack <= report.h <= report.upper + report.slack
+
     def test_holds_across_small_corpus(self, rng):
         graphs = [
             ll.complete_graph(6),
@@ -293,6 +301,17 @@ class TestMixing:
         assert strict.max_ratio == pytest.approx(1.0, abs=1e-9)
         loose = ll.eml_check(c4, base_lambda(c4))
         assert loose.passed
+
+    def test_compares_with_bound_slack(self):
+        # C_4's worst pair has ratio 1 exactly: a lam below 1 by half the
+        # slack passes, one below by twice the slack fails, for both methods
+        c4 = ll.cycle_graph(4)
+        for method in ({}, {"method": "sampled", "samples": 64, "seed": 1}):
+            inside = ll.eml_check(c4, 1.0 - 0.5e-9, **method)
+            outside = ll.eml_check(c4, 1.0 - 2e-9, **method)
+            assert inside.slack == outside.slack == ll.spectra.BOUND_SLACK
+            assert inside.max_ratio == outside.max_ratio == 1.0
+            assert inside.passed and not outside.passed
 
     def test_worst_pair_achieves_ratio(self):
         g = ll.random_regular(8, 3, 17)

@@ -222,15 +222,49 @@ class TestSplitOldNew:
         with pytest.raises(InvalidParameterError):
             ll.split_old_new(base, base, 2)
 
+    def test_matches_within_default_match_window(self):
+        # each base value is off from its partner by half the window
+        split = ll.split_old_new(ll.Spectrum([3, 1]),
+                                 ll.Spectrum([3 + 5e-7, 2, 1 - 5e-7, 0]), 2)
+        assert split.window == ll.spectra.DEFAULT_MATCH_WINDOW == 1e-6
+        assert np.array_equal(split.old, [3 + 5e-7, 1 - 5e-7])
+        assert np.array_equal(split.new, [2, 0])
+        assert split.lambda_new == 2.0
+
+    def test_partner_outside_default_match_window_raises(self):
+        # off by twice the window; unrelated spectra, as a NaN window once matched
+        for lift in ([3 + 2e-6, 2, 1, 0], [9, 8, 7, 6]):
+            with pytest.raises(MatchingError, match="no unused lift partner within 1e-06 "):
+                ll.split_old_new(ll.Spectrum([3, 1]), ll.Spectrum(lift), 2)
+
 
 class TestLambdaNontrivial:
     def test_k5(self, k5):
         spec = ll.eig_symmetric(ll.adjacency_matrix(k5))
         assert ll.lambda_nontrivial(spec, 4) == pytest.approx(1.0, abs=1e-9)
 
+    def test_bipartite_flag_drops_minus_d(self):
+        # the convention lives in the sparse path, with the dense oracle as
+        # its reference; lambda_nontrivial itself drops d alone
+        g = ll.complete_bipartite(3)
+        spec = ll.eig_symmetric(ll.adjacency_matrix(g))
+        assert dense_lambda_nontrivial(g, bipartite=True) == pytest.approx(0.0, abs=1e-9)
+        assert ll.lambda_nontrivial_sparse(g, bipartite=True) == pytest.approx(0.0, abs=1e-9)
+        assert ll.lambda_nontrivial(spec, 3) == pytest.approx(3.0, abs=1e-9)
+
     def test_k2(self):
         spec = ll.eig_symmetric(ll.adjacency_matrix(ll.complete_graph(2)))
         assert ll.lambda_nontrivial(spec, 1) == pytest.approx(1.0)
+
+    def test_top_value_within_1e_6_of_d_is_accepted(self):
+        assert ll.lambda_nontrivial(ll.Spectrum([3 + 5e-7, 1, -2]), 3) == 2.0
+
+    @pytest.mark.parametrize("top", [3 + 2e-6, 3 - 2e-6, 5.0])
+    def test_top_value_further_than_1e_6_from_d_is_rejected(self, top):
+        # a NaN tol once let a top eigenvalue of 5 pass for d = 3
+        with pytest.raises(InvalidParameterError,
+                           match=r"^top eigenvalue .+ differs from d=3 by more than 1e-06$"):
+            ll.lambda_nontrivial(ll.Spectrum([top, 1]), 3)
 
     def test_wrong_degree_rejected(self, k5):
         spec = ll.eig_symmetric(ll.adjacency_matrix(k5))
