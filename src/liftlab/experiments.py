@@ -49,6 +49,9 @@ from .spectra import BOUND_SLACK, MAX_DENSE_DIM
 _M64 = (1 << 64) - 1
 CROSS_CHECK_TOL = 1e-6
 SIGNING_SEARCH_CAP = 17  # log2 of the most switching classes one search solves
+# the most vertices one search takes: every graph with |E| <= 24 (d >= 1), and
+# each admitted search scores its classes on the stacked dense path
+SIGNING_SEARCH_MAX_N = 48
 QUANTILE_LEVELS = ((0.0, "min"), (0.25, "q25"), (0.5, "median"), (0.75, "q75"),
                    (0.9, "q90"), (0.95, "q95"), (1.0, "max"))
 
@@ -571,17 +574,16 @@ def _pick(g: RegularGraph, k: int, tol: float, total: int, rows) -> tuple[np.nda
     return rows(np.array([best[1]]))[0], best[0]
 
 
-def _best_class(g: RegularGraph, k: int, tol: float,
-                free: np.ndarray) -> tuple[np.ndarray, float, int]:
+def _best_class(g: RegularGraph, k: int, tol: float) -> tuple[np.ndarray, float, int]:
     """The shifts and radius of the switching class of k-lifts of g that _pick
-    keeps over the codes of _class_shifts in order, and the class count; `free`
-    is _switching_free_edges(g)."""
-    m, total = g.num_edges, k**free.size
+    keeps over the codes of _class_shifts in order, and the class count."""
+    m, free = g.num_edges, _switching_free_edges(g)
+    total = k**free.size
     return (*_pick(g, k, tol, total, lambda codes: _class_shifts(free, m, k, codes)), total)
 
 
 def exhaustive_signing_search(g: RegularGraph) -> SigningSearchResult:
-    """Minimize the spectral radius over every signing (at most 2**17 classes).
+    """Minimize the spectral radius over every signing (n <= 48, at most 2**17 classes).
 
     Switching at a vertex (flipping all its edge signs) is a diagonal +-1
     similarity, so only one signing per switching class is solved, by
@@ -589,11 +591,14 @@ def exhaustive_signing_search(g: RegularGraph) -> SigningSearchResult:
     tol 0: ties resolve to the first tied class, whose representative is the
     smallest full code (bit e set: edge e gets -1).
     """
-    free = _switching_free_edges(g)
-    if free.size > SIGNING_SEARCH_CAP:
+    if g.n > SIGNING_SEARCH_MAX_N:
+        raise SizeLimitError(f"exhaustive signing search capped at n={SIGNING_SEARCH_MAX_N} "
+                             f"vertices, got {g.n}")
+    free = _switching_free_edges(g).size
+    if free > SIGNING_SEARCH_CAP:
         raise SizeLimitError(f"exhaustive signing search capped at 2**{SIGNING_SEARCH_CAP} "
-                             f"switching classes, got 2**{free.size}")
-    shifts, best_radius, total = _best_class(g, 2, 0.0, free)
+                             f"switching classes, got 2**{free}")
+    shifts, best_radius, total = _best_class(g, 2, 0.0)
     bound = 2.0 * math.sqrt(g.d - 1)
     return SigningSearchResult(
         Signing(1 - 2 * shifts), best_radius, bound, best_radius <= bound + BOUND_SLACK,
@@ -652,8 +657,7 @@ def greedy_lift_growth(
         if k * current.n > MAX_DENSE_DIM:
             break
         if k**current.num_edges <= samples_per_level:
-            shifts, lam_new, _ = _best_class(current, k, CROSS_CHECK_TOL,
-                                             _switching_free_edges(current))
+            shifts, lam_new, _ = _best_class(current, k, CROSS_CHECK_TOL)
         else:
             shifts, lam_new = _pick(
                 current, k, CROSS_CHECK_TOL, samples_per_level, lambda draws: np.array(

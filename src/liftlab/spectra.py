@@ -23,6 +23,7 @@ DEFAULT_TOL = 1e-9
 # so a value that meets its bound exactly is not sorted by its last bit
 BOUND_SLACK = 1e-9
 DEFAULT_MATCH_WINDOW = 1e-6
+_TOP_VALUE_TOL = 1e-6  # how far lambda_nontrivial lets the top value sit from d
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,14 +166,14 @@ def lambda_nontrivial(s: Spectrum, d: int) -> float:
     """Largest |eigenvalue| after dropping one copy of d.
 
     The input must be the adjacency spectrum of a connected-or-not d-regular
-    graph: its top value has to equal d within 1e-6.
+    graph: its top value has to equal d within _TOP_VALUE_TOL.
     """
     vals = s.values
     if not vals.size:
         raise InvalidParameterError("empty spectrum")
-    if abs(vals[0] - d) > 1e-6:
+    if abs(vals[0] - d) > _TOP_VALUE_TOL:
         raise InvalidParameterError(
-            f"top eigenvalue {vals[0]!r} differs from d={d} by more than 1e-06"
+            f"top eigenvalue {vals[0]!r} differs from d={d} by more than {_TOP_VALUE_TOL!r}"
         )
     return float(np.max(np.abs(vals[1:]), initial=0.0))
 

@@ -489,6 +489,16 @@ class TestCli:
         assert "2.2360679" in out
         assert "over 64 signings (8 switching classes)" in out
 
+    def test_search_signing_over_the_vertex_cap_is_a_usage_error(self, tmp_path, capsys):
+        # two switching classes, but 15000 vertices and 2**15000 signings
+        path = tmp_path / "c15000.graph"
+        fileio.write_graph(ll.cycle_graph(15000), str(path))
+        assert dispatch(["search-signing", "--graph", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: exhaustive signing search capped at n=48 vertices, "
+                                "got 15000\n")
+
     def test_grow_command(self, tmp_path, capsys):
         path = tmp_path / "k4.graph"
         dispatch(["gen", "--family", "complete", "--m", "4", "--out", str(path)])

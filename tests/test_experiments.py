@@ -449,6 +449,23 @@ class TestSigningSearch:
                                                  r"2\*\*17 switching classes, got 2\*\*18$"):
             ll.exhaustive_signing_search(ll.random_regular(17, 4, 0))
 
+    def test_vertex_cap(self, monkeypatch):
+        # C_49 has 2 switching classes but 49 vertices: refused before scoring
+        def refuse(*args, **kwargs):
+            raise AssertionError("a class was scored before the cap was checked")
+
+        monkeypatch.setattr(experiments, "_root_radii", refuse)
+        with pytest.raises(SizeLimitError, match=r"^exhaustive signing search capped at "
+                                                 r"n=48 vertices, got 49$"):
+            ll.exhaustive_signing_search(ll.cycle_graph(49))
+
+    def test_largest_admitted_order(self):
+        # a perfect matching on 48 vertices: 24 edges, one class, as under |E| <= 24
+        g = ll.disjoint_copies(ll.complete_graph(2), experiments.SIGNING_SEARCH_MAX_N // 2)
+        result = ll.exhaustive_signing_search(g)
+        assert (g.n, result.num_signings, result.num_classes) == (48, 2**24, 1)
+        assert result.min_radius == pytest.approx(1.0, abs=1e-12)
+
     def test_more_edges_than_the_old_edge_cap(self):
         # 30 edges but 2**11 classes: refused while the cap was |E| <= 24
         g = ll.random_regular(20, 3, 1)
@@ -493,7 +510,8 @@ class TestSigningSearch:
 
     def test_search_at_the_edge_cap(self):
         g = ll.random_regular(16, 3, 4)
-        assert g.num_edges == 24 and 24 - 16 + 1 <= experiments.SIGNING_SEARCH_CAP
+        assert g.num_edges == 24
+        assert experiments._switching_free_edges(g).size <= experiments.SIGNING_SEARCH_CAP
         start = time.perf_counter()
         result = ll.exhaustive_signing_search(g)
         assert time.perf_counter() - start < 2.0
@@ -771,7 +789,7 @@ def test_best_class_matches_dense_root_radii_over_every_class(base, k):
     lowest = min(radii)
 
     def kept_code(tol):
-        best, radius, count = experiments._best_class(g, k, tol, free)
+        best, radius, count = experiments._best_class(g, k, tol)
         assert count == total
         assert abs(radius - lowest) <= 1e-9
         assert not np.delete(best, free).any()
