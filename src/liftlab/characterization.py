@@ -256,9 +256,9 @@ def _root_radii(g: RegularGraph, k: int, shifts: np.ndarray):
     is solved on its real part. Up to base order _STACKED_MAX_N, one eigvalsh
     call per root solves the (r, n, n) stack. Above it each row is one
     symmetric_csr solved by _lanczos_radius, a complex M_j through its real
-    symmetric embedding [[Re, -Im], [Im, Re]] (each eigenvalue doubled), so
-    every sparse solve is the one real Lanczos. A failed solve raises
-    NumericalError naming the root.
+    symmetric embedding [[Re, -Im], [Im, Re]] (each eigenvalue doubled) built
+    from its nonzero entries, so every sparse solve is the one real Lanczos.
+    A failed solve raises NumericalError naming the root.
     """
     n, (eu, ev), roots = g.n, edge_endpoints(g), _root_values(k)
     # w = a + ib on (u, v): a at (u, v) and (n+u, n+v), -b at (u, n+v), b at (v, n+u)
@@ -278,8 +278,8 @@ def _root_radii(g: RegularGraph, k: int, shifts: np.ndarray):
             yield np.array([_lanczos_radius(symmetric_csr(n, eu, ev, x), f"root {j}") for x in w])
         else:
             embedded = np.concatenate([w.real, w.real, -w.imag, w.imag], axis=1)
-            yield np.array([_lanczos_radius(symmetric_csr(2 * n, rows, cols, x), f"root {j}")
-                            for x in embedded])
+            ops = (symmetric_csr(2 * n, rows[x != 0], cols[x != 0], x[x != 0]) for x in embedded)
+            yield np.array([_lanczos_radius(op, f"root {j}") for op in ops])
 
 
 def lambda_new_from_roots(g: RegularGraph, sa: ShiftAssignment) -> tuple[float, tuple[float, ...]]:

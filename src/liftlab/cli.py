@@ -1,10 +1,10 @@
 """Command-line workbench tying the library together.
 
-Every command runs the same way: read the edge list at --graph if it takes
-one, run, write its output to --out if given (`gen` and `lift` require it;
-`spec` without it writes the spectrum to stdout), print one summary line,
-and exit 0 on success, 1 on a check failure, 2 on a usage or input error,
-3 on a numerical or generation failure.
+Every command runs the same way: dispatch reads the edge list at --graph if
+it takes one, the handler returns its exit code, outputs and summary line, and
+dispatch writes each output whose option was given, then prints the summary
+(`spec` without --out writes the spectrum to stdout). Exit codes: 0 success,
+1 check failure, 2 usage or input error, 3 numerical or generation failure.
 """
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ from .errors import CharacterizationError, InvalidParameterError, LiftLabError
 from .expansion import cheeger_check, eml_check
 from .experiments import (FAMILIES, exhaustive_signing_search, greedy_lift_growth,
                           lemma_inequality_spot_check, run_lift_trials)
-from .graphs import adjacency_matrix, disjoint_copies
-from .lifts import (ShiftAssignment, build_lift, check_lift_order, random_k_lift,
-                    random_shift_lift, random_signing, shift_to_assignment,
+from .graphs import RegularGraph, adjacency_matrix, disjoint_copies
+from .lifts import (LiftAssignment, ShiftAssignment, build_lift, check_lift_order,
+                    random_k_lift, random_shift_lift, random_signing, shift_to_assignment,
                     signing_to_assignment)
 from .spectra import eig_symmetric, lambda_nontrivial
 
@@ -128,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gen(args, _) -> int:
+def _gen(args, _):
     make, params = FAMILIES[args.family]
     values = [getattr(args, p) for p in params]
     missing = [f"--{p}" for p, value in zip(params, values) if value is None]
@@ -140,23 +140,19 @@ def _gen(args, _) -> int:
     g = make(*values)
     if args.copies > 1:
         g = disjoint_copies(g, args.copies)
-    fileio.write_graph(g, args.out)
-    print(f"wrote {args.family} graph n={g.n} d={g.d} edges={g.num_edges} to {args.out}")
-    return EXIT_OK
+    return EXIT_OK, {"out": g}, (
+        f"wrote {args.family} graph n={g.n} d={g.d} edges={g.num_edges} to {args.out}")
 
 
 def _read_assignment(args):
-    """The --assignment file, whose k an explicit --k must equal; verify-shift
-    takes shift lines only."""
+    """The --assignment file, whose k an explicit --k must equal."""
     a = fileio.read_assignment(args.assignment)
-    if args.command == "verify-shift" and not isinstance(a, ShiftAssignment):
-        raise InvalidParameterError("verify-shift needs a shift assignment")
     if args.k not in (None, a.k):
         raise InvalidParameterError(f"--k {args.k} conflicts with the assignment's k={a.k}")
     return a
 
 
-def _lift(args, g) -> int:
+def _lift(args, g):
     k = 2 if args.k is None else args.k
     seed = 0 if args.seed is None else args.seed
     if args.assignment:
@@ -177,27 +173,21 @@ def _lift(args, g) -> int:
             a = random_k_lift(g, k, seed)
         else:  # shift_lift, the default
             a = shift_to_assignment(random_shift_lift(g, k, seed))
-    lifted = build_lift(g, a)
-    fileio.write_graph(lifted.graph, args.out)
-    if args.save_assignment:
-        fileio.write_assignment(a, args.save_assignment)
-    print(f"wrote k={a.k} lift n={lifted.graph.n} d={lifted.graph.d} to {args.out}")
-    return EXIT_OK
+    h = build_lift(g, a).graph
+    return EXIT_OK, {"out": h, "save_assignment": a}, (
+        f"wrote k={a.k} lift n={h.n} d={h.d} to {args.out}")
 
 
-def _spec(args, g) -> int:
+def _spec(args, g):
     spec = eig_symmetric(adjacency_matrix(g))
     text = fileio.spectrum_to_text(spec)
-    if args.out:
-        fileio.write_text(text, args.out)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
-    lam = lambda_nontrivial(spec, g.d)
-    print(f"n={g.n} d={g.d} lambda1={spec.values[0]:.12g} lambda={lam:.12g}")
-    return EXIT_OK
+    return EXIT_OK, {"out": text}, (f"n={g.n} d={g.d} lambda1={spec.values[0]:.12g} "
+                                    f"lambda={lambda_nontrivial(spec, g.d):.12g}")
 
 
-def _mc(args, _) -> int:
+def _mc(args, _):
     overrides = {"base": args.base, "copies": args.copies, "trials": args.trials,
                  "seed": args.seed, "k": args.k, "mode": args.mode,
                  "constants": args.constants}
@@ -205,18 +195,15 @@ def _mc(args, _) -> int:
     started = time.perf_counter()
     report = run_lift_trials(cfg, threads=args.threads)
     wall = time.perf_counter() - started
-    if args.out:
-        fileio.write_text(fileio.experiment_report_text(report), args.out)
-    if args.csv:
-        fileio.write_text(fileio.experiment_report_csv(report), args.csv)
+    outputs = {"out": fileio.experiment_report_text(report),
+               "csv": fileio.experiment_report_csv(report)}
     done = cfg.trials - report.failed
-    print(
+    return EXIT_NUMERICAL if report.failed else EXIT_OK, outputs, (
         f"{cfg.mode} campaign: {done}/{cfg.trials} trials ok, lambda={report.lam:.6g}, "
         f"median lambda_new={dict(report.quantiles)['median']:.6g}, "
         f"{report.workers} worker{'s' if report.workers > 1 else ''}, "
         f"{cfg.trials / wall:.3g} trials/s"
     )
-    return EXIT_NUMERICAL if report.failed else EXIT_OK
 
 
 def _verify_shift(args, g):
@@ -224,6 +211,8 @@ def _verify_shift(args, g):
         if args.shifts is not None:
             raise InvalidParameterError("--shifts conflicts with --assignment")
         sa = _read_assignment(args)
+        if not isinstance(sa, ShiftAssignment):
+            raise InvalidParameterError("verify-shift needs a shift assignment")
     else:
         if args.shifts is None or args.k is None:
             raise InvalidParameterError("need --shifts and --k (or --assignment)")
@@ -235,8 +224,8 @@ def _verify_shift(args, g):
     try:
         r = verify_characterization(g, sa, tol=args.tol)
     except CharacterizationError as exc:
-        return EXIT_CHECK_FAILED, None, f"characterization FAILED: {exc}"
-    return EXIT_OK, r, (
+        return EXIT_CHECK_FAILED, {}, f"characterization FAILED: {exc}"
+    return EXIT_OK, {"out": fileio.characterization_report_text(r)}, (
         f"characterization holds: mismatch={r.max_multiset_mismatch:.3e} "
         f"residual={r.max_eigenvector_residual:.3e} cross_inner={r.max_cross_root_inner:.3e}"
     )
@@ -247,18 +236,20 @@ def _eml(args, g):
     seed = 0 if args.seed is None and args.method == "sampled" else args.seed
     r = eml_check(g, lam, method=args.method, samples=args.samples, seed=seed)
     code, status = (EXIT_OK, "ok") if r.passed else (EXIT_CHECK_FAILED, "VIOLATED")
-    return code, r, f"mixing check {status}: max_ratio={r.max_ratio:.12g} lambda={lam:.12g}"
+    return code, {"out": fileio.mixing_report_text(r)}, (
+        f"mixing check {status}: max_ratio={r.max_ratio:.12g} lambda={lam:.12g}")
 
 
 def _cheeger(args, g):
     r = cheeger_check(g)
     code, status = (EXIT_OK, "ok") if r.passed else (EXIT_CHECK_FAILED, "VIOLATED")
-    return code, r, f"cheeger check {status}: {r.lower:.12g} <= h={r.h:.12g} <= {r.upper:.12g}"
+    return code, {"out": fileio.cheeger_report_text(r)}, (
+        f"cheeger check {status}: {r.lower:.12g} <= h={r.h:.12g} <= {r.upper:.12g}")
 
 
 def _search_signing(args, g):
     r = exhaustive_signing_search(g)
-    return EXIT_OK, r, (
+    return EXIT_OK, {"out": fileio.signing_search_report_text(r)}, (
         f"min ||A_s|| = {r.min_radius:.12g} over {r.num_signings} signings "
         f"({r.num_classes} switching classes); 2*sqrt(d-1) = {r.ramanujan_bound:.12g}; "
         f"within: {'yes' if r.within_bound else 'no'}"
@@ -268,52 +259,49 @@ def _search_signing(args, g):
 def _grow(args, g):
     traj = greedy_lift_growth(g, args.levels, args.samples, args.k, args.seed)
     last, note = traj.records[-1], " (truncated)" if traj.truncated else ""
-    return EXIT_OK, traj, (
+    return EXIT_OK, {"out": fileio.growth_report_text(traj)}, (
         f"grew to n={last.n} lambda={last.lam:.6g} after {len(traj.records) - 1} levels{note}"
     )
 
 
 def _lemma_check(args, g):
     r = lemma_inequality_spot_check(g, args.trials, args.seed, args.which)
-    if r.not_applicable:
-        return EXIT_OK, r, f"{args.which}: no admissible vectors for n={g.n} d={g.d}"
     code = EXIT_OK if r.violations == 0 else EXIT_CHECK_FAILED
-    return code, r, (
-        f"{args.which}: {r.violations}/{r.trials} violations, max lhs/rhs = {r.max_ratio:.6g}"
-    )
+    summary = (f"no admissible vectors for n={g.n} d={g.d}" if r.not_applicable else
+               f"{r.violations}/{r.trials} violations, max lhs/rhs = {r.max_ratio:.6g}")
+    return code, {"out": fileio.spot_check_report_text(r)}, f"{args.which}: {summary}"
 
 
-# command -> (handler, renderer of its --out report or None). A handler with
-# a renderer returns (exit code, report or None, summary line) and leaves
-# --out and the summary to dispatch.
+# command -> handler, which returns (exit code, outputs, summary line); outputs
+# maps an output option's dest to the graph, assignment or text to write there
 _COMMANDS = {
-    "gen": (_gen, None),
-    "lift": (_lift, None),
-    "spec": (_spec, None),
-    "mc": (_mc, None),
-    "verify-shift": (_verify_shift, fileio.characterization_report_text),
-    "eml": (_eml, fileio.mixing_report_text),
-    "cheeger": (_cheeger, fileio.cheeger_report_text),
-    "search-signing": (_search_signing, fileio.signing_search_report_text),
-    "grow": (_grow, fileio.growth_report_text),
-    "lemma-check": (_lemma_check, fileio.spot_check_report_text),
+    "gen": _gen,
+    "lift": _lift,
+    "spec": _spec,
+    "mc": _mc,
+    "verify-shift": _verify_shift,
+    "eml": _eml,
+    "cheeger": _cheeger,
+    "search-signing": _search_signing,
+    "grow": _grow,
+    "lemma-check": _lemma_check,
 }
+
+_WRITERS = {RegularGraph: fileio.write_graph, LiftAssignment: fileio.write_assignment,
+            str: fileio.write_text}
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    handler, render = _COMMANDS[args.command]
     try:
         g = fileio.read_graph(args.graph) if "graph" in args else None
-        if render is None:
-            return handler(args, g)
-        code, report, summary = handler(args, g)
-        if args.out and report is not None:
-            fileio.write_text(render(report), args.out)
+        code, outputs, summary = _COMMANDS[args.command](args, g)
+        for dest, value in outputs.items():
+            if getattr(args, dest) is not None:  # in order, before the summary
+                _WRITERS[type(value)](value, getattr(args, dest))
         print(summary)
         return code
     except (InvalidParameterError, OSError) as exc:

@@ -1,8 +1,9 @@
 """Text formats: edge lists, assignments, spectra, configs, and reports.
 
-Everything is line-oriented ASCII. Writers always emit LF; readers accept
-CRLF. Floats in reports use repr (shortest round-trip), so identical runs
-produce byte-identical artifacts; spectrum files use 15 significant digits.
+Everything is line-oriented ASCII. Writers always emit LF; readers decode
+UTF-8 and accept CRLF. Floats in reports use repr (shortest round-trip), so
+identical runs produce byte-identical artifacts; spectrum files use 15
+significant digits.
 
 Edge lists and assignments are streamed by `_write_int_lines` in blocks of
 at most 2**17 words, each built with numpy lookups in a digit table rather
@@ -35,6 +36,17 @@ from .spectra import Spectrum
 
 def _lines(text: str) -> list[str]:
     return [ln.rstrip("\r") for ln in text.split("\n")]
+
+
+def _read_text(path: str) -> str:
+    """The file decoded as UTF-8; a byte that is not UTF-8 raises FormatError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"byte 0x{data[exc.start]:02x} is not UTF-8",
+                          line=data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _header(text: str, names: str) -> tuple[int, int, str]:
@@ -189,8 +201,7 @@ def write_graph(g: RegularGraph, path: str) -> None:
 
 
 def read_graph(path: str) -> RegularGraph:
-    with open(path, "r", newline="") as fh:
-        return graph_from_text(fh.read())
+    return graph_from_text(_read_text(path))
 
 
 # --------------------------------------------------------------------------
@@ -277,8 +288,7 @@ def write_assignment(a, path: str) -> None:
 
 
 def read_assignment(path: str):
-    with open(path, "r", newline="") as fh:
-        return assignment_from_text(fh.read())
+    return assignment_from_text(_read_text(path))
 
 
 # --------------------------------------------------------------------------
@@ -351,8 +361,7 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
 
 
 def read_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
-    with open(path, "r", newline="") as fh:
-        raw = parse_config_text(fh.read())
+    raw = parse_config_text(_read_text(path))
     if overrides:
         raw.update({k: str(v) for k, v in overrides.items() if v is not None})
     return config_from_mapping(raw)

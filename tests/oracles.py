@@ -569,7 +569,8 @@ def bmat_root_operators(g, sa) -> list:
     built the older way: one sorted CSR structure (d entries per row) shared
     by every root and filled with the complex entries t**s and conj(t**s)
     from scalar t.power; its real part for the signing at 2j = k, else
-    [[Re, -Im], [Im, Re]] stacked by scipy.sparse.bmat."""
+    [[Re, -Im], [Im, Re]] stacked by scipy.sparse.bmat, its explicit zeros
+    then eliminated."""
     from scipy.sparse import bmat, csr_matrix
 
     k, n = sa.k, g.n
@@ -585,7 +586,9 @@ def bmat_root_operators(g, sa) -> list:
         if 2 * j == k:
             ops.append(m.real)
         else:
-            ops.append(bmat([[m.real, -m.imag], [m.imag, m.real]], format="csr"))
+            op = bmat([[m.real, -m.imag], [m.imag, m.real]], format="csr")
+            op.eliminate_zeros()
+            ops.append(op)
     return ops
 
 

@@ -8,6 +8,8 @@ from liftlab import fileio
 from liftlab.cli import _build_parser, dispatch
 from liftlab.errors import FormatError, InvalidParameterError
 
+from test_public_api import CLI_OPTIONS
+
 
 class TestGraphFormat:
     def test_round_trip_bit_exact(self, tmp_path, rng):
@@ -651,13 +653,15 @@ class TestCliExtraBranches:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 
-    def test_verify_shift_rejects_perm_assignment(self, tmp_path, k4):
+    def test_verify_shift_rejects_perm_assignment(self, tmp_path, capsys, k4):
         g_path = tmp_path / "k4.graph"
         dispatch(["gen", "--family", "complete", "--m", "4", "--out", str(g_path)])
         a_path = tmp_path / "perms.assign"
         fileio.write_assignment(ll.random_k_lift(k4, 3, 0), str(a_path))
+        capsys.readouterr()
         assert dispatch(["verify-shift", "--graph", str(g_path),
                          "--assignment", str(a_path)]) == 2
+        assert capsys.readouterr() == ("", "error: verify-shift needs a shift assignment\n")
 
     def test_eml_sampled_mode(self, tmp_path):
         g_path = tmp_path / "g.graph"
@@ -686,3 +690,90 @@ class TestCliExtraBranches:
         assert dispatch([*argv, "--out", str(tmp_path / "default")]) == 0
         assert dispatch([*argv, "--seed", "0", "--out", str(tmp_path / "zero")]) == 0
         assert (tmp_path / "default").read_text() == (tmp_path / "zero").read_text()
+
+
+# command -> its arguments besides its input file and output options
+OUTPUT_CASE_ARGS = {
+    "gen": ["--family", "complete", "--m", "4"],
+    "lift": ["--k", "3"],
+    "verify-shift": ["--k", "3", "--shifts", "1,0,2,0,1,0"],
+    "grow": ["--levels", "1", "--samples", "2"],
+    "lemma-check": ["--which", "lemma3", "--trials", "2"],
+}
+
+
+def _command_inputs(tmp_path, command):
+    """The --graph or --config arguments of one command, on K_4."""
+    fileio.write_graph(ll.complete_graph(4), str(tmp_path / "k4.graph"))
+    (tmp_path / "exp.cfg").write_text("base = complete 4\ntrials = 2\nseed = 1\n")
+    return (["--config", str(tmp_path / "exp.cfg")] if command == "mc" else
+            [] if command == "gen" else ["--graph", str(tmp_path / "k4.graph")])
+
+
+@pytest.mark.parametrize("command", list(CLI_OPTIONS))
+def test_each_command_writes_exactly_its_output_options(tmp_path, capsys, command):
+    inputs, outputs = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    outputs.mkdir()
+    names = [o[2:] for o in CLI_OPTIONS[command] if o in ("--out", "--csv", "--save-assignment")]
+    argv = [command, *_command_inputs(inputs, command), *OUTPUT_CASE_ARGS.get(command, []),
+            *(arg for name in names for arg in ("--" + name, str(outputs / name)))]
+    assert dispatch(argv) == 0
+    assert sorted(p.name for p in outputs.iterdir()) == sorted(names)
+    assert all((outputs / name).stat().st_size > 0 for name in names)
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 1  # the summary alone, no spectrum
+
+
+@pytest.mark.parametrize("command,option", [("spec", "--out"), ("eml", "--out"),
+                                            ("lift", "--save-assignment"), ("mc", "--csv")])
+def test_an_empty_output_path_is_a_usage_error(tmp_path, capsys, command, option):
+    argv = [command, *_command_inputs(tmp_path, command), *OUTPUT_CASE_ARGS.get(command, [])]
+    if command == "lift":
+        argv += ["--out", str(tmp_path / "lift.graph")]
+    assert dispatch([*argv, option, ""]) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+
+
+NOT_UTF8 = {  # reader -> file bytes with 0x85, which no UTF-8 text holds, on line 3
+    "read_graph": b"4 3\n0 1\n0 \x852\n0 3\n1 2\n1 3\n2 3\n",
+    "read_assignment": b"3 6\nshift 0\nshift \x851\nshift 0\nshift 0\nshift 0\nshift 0\n",
+    "read_config": b"base = complete 4\ntrials = 2\n# \x85\nseed = 1\n",
+}
+
+
+@pytest.mark.parametrize("reader", list(NOT_UTF8))
+def test_a_byte_that_is_not_utf8_is_a_format_error(tmp_path, reader):
+    path = tmp_path / "file"
+    path.write_bytes(NOT_UTF8[reader])
+    with pytest.raises(FormatError) as info:
+        getattr(fileio, reader)(str(path))
+    # UnicodeDecodeError is a ValueError too, so only the exact type tells them apart
+    assert type(info.value) is FormatError
+    assert str(info.value) == "line 3: byte 0x85 is not UTF-8"
+
+
+def test_utf8_text_beyond_ascii_still_reads(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("# λ ≤ 2√(d−1)\nbase = complete 4\ntrials = 2\nseed = 1\n", "utf-8")
+    assert fileio.read_config(str(path)).trials == 2
+
+
+@pytest.mark.parametrize("route", ["spec", "lift", "verify-shift", "mc", "mc-base"])
+def test_a_file_that_is_not_utf8_exits_two_on_every_route(tmp_path, capsys, route):
+    good, bad, out = tmp_path / "k4.graph", tmp_path / "bad", tmp_path / "out"
+    fileio.write_graph(ll.complete_graph(4), str(good))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"base = file {bad}\ntrials = 2\nseed = 1\n")
+    reader, argv = {
+        "spec": ("read_graph", ["spec", "--graph", str(bad)]),
+        "lift": ("read_assignment", ["lift", "--graph", str(good), "--assignment", str(bad)]),
+        "verify-shift": ("read_assignment",
+                         ["verify-shift", "--graph", str(good), "--assignment", str(bad)]),
+        "mc": ("read_config", ["mc", "--config", str(bad)]),
+        "mc-base": ("read_graph", ["mc", "--config", str(cfg)]),
+    }[route]
+    bad.write_bytes(NOT_UTF8[reader])
+    assert dispatch([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: line 3: byte 0x85 is not UTF-8\n")
+    assert not out.exists()

@@ -200,6 +200,24 @@ def test_root_operators_match_the_bmat_oracle_byte_for_byte(k, monkeypatch, lanc
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (g.n, k, attr)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 12])
+def test_no_root_operator_stores_a_zero(k, monkeypatch, lanczos_roots):
+    # at k = 4 every weight is real or imaginary, so half the embedding's
+    # entries would be zeros that each Lanczos product still multiplies
+    seen = []
+
+    def spy(op, what):
+        seen.append(op)
+        return 0.0
+
+    monkeypatch.setattr(characterization, "_lanczos_radius", spy)
+    bases = _operator_bases()
+    for i, g in enumerate(bases):
+        ll.lambda_new_from_roots(g, ll.random_shift_lift(g, k, 100 * k + i))
+    assert len(seen) == len(bases) * (k // 2)
+    assert all(np.all(op.data != 0) for op in seen)
+
+
 @pytest.mark.parametrize("lanczos", [False, True], ids=["stacked", "lanczos"])
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
 @pytest.mark.parametrize("n,d", [(4, 3), (12, 4), (40, 3), (STACKED, 3)])
