@@ -78,7 +78,6 @@ from .spectra import (
 from .toolkit import (
     DyadicDecomposition,
     discretize,
-    discretize_pair,
     dyadic_decompose,
     dyadic_round,
     geometric_log_sum_bound,

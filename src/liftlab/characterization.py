@@ -83,7 +83,7 @@ def verify_characterization(
             raise InvalidParameterError(f"{name} must be finite and >= 0, got {value}")
     _check_per_edge(g, sa.shift_array, "assignment", "shifts")
     k, n = sa.k, g.n
-    _check_dense_dim(k * n)  # before the (kn)^2 lift matrix is allocated
+    _check_dense_dim(k * n)  # before the (m, k) permutations, not only the lift matrix
     a_h = edge_matrix(k * n, *lift_endpoints(g, shift_to_assignment(sa).perm_array))
     lift_spec = eig_symmetric(a_h)
     fro = float(np.linalg.norm(a_h))

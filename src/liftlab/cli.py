@@ -1,7 +1,8 @@
 """Command-line workbench tying the library together.
 
-Every command runs the same way: dispatch reads the edge list at --graph if
-it takes one, the handler returns its exit code, outputs and summary line, and
+Every command runs the same way: dispatch checks that each output path given
+names a file in an existing directory, reads the edge list at --graph if it
+takes one, the handler returns its exit code, outputs and summary line, and
 dispatch writes each output whose option was given, then prints the summary
 (`spec` without --out writes the spectrum to stdout). Exit codes: 0 success,
 1 check failure, 2 usage or input error, 3 numerical or generation failure.
@@ -9,7 +10,9 @@ dispatch writes each output whose option was given, then prints the summary
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 import time
 
@@ -102,9 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants", help="comma-separated bound constants")
     p.add_argument("--out")
     p.add_argument("--csv")
-    p.add_argument("--threads", type=_positive_int,
-                   help="processes that run trials, this one included "
-                        "(default: LIFTLAB_THREADS, else 1)")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="processes that run trials, this one included (default: 1)")
 
     p = sub.add_parser("search-signing", help="exhaustive minimum signing radius")
     p.add_argument("--graph", required=True)
@@ -297,6 +299,10 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        for dest in ("out", "csv", "save_assignment"):  # before any input is read
+            path = getattr(args, dest, None)
+            if path is not None and not (path and os.path.isdir(os.path.dirname(path) or ".")):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         g = fileio.read_graph(args.graph) if "graph" in args else None
         code, outputs, summary = _COMMANDS[args.command](args, g)
         for dest, value in outputs.items():

@@ -69,16 +69,6 @@ def trial_seed(base_seed: int, index: int) -> int:
     return (int(base_seed) ^ splitmix64(int(index))) & _M64
 
 
-def default_threads() -> int:
-    """Requested campaign processes, the calling one included: LIFTLAB_THREADS,
-    or 1 (every trial in the calling process) if it is unset or empty. A value
-    that is not an integer >= 1 raises InvalidParameterError."""
-    raw = os.environ.get("LIFTLAB_THREADS", "").strip() or "1"
-    if not raw.isdecimal() or int(raw) < 1:
-        raise InvalidParameterError(f"LIFTLAB_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
 def pool_size(requested: int, trials: int) -> int:
     """Processes that run a campaign's trials, the calling one included: at most
     its trials and the CPUs this process may run on, so no setting forks a flood."""
@@ -287,7 +277,7 @@ def _run_in_pool(g: RegularGraph, cfg: ExperimentConfig,
 def run_lift_trials(
     cfg: ExperimentConfig,
     graph: RegularGraph | None = None,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> ExperimentReport:
     """Run the configured random-lift campaign and aggregate bound fractions.
 
@@ -304,18 +294,20 @@ def run_lift_trials(
     bound plus the absolute slack BOUND_SLACK; so is lambda in the regime
     flags (lambda > sqrt(d), lambda <= d / log2(d)).
 
-    `threads` (default: default_threads()) counts the processes that run
-    trials, this one included, capped by pool_size; without os.fork it is 1.
+    `threads` counts the processes that run trials, this one included,
+    capped by pool_size; without os.fork it is 1. A count below 1 raises
+    InvalidParameterError before any trial.
     One forked child runs each contiguous chunk of trials but the last. This
     process solves the base lambda while they run (with one process, before
     any trial), then runs the last chunk. A child that dies raises
     NumericalError, and a lift order k*n above 2**31 SizeLimitError before
     any trial.
     """
-    requested = default_threads() if threads is None else threads
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     g = resolve_base_graph(cfg) if graph is None else graph
     check_lift_order(g.n, cfg.k)  # before any trial allocates its k roots
-    workers = pool_size(requested, cfg.trials) if hasattr(os, "fork") else 1
+    workers = pool_size(threads, cfg.trials) if hasattr(os, "fork") else 1
     chunk = -(-cfg.trials // workers)
     workers = -(-cfg.trials // chunk)  # e.g. 5 trials, 4 requested: 3 chunks of 2
     lam, records = _run_in_pool(g, cfg, chunk)

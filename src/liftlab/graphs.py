@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GenerationError, InvalidParameterError
+from .spectra import _check_dense_dim
 
 _RESTART_CAP = 1000
 
@@ -256,7 +257,9 @@ def _incidences(u: np.ndarray, v: np.ndarray, in_s: np.ndarray, in_t: np.ndarray
 def edge_matrix(size: int, rows: np.ndarray, cols: np.ndarray, weights=1.0) -> np.ndarray:
     """Dense size x size matrix with weights[..., e] at (rows[e], cols[e]) and
     its conjugate at (cols[e], rows[e]), zero elsewhere. A (..., m) weight stack
-    gives a (..., size, size) stack; the dtype is result_type(weights, float64)."""
+    gives a (..., size, size) stack; the dtype is result_type(weights, float64).
+    A size above the dense cap raises SizeLimitError before any allocation."""
+    _check_dense_dim(size)
     w = np.asarray(weights)
     m = np.zeros(w.shape[:-1] + (size, size), dtype=np.result_type(w, np.float64))
     m[..., rows, cols] = w

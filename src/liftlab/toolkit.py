@@ -110,7 +110,19 @@ def dyadic_round(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return signs * np.where(up, 2.0 * down, down)
 
 
-def _check_round_inputs(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def discretize(
+    x: np.ndarray, m: np.ndarray, seed: int, max_tries: int = 10000
+) -> np.ndarray:
+    """Round x onto the grid without losing quadratic-form mass.
+
+    Repeats the unbiased randomized rounding until the result y satisfies
+    |y^T M y| >= |x^T M x| - 1e-12. Because the rounding is unbiased and M
+    has zero diagonal, E[y^T M y] = x^T M x, so a suitable y exists and the
+    loop terminates quickly in practice; ||y||^2 <= 4 ||x||^2 always holds
+    since each coordinate at most doubles. All tries draw from one generator
+    seeded with `seed`. Raises SearchError carrying the best candidate (None
+    if max_tries is 0) when max_tries is exhausted.
+    """
     x = np.asarray(x, dtype=float)
     m = np.asarray(m, dtype=float)
     if x.ndim != 1:
@@ -125,66 +137,18 @@ def _check_round_inputs(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.nd
         raise InvalidParameterError("matrix must be symmetric")
     if np.any(np.diag(m) != 0.0):
         raise InvalidParameterError("matrix must have an exactly zero diagonal")
-    return x, m
-
-
-def _round_until(x, seed: int, max_tries: int, draw, score, failure: str):
-    """The first of up to max_tries roundings draw(x, rng), all from one
-    seeded generator, whose score reaches score(x) - 1e-12. Else SearchError:
-    `failure` formatted with the target, the tries and the best score, and
-    carrying the best-scoring rounding (None if max_tries is 0)."""
-    target = score(x)
+    target = abs(float(x @ m @ x))
     rng = np.random.default_rng(_as_seed(seed))
     best_val, best = -math.inf, None
     for _ in range(max_tries):
-        y = draw(x, rng)
-        val = score(y)
+        y = dyadic_round(x, rng)
+        val = abs(float(y @ m @ y))
         if val >= target - 1e-12:
             return y
         if val > best_val:
             best_val, best = val, y
-    raise SearchError(failure.format(target=target, tries=max_tries, best=best_val), best=best)
-
-
-def discretize(
-    x: np.ndarray, m: np.ndarray, seed: int, max_tries: int = 10000
-) -> np.ndarray:
-    """Round x onto the grid without losing quadratic-form mass.
-
-    Repeats the unbiased randomized rounding until the result y satisfies
-    |y^T M y| >= |x^T M x| - 1e-12. Because the rounding is unbiased and M
-    has zero diagonal, E[y^T M y] = x^T M x, so a suitable y exists and the
-    loop terminates quickly in practice; ||y||^2 <= 4 ||x||^2 always holds
-    since each coordinate at most doubles. Raises SearchError carrying the
-    best candidate when max_tries is exhausted.
-    """
-    x, m = _check_round_inputs(x, m)
-    return _round_until(
-        x, seed, max_tries, dyadic_round, lambda y: abs(float(y @ m @ y)),
-        "no rounding reached |x^T M x| = {target:.6e} in {tries} tries (best {best:.6e})",
-    )
-
-
-def discretize_pair(
-    x1: np.ndarray,
-    x2: np.ndarray,
-    m: np.ndarray,
-    seed: int,
-    max_tries: int = 10000,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jointly round x1, x2 until |y1^T M y2| >= |x1^T M x2| - 1e-12.
-
-    Both vectors are re-rounded together on every retry under one generator,
-    and the per-vector norm bounds hold deterministically as in discretize.
-    """
-    x1, m = _check_round_inputs(x1, m)
-    x2, _ = _check_round_inputs(x2, m)
-    return _round_until(
-        (x1, x2), seed, max_tries,
-        lambda xs, rng: (dyadic_round(xs[0], rng), dyadic_round(xs[1], rng)),
-        lambda ys: abs(float(ys[0] @ m @ ys[1])),
-        "no joint rounding reached |x1^T M x2| = {target:.6e} in {tries} tries",
-    )
+    raise SearchError(f"no rounding reached |x^T M x| = {target:.6e} in {max_tries} tries "
+                      f"(best {best_val:.6e})", best=best)
 
 
 def geometric_log_sum_bound(

@@ -78,6 +78,18 @@ class TestRootPathMemory:
 
         assert self._peak(verify) < 5 * 2**20
 
+    def test_verify_refuses_a_lift_over_the_dense_cap_before_its_permutations(self):
+        # k*n = 4 * 10^6: the (m, k) permutations and the lift edge arrays
+        # would take 144 MB before edge_matrix itself could refuse the order
+        g = ll.complete_graph(4)
+        sa = ll.ShiftAssignment(10**6, (0,) * g.num_edges)
+
+        def verify():
+            with pytest.raises(ll.SizeLimitError, match=r"^dense solver capped at n=5000, got 4000000$"):
+                ll.verify_characterization(g, sa)
+
+        assert self._peak(verify) < 5 * 2**20
+
 
 class TestVerifyCharacterization:
     def test_all_zero_shifts(self, rng):

@@ -1,10 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import liftlab as ll
-from liftlab import fileio
+from liftlab import experiments, fileio
 from liftlab.cli import _build_parser, dispatch
 from liftlab.errors import FormatError, InvalidParameterError
 
@@ -382,11 +383,10 @@ class TestCli:
             assert dispatch(["mc", "--config", str(cfg_path), "--threads", bad]) == 2
             assert f"must be >= 1, got {bad}" in capsys.readouterr().err
         assert requested == []
-        # absent --threads reaches run_lift_trials as None, which alone
-        # resolves LIFTLAB_THREADS
+        # absent --threads reaches run_lift_trials as 1
         assert dispatch(["mc", "--config", str(cfg_path)]) == 0
         assert dispatch(["mc", "--config", str(cfg_path), "--threads", "2"]) == 0
-        assert requested == [None, 2]
+        assert requested == [1, 2]
 
     def test_gen_copies_below_one_are_usage_errors(self, tmp_path, capsys):
         out = tmp_path / "k4.graph"
@@ -733,6 +733,38 @@ def test_an_empty_output_path_is_a_usage_error(tmp_path, capsys, command, option
         argv += ["--out", str(tmp_path / "lift.graph")]
     assert dispatch([*argv, option, ""]) == 2
     assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+
+
+@pytest.mark.parametrize("csv", ["nodir/x.csv", ""])
+def test_mc_refuses_an_output_path_before_any_trial(tmp_path, capsys, monkeypatch, csv):
+    trials = []
+    monkeypatch.setattr(experiments, "_run_one_trial", lambda *a: trials.append(a[2]))
+    argv = ["mc", *_command_inputs(tmp_path, "mc"), "--out", str(tmp_path / "r.txt")]
+    assert dispatch([*argv, "--csv", csv and str(tmp_path / csv)]) == 2
+    assert trials == [] and not (tmp_path / "r.txt").exists()
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory: ")
+
+
+def test_lift_refuses_an_assignment_path_before_writing_the_lift(tmp_path, capsys):
+    argv = ["lift", *_command_inputs(tmp_path, "lift"), "--out", str(tmp_path / "ok.graph"),
+            "--save-assignment", str(tmp_path / "nodir" / "a")]
+    assert dispatch(argv) == 2
+    assert not (tmp_path / "ok.graph").exists()
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory: ")
+
+
+def test_spec_over_the_dense_cap_builds_no_matrix(tmp_path, capsys):
+    # the 5001 x 5001 adjacency matrix alone would take 200 MB
+    g_path = tmp_path / "c5001.graph"
+    fileio.write_graph(ll.cycle_graph(5001), str(g_path))
+    tracemalloc.start()
+    try:
+        assert dispatch(["spec", "--graph", str(g_path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == ("", "error: dense solver capped at n=5000, got 5001\n")
+    assert peak < 10 * 2**20
 
 
 NOT_UTF8 = {  # reader -> file bytes with 0x85, which no UTF-8 text holds, on line 3

@@ -229,24 +229,12 @@ def test_child_killed_by_a_signal_raises_naming_it(monkeypatch):
         ll.run_lift_trials(cfg, threads=2)
 
 
-@pytest.mark.parametrize("raw", ["", None])
-def test_unset_or_empty_liftlab_threads_is_one(monkeypatch, raw):
-    if raw is None:
-        monkeypatch.delenv("LIFTLAB_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("LIFTLAB_THREADS", raw)
-    assert experiments.default_threads() == 1
-
-
-@pytest.mark.parametrize("raw", ["-3", "0", "abc"])
-def test_invalid_liftlab_threads_is_a_usage_error(monkeypatch, tmp_path, capsys, raw):
-    monkeypatch.setenv("LIFTLAB_THREADS", raw)
-    with pytest.raises(InvalidParameterError, match="LIFTLAB_THREADS"):
-        experiments.default_threads()
-    cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("base = random_regular 16 3 2\nk = 3\nmode = shift_lift\n"
-                        "trials = 4\nseed = 42\n")
-    assert dispatch(["mc", "--config", str(cfg_path)]) == 2
-    assert f"LIFTLAB_THREADS must be an integer >= 1, got {raw!r}" in capsys.readouterr().err
-    # an explicit count does not read the variable
-    assert dispatch(["mc", "--config", str(cfg_path), "--threads", "1"]) == 0
+def test_threads_below_one_raise_before_any_fork_or_trial(monkeypatch):
+    started = []
+    monkeypatch.setattr(experiments, "_run_one_trial", lambda *a: started.append("trial"))
+    monkeypatch.setattr(os, "fork", lambda: started.append("fork"))
+    cfg = ll.ExperimentConfig("random_regular 16 3 2", 3, 4, 42, (3.0,), "shift_lift")
+    for bad in (0, -3):
+        with pytest.raises(InvalidParameterError, match=f"^threads must be >= 1, got {bad}$"):
+            ll.run_lift_trials(cfg, threads=bad)
+    assert started == []

@@ -1,12 +1,11 @@
 """The public surface of liftlab, pinned: exported names, the attributes of the
-four value types, the CLI options and the environment variables. A change that
-adds or drops any of them has to change this file too. So does one that adds
-a top-level library definition that only tests call, or a defaulted parameter
-that only tests set."""
+four value types and the CLI options. A change that adds or drops any of them
+has to change this file too. So does one that adds a top-level library
+definition that only tests call, or a defaulted parameter that only tests set.
+No library module reads the environment."""
 import argparse
 import ast
 import math
-import re
 import types
 from pathlib import Path
 
@@ -21,7 +20,7 @@ PUBLIC_NAMES = [
     "RegularGraph", "SearchError", "ShiftAssignment", "Signing", "SigningSearchResult",
     "SizeLimitError", "Spectrum", "SpotCheckReport", "TrialRecord", "adjacency_matrix",
     "build_lift", "build_shift_lift", "cheeger_check", "complete_bipartite", "complete_graph",
-    "cycle_graph", "discretize", "discretize_pair", "disjoint_copies", "dyadic_decompose",
+    "cycle_graph", "discretize", "disjoint_copies", "dyadic_decompose",
     "dyadic_round", "edge_endpoints", "eig_symmetric", "eml_check",
     "exhaustive_signing_search", "geometric_log_sum_bound", "greedy_lift_growth",
     "lambda_new_from_fibers", "lambda_new_from_roots", "lambda_nontrivial",
@@ -39,7 +38,6 @@ TEST_ONLY_DEFINITIONS = {
     "two_lift_block_matrix": "criterion 2",
     "dyadic_decompose": "criterion 9 and test_toolkit.py",
     "discretize": "criterion 9 and test_toolkit.py",
-    "discretize_pair": "criterion 9 and test_toolkit.py",
     "geometric_log_sum_bound": "criterion 9 and test_toolkit.py",
     "sign_sum_stats": "criterion 10",
 }
@@ -91,11 +89,26 @@ def test_cli_options_are_pinned():
     assert got == CLI_OPTIONS
 
 
-def test_environment_variables_are_pinned():
+def test_no_library_module_reads_the_environment():
     src = Path(ll.__file__).parent
-    names = {name for path in src.glob("*.py")
-             for name in re.findall(r"\bLIFTLAB_[A-Z0-9_]+", path.read_text())}
-    assert sorted(names) == ["LIFTLAB_THREADS"]
+    reads = []
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [f"{path.name}: {name}" for name in names
+                      if name in ("environ", "environb", "getenv", "getenvb")]
+    assert reads == []
+
+
+def test_each_test_only_definition_is_called_by_an_acceptance_criterion():
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    named = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+    assert set(TEST_ONLY_DEFINITIONS) - named == set()
 
 
 def test_no_other_library_definition_is_test_only():

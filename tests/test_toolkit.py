@@ -142,9 +142,7 @@ class TestDiscretize:
         m_bad = m.copy()
         m_bad[0, 1] = m_bad[1, 0] = bad
         for call in (lambda: ll.discretize(x, m, seed=0),
-                     lambda: ll.discretize(np.zeros(3), m_bad, seed=0),
-                     lambda: ll.discretize_pair(np.zeros(3), x, m, seed=0),
-                     lambda: ll.discretize_pair(np.zeros(3), np.zeros(3), m_bad, seed=0)):
+                     lambda: ll.discretize(np.zeros(3), m_bad, seed=0)):
             with pytest.raises(InvalidParameterError, match="x and M must be finite"):
                 call()
 
@@ -162,29 +160,6 @@ class TestDiscretize:
             ll.discretize(x, m, seed=0, max_tries=1)
         assert info.value.best is not None
         assert abs(info.value.best @ m @ info.value.best) < abs(x @ m @ x)
-
-    def test_pair_search_failure_reports_best_pair(self):
-        # as above, with target 2*(0.2501)^2 just above the (down, down)
-        # value 0.125 and up-probability 0.0004 per coordinate
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        x1 = x2 = np.array([0.2501, 0.2501])
-        with pytest.raises(SearchError, match="^no joint rounding reached .* in 1 tries$") as info:
-            ll.discretize_pair(x1, x2, m, seed=0, max_tries=1)
-        rng = np.random.default_rng(0)
-        want = (ll.dyadic_round(x1, rng), ll.dyadic_round(x2, rng))
-        y1, y2 = info.value.best
-        assert np.array_equal(y1, want[0]) and np.array_equal(y2, want[1])
-        assert abs(y1 @ m @ y2) < abs(x1 @ m @ x2)
-
-    def test_pair_rounding(self, rng):
-        g = ll.random_regular(14, 3, 2)
-        m = ll.signed_adjacency(g, ll.random_signing(g, 4))
-        x1 = rng.uniform(-0.5, 0.5, size=14)
-        x2 = rng.uniform(-0.5, 0.5, size=14)
-        y1, y2 = ll.discretize_pair(x1, x2, m, seed=6)
-        assert abs(y1 @ m @ y2) >= abs(x1 @ m @ x2) - 1e-12
-        assert y1 @ y1 <= 4 * (x1 @ x1) + 1e-12
-        assert y2 @ y2 <= 4 * (x2 @ x2) + 1e-12
 
 
 class TestGeometricLogSumBound:
